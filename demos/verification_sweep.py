@@ -1,8 +1,9 @@
 """Run the exhaustive checker on small orders, then break it on purpose.
 
-The sweep enumerates every labeled graph up to the requested order and
+The sweep covers every labeled graph up to the requested order: it
 evaluates the full catalogue of 28 inequality and characterization checks
-on each one.  A clean run prints only tallies.  To show what a failure
+on one graph per isomorphism class and counts the verdicts for every
+labeled member of the class.  A clean run prints only tallies.  To show what a failure
 looks like, the second half re-runs the sweep with one bound deliberately
 corrupted from ceil(n/2) to ceil(n/1): the corrupted claim overshoots the
 truth and the checker answers with concrete counterexamples, each carrying

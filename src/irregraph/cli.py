@@ -58,8 +58,6 @@ class CliConfig:
     params: dict = field(default_factory=dict)
     prop: Optional[str] = None
     n_max: int = 6
-    workers: int = 1
-    engine: str = "bulk"
     t41_divisor: int = 2
     families: Optional[tuple] = None
     corrupt_sample: bool = False
@@ -93,8 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="sweep all graphs up to an order")
     verify.add_argument("--n-max", type=int, default=6, dest="n_max")
-    verify.add_argument("--workers", type=int, default=1)
-    verify.add_argument("--engine", choices=("bulk", "scalar"), default="bulk")
     verify.add_argument("--t41-divisor", type=int, default=2, dest="t41_divisor")
 
     sharp = sub.add_parser("sharpness", help="re-verify the equality grids")
@@ -132,11 +128,7 @@ def parse_cli(argv) -> CliConfig:
         )
     if ns.command == "verify":
         return CliConfig(
-            command="verify",
-            n_max=ns.n_max,
-            workers=ns.workers,
-            engine=ns.engine,
-            t41_divisor=ns.t41_divisor,
+            command="verify", n_max=ns.n_max, t41_divisor=ns.t41_divisor
         )
     return CliConfig(
         command="sharpness",
@@ -248,10 +240,7 @@ def _cmd_recognize(config: CliConfig, stdin, out, err) -> int:
 def _cmd_verify(config: CliConfig, out, err) -> int:
     try:
         summary = verify_range(
-            config.n_max,
-            workers=config.workers,
-            engine=config.engine,
-            cfg=CheckConfig(t41_divisor=config.t41_divisor),
+            config.n_max, CheckConfig(t41_divisor=config.t41_divisor)
         )
     except ValueError as exc:
         print(f"verify: {exc}", file=err)

@@ -7,8 +7,9 @@ be handed to any number of workers.
 
 The module also provides the degree classification used throughout (degree
 classes N_i, their sizes, the span), isomorphism testing by backtracking over
-degree-compatible assignments, and a bit-exact graph6 codec restricted to the
-short form (1 <= n <= 62).
+degree-compatible assignments, canonical keys with automorphism counts, one
+representative per isomorphism class of small order, and a bit-exact graph6
+codec restricted to the short form (1 <= n <= 62).
 
 Edge-mask convention: the C(n,2) vertex pairs are numbered in column-major
 upper-triangle order, pair (u, v) with u < v at position v*(v-1)/2 + u.  This
@@ -19,6 +20,8 @@ matches the bit order of the graph6 format, so the integer produced by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 
@@ -349,6 +352,113 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
         return False
 
     return extend(0)
+
+
+# -- canonical form and isomorphism classes -------------------------------
+
+
+def _refined_cells(rows: Sequence[int]) -> list[list[int]]:
+    """Cells of the stable colour-refinement partition, in canonical order.
+
+    Colours start as degrees.  Each round recolours every vertex by its own
+    colour and the sorted colours of its neighbors, ranked in sorted order,
+    until no cell splits.  Nothing depends on the labels, so isomorphic graphs
+    get corresponding cells in the same order.
+    """
+    n = len(rows)
+    colour = [row.bit_count() for row in rows]
+    while True:
+        signature = [
+            (colour[v], tuple(sorted(colour[u] for u in range(n) if row >> u & 1)))
+            for v, row in enumerate(rows)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(signature)))}
+        stable = len(rank) == len(set(colour))
+        colour = [rank[s] for s in signature]
+        if stable:
+            break
+    cells: list[list[int]] = [[] for _ in rank]
+    for v in range(n):
+        cells[colour[v]].append(v)
+    return cells
+
+
+@lru_cache(maxsize=None)
+def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(1 << pair_index(i, j) if i != j else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
+def _canonical(rows: Sequence[int]) -> tuple[int, int]:
+    n = len(rows)
+    edges = [(u, v) for v in range(n) for u in range(v) if rows[v] >> u & 1]
+    bits = _pair_bits(n)
+    best, ties = -1, 0
+    position = [0] * n
+    for parts in product(*(permutations(cell) for cell in _refined_cells(rows))):
+        for i, v in enumerate(chain.from_iterable(parts)):
+            position[v] = i
+        code = 0
+        for u, v in edges:
+            code |= bits[position[u]][position[v]]
+        if code > best:
+            best, ties = code, 1
+        elif code == best:
+            ties += 1
+    return best, ties
+
+
+def canonical_form(g: Graph) -> tuple[int, int]:
+    """(key, |Aut(g)|); isomorphic graphs, and only they, share the key.
+
+    The key is the largest edge mask over all vertex orderings that list the
+    stable colour-refinement cells in order.  Those orderings are permuted
+    among themselves by every automorphism, and two of them give the same
+    mask exactly when they differ by one, so |Aut| is the number of orderings
+    that reach the key.  The cost is the product of the cell factorials, at
+    most n!; intended for n up to about 8.
+    """
+    return _canonical(g.rows)
+
+
+@lru_cache(maxsize=None)
+def isomorphism_classes(n: int) -> tuple[tuple[Graph, int], ...]:
+    """One graph per isomorphism class of order n, with |Aut|, by ascending key.
+
+    Order n grows from order n-1 by adding vertex n-1 to each class
+    representative once for each of its 2^(n-1) neighbourhoods (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Every
+    order-n graph minus its last vertex lies in some order-(n-1) class, so
+    every class is reached; the canonical key keeps one graph per class, the
+    one whose edge mask is the key.  The class of g has n!/|Aut(g)| labeled
+    members.
+    """
+    if n < 0:
+        raise ValueError("order must be non-negative")
+    if n == 0:
+        return ((empty_graph(0), 1),)
+    autos: dict[int, int] = {}
+    top = 1 << (n - 1)
+    for g, _ in isomorphism_classes(n - 1):
+        for hood in range(top):
+            rows = [
+                row | top if hood >> v & 1 else row for v, row in enumerate(g.rows)
+            ]
+            rows.append(hood)
+            key, aut = _canonical(rows)
+            autos.setdefault(key, aut)
+    return tuple((from_edge_mask(n, key), autos[key]) for key in sorted(autos))
+
+
+def labeled_copies(g: Graph) -> list[int]:
+    """Edge masks of the distinct relabelings of g, ascending."""
+    edges = list(g.edges())
+    bits = _pair_bits(g.n)
+    return sorted({
+        sum(bits[p[u]][p[v]] for u, v in edges) for p in permutations(range(g.n))
+    })
 
 
 # -- graph6 codec ---------------------------------------------------------

@@ -505,6 +505,10 @@ def full_report(g: Graph, size_guard: int = SIZE_GUARD) -> ParameterReport:
             raise AssertionError(f"invalid witness for {key}")
         if check is not None and ext.witness.size != ext.value:
             raise AssertionError(f"witness size mismatch for {key}")
+    side = results["beta"].witness
+    outside = ((1 << g.n) - 1) ^ side.mask
+    if sum((g.rows[v] & outside).bit_count() for v in side) != results["beta"].value:
+        raise AssertionError("invalid witness for beta")
     return ParameterReport(
         n=g.n,
         m=g.m,

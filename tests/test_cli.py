@@ -162,10 +162,13 @@ def test_verify_negative_control_exits_one():
     assert record["violations"][0]["graph"] == "A_"
 
 
-def test_verify_engine_and_worker_flags():
-    code, out, _ = run_cli("verify", "--n-max", "3", "--engine", "scalar", "--workers", "2")
-    assert code == 0
-    assert json.loads(out)["graphs_checked"] == 12
+def test_verify_engine_and_worker_flags(capsys):
+    # one sweep engine, no thread pool: both options are unknown now
+    for flag, value in (("--engine", "scalar"), ("--workers", "2")):
+        code, out, _ = run_cli("verify", "--n-max", "3", flag, value)
+        assert code == 2
+        assert out == ""
+        assert flag in capsys.readouterr().err  # argparse's usage error
 
 
 def test_verify_bad_order_exits_two():
@@ -206,8 +209,8 @@ def test_parse_cli_shapes():
     assert config == CliConfig(
         command="construct", family="sum_extremal", params={"n": 4, "k": 3}
     )
-    config = parse_cli(["verify", "--n-max", "5", "--workers", "3"])
-    assert config.n_max == 5 and config.workers == 3 and config.engine == "bulk"
+    config = parse_cli(["verify", "--n-max", "5", "--t41-divisor", "3"])
+    assert config == CliConfig(command="verify", n_max=5, t41_divisor=3)
 
 
 def test_entrypoint_wires_exit_code(monkeypatch, capsys):

@@ -1,4 +1,7 @@
-"""Graph value type, combinators, isomorphism, and the graph6 codec."""
+"""Graph value type, combinators, isomorphism, canonical forms, and the
+graph6 codec."""
+
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +10,7 @@ from irregraph.graph import (
     Graph,
     Graph6Error,
     VertexSet,
+    canonical_form,
     classify_degrees,
     complement,
     complete_bipartite,
@@ -17,7 +21,9 @@ from irregraph.graph import (
     from_edge_mask,
     from_edges,
     is_isomorphic,
+    isomorphism_classes,
     join,
+    labeled_copies,
     matching_graph,
     pair_count,
     pair_index,
@@ -184,6 +190,65 @@ def test_isomorphism_class_counts():
 def test_isomorphism_closed_under_relabeling(pair):
     g, h = pair
     assert is_isomorphic(g, h)
+
+
+# -- canonical form and isomorphism classes ------------------------------------
+
+
+def test_class_counts_and_labeled_weights():
+    # unlabeled graphs on n nodes (OEIS A000088), and the orbit-counting
+    # identity: the classes' n!/|Aut| members are all 2^C(n,2) labeled graphs
+    expected = (1, 1, 2, 4, 11, 34, 156, 1044)
+    for n, want in enumerate(expected):
+        classes = isomorphism_classes(n)
+        assert len(classes) == want
+        assert sum(factorial(n) // aut for _, aut in classes) == 1 << pair_count(n)
+
+
+def test_class_representatives_pairwise_non_isomorphic():
+    for n in range(1, 6):
+        reps = [g for g, _ in isomorphism_classes(n)]
+        for i, g in enumerate(reps):
+            assert canonical_form(g)[0] == g.edge_mask
+            assert not any(is_isomorphic(g, h) for h in reps[:i])
+
+
+def test_automorphism_counts():
+    assert canonical_form(empty_graph(5))[1] == 120
+    assert canonical_form(complete_graph(5))[1] == 120
+    assert canonical_form(path_graph(4))[1] == 2
+    assert canonical_form(star_graph(6))[1] == 120
+    assert canonical_form(cycle_graph(6))[1] == 12
+    assert canonical_form(empty_graph(0)) == (0, 1)
+
+
+def test_labeled_copies_partition_every_order():
+    for n in range(1, 5):
+        seen = []
+        for g, aut in isomorphism_classes(n):
+            copies = labeled_copies(g)
+            assert len(copies) == factorial(n) // aut
+            assert g.edge_mask in copies
+            seen.extend(copies)
+        assert sorted(seen) == list(range(1 << pair_count(n)))
+
+
+@given(permuted_pairs(max_n=8))
+def test_canonical_form_survives_relabeling(pair):
+    g, h = pair
+    assert canonical_form(g) == canonical_form(h)
+
+
+def test_classes_match_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas: dict[int, set] = {}
+    for a in nx.graph_atlas_g():  # all 1253 graphs on 0..7 nodes
+        n = a.number_of_nodes()
+        key, _ = canonical_form(from_edges(n, a.edges()))
+        atlas.setdefault(n, set()).add(key)
+    assert sorted(atlas) == list(range(8))
+    for n, keys in atlas.items():
+        assert keys == {g.edge_mask for g, _ in isomorphism_classes(n)}
 
 
 # -- graph6 -------------------------------------------------------------------

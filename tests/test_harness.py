@@ -1,15 +1,17 @@
-"""Sweep harness: engine agreement, frozen counts, and the negative controls."""
+"""Sweep harness: class sweep against the labeled reference, frozen counts,
+and the negative controls."""
 
 import json
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irregraph.bulk import _planarity_tables, sweep_order_bulk
 from irregraph.graph import (
     complete_graph,
     empty_graph,
     from_edge_mask,
+    isomorphism_classes,
     pair_count,
     path_graph,
 )
@@ -20,12 +22,14 @@ from irregraph.harness import (
     SweepSummary,
     TheoremReport,
     Verdict,
+    _sweep_order,
     _sweep_order_scalar,
     enumerate_labeled_graphs,
     sharpness_suite,
     theorem_report,
     verify_range,
 )
+from irregraph.recognizers import is_outerplanar, is_planar
 
 # labeled graphs of order 0..n summed: 1, 2, 4, 12, 76, 1100, 33868, 2131020
 GRAPHS_THROUGH = {0: 1, 1: 2, 2: 4, 3: 12, 4: 76, 5: 1100, 6: 33868}
@@ -102,7 +106,7 @@ def test_checkconfig_validation_and_bound():
 
 
 def test_sweep_frozen_graph_counts():
-    small = verify_range(3, engine="scalar")
+    small = verify_range(3)
     assert small.graphs_checked == GRAPHS_THROUGH[3]
     assert small.violations == ()
     mid = verify_range(5)
@@ -120,31 +124,21 @@ def test_sweep_order_zero_checks_nothing():
 
 
 def test_engines_agree_through_order_five():
+    # the class sweep against the labeled reference that checks every mask
     for n in range(1, 6):
-        bulk_counts, bulk_viol = sweep_order_bulk(n)
-        scalar_counts, scalar_viol = _sweep_order_scalar(n, 1, DEFAULT_CONFIG)
-        assert bulk_viol == scalar_viol == []
-        assert bulk_counts == scalar_counts
+        class_counts, class_viol = _sweep_order(n, DEFAULT_CONFIG)
+        labeled_counts, labeled_viol = _sweep_order_scalar(n, DEFAULT_CONFIG)
+        assert class_viol == labeled_viol == []
+        assert class_counts == labeled_counts
 
 
 def test_engines_agree_on_violations():
     cfg = CheckConfig(t41_divisor=1)
     for n in range(1, 5):
-        bulk_counts, bulk_viol = sweep_order_bulk(n, cfg=cfg)
-        scalar_counts, scalar_viol = _sweep_order_scalar(n, 1, cfg)
-        assert bulk_viol == scalar_viol
-        assert bulk_counts == scalar_counts
-
-
-def test_worker_count_never_changes_results():
-    runs = [
-        verify_range(5, workers=w, engine=e).to_json()
-        for w in (1, 3)
-        for e in ("bulk", "scalar")
-    ]
-    for run in runs:
-        run.pop("wall_time_ms")
-    assert all(run == runs[0] for run in runs[1:])
+        class_counts, class_viol = _sweep_order(n, cfg)
+        labeled_counts, labeled_viol = _sweep_order_scalar(n, cfg)
+        assert class_viol == labeled_viol
+        assert class_counts == labeled_counts
 
 
 def test_not_applicable_counts_frozen():
@@ -183,26 +177,22 @@ def test_weakened_bound_cannot_fire():
 
 
 def test_verify_range_validation():
-    with pytest.raises(ValueError):
+    # order 8 is accepted (about half a minute), order 9 is not
+    with pytest.raises(ValueError, match="n_max <= 8"):
         verify_range(9)
     with pytest.raises(ValueError):
-        verify_range(3, engine="turbo")
-    with pytest.raises(ValueError, match="scalar"):
-        verify_range(8)  # bulk engine is capped at order 7
+        verify_range(-1)
+    with pytest.raises(TypeError):
+        verify_range(3, engine="scalar")  # the engine choice is gone
 
 
-def test_bulk_engine_order_guard():
-    with pytest.raises(ValueError):
-        sweep_order_bulk(0)
-    with pytest.raises(ValueError):
-        sweep_order_bulk(8)
-
-
-def test_planarity_tables_match_known_counts():
+def test_planarity_class_sums_match_known_counts():
     for n in range(1, 7):
-        planar, outer = _planarity_tables(n)
-        assert int(planar.sum()) == PLANAR_COUNTS[n]
-        assert int(outer.sum()) == OUTERPLANAR_COUNTS[n]
+        weights = [
+            (g, factorial(n) // aut) for g, aut in isomorphism_classes(n)
+        ]
+        assert sum(w for g, w in weights if is_planar(g)) == PLANAR_COUNTS[n]
+        assert sum(w for g, w in weights if is_outerplanar(g)) == OUTERPLANAR_COUNTS[n]
 
 
 def test_sweep_json_is_serializable():

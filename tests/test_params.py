@@ -177,6 +177,18 @@ def test_size_guard():
         alpha(empty_graph(0))
 
 
+def test_full_report_rejects_wrong_cut_witness(monkeypatch):
+    import irregraph.params as params_module
+
+    def shifted_side(g, size_guard=None):
+        best = max_cut(g)
+        return best._replace(witness=VertexSet(g.n, best.witness.mask ^ 1))
+
+    monkeypatch.setattr(params_module, "max_cut", shifted_side)
+    with pytest.raises(AssertionError, match="beta"):
+        full_report(path_graph(4))
+
+
 def test_report_serialization():
     r = full_report(path_graph(4))
     blob = r.to_json()
