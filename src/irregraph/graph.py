@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 
@@ -391,13 +392,45 @@ def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _cell_orderings(rows: Sequence[int], cell: list[int]) -> tuple[list, int]:
+    """Orderings of one cell up to swaps of twins, and how many each stands for.
+
+    u and v are twins when N(u) - {v} = N(v) - {u}.  Swapping them is an
+    automorphism, so it never changes an edge code.  Twinship is an
+    equivalence, and only the orderings that keep each twin class in
+    ascending order are listed; each stands for the product of the class
+    factorials.
+    """
+    classes: list[list[int]] = []
+    for v in cell:
+        for twins in classes:
+            u = twins[0]
+            if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
+                twins.append(v)
+                break
+        else:
+            classes.append([v])
+    weight = 1
+    for twins in classes:
+        weight *= factorial(len(twins))
+    if weight == 1:
+        return list(permutations(cell)), 1
+    symbols = [s for s, twins in enumerate(classes) for _ in twins]
+    orderings = []
+    for arrangement in set(permutations(symbols)):
+        members = [iter(twins) for twins in classes]
+        orderings.append(tuple(next(members[s]) for s in arrangement))
+    return orderings, weight
+
+
 def _canonical(rows: Sequence[int]) -> tuple[int, int]:
     n = len(rows)
     edges = [(u, v) for v in range(n) for u in range(v) if rows[v] >> u & 1]
     bits = _pair_bits(n)
     best, ties = -1, 0
     position = [0] * n
-    for parts in product(*(permutations(cell) for cell in _refined_cells(rows))):
+    per_cell = [_cell_orderings(rows, cell) for cell in _refined_cells(rows)]
+    for parts in product(*(orderings for orderings, _ in per_cell)):
         for i, v in enumerate(chain.from_iterable(parts)):
             position[v] = i
         code = 0
@@ -407,6 +440,8 @@ def _canonical(rows: Sequence[int]) -> tuple[int, int]:
             best, ties = code, 1
         elif code == best:
             ties += 1
+    for _, weight in per_cell:
+        ties *= weight
     return best, ties
 
 
@@ -417,8 +452,11 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     stable colour-refinement cells in order.  Those orderings are permuted
     among themselves by every automorphism, and two of them give the same
     mask exactly when they differ by one, so |Aut| is the number of orderings
-    that reach the key.  The cost is the product of the cell factorials, at
-    most n!; intended for n up to about 8.
+    that reach the key.  Twins (vertices with the same neighbours apart from
+    each other) are interchangeable, so the orderings are listed up to swaps
+    of twins and counted with that multiplicity.  The cost is at most the
+    product of the cell factorials (n! for a single cell); intended for n up
+    to about 8.
     """
     return _canonical(g.rows)
 

@@ -10,9 +10,11 @@ alone.
 Every check is invariant under relabeling, so the sweep evaluates one
 representative per isomorphism class and counts its verdicts n!/|Aut| times,
 once for each labeled member.  A class with a failing check is expanded back
-into its labeled members and each member is re-checked on its own, so every
-reported violation carries witnesses computed on that labeled graph.  The
-tests hold the class sweep to a labeled sweep that checks every edge mask.
+into its labeled members, each reported under its own graph6 string with the
+class's verdicts: every witness string is built from isomorphism invariants
+(parameter values, degree classes, family tags), so a member's verdicts equal
+its representative's.  The tests hold the class sweep to a labeled sweep that
+checks every edge mask, verdicts included.
 
 Radical bounds are checked in exact integer arithmetic by squaring: for
 instance alpha_ir <= (1+sqrt(D))/2 for nonnegative D is equivalent to
@@ -510,20 +512,23 @@ def _merge_counts(into: dict, part: dict) -> None:
 
 
 def _sweep_order(n: int, cfg: CheckConfig):
-    """Per-theorem counts and ascending violating edge masks of order n.
+    """Per-theorem counts and the violating (edge mask, verdicts) pairs of
+    order n, in ascending mask order.
 
-    One report per isomorphism class, weighted by its n!/|Aut| members.
+    One report per isomorphism class, weighted by its n!/|Aut| members; each
+    member of a violating class carries its class's verdicts.
     """
     counts = _blank_counts()
-    violating: list[int] = []
+    violating: list[tuple[int, tuple[Verdict, ...]]] = []
     for g, aut in isomorphism_classes(n):
         weight = factorial(n) // aut
         report = theorem_report(g, cfg)
         for v in report.verdicts:
             counts[v.theorem_id][v.status] += weight
         if report.failures:
-            violating.extend(labeled_copies(g))
-    return counts, sorted(violating)
+            violating.extend((mask, report.verdicts) for mask in labeled_copies(g))
+    violating.sort(key=lambda pair: pair[0])
+    return counts, violating
 
 
 def _sweep_order_scalar(n: int, cfg: CheckConfig):
@@ -535,7 +540,7 @@ def _sweep_order_scalar(n: int, cfg: CheckConfig):
         for v in report.verdicts:
             counts[v.theorem_id][v.status] += 1
         if report.failures:
-            violating.append(mask)
+            violating.append((mask, report.verdicts))
     return counts, violating
 
 
@@ -556,10 +561,11 @@ def verify_range(n_max: int, cfg: CheckConfig = DEFAULT_CONFIG) -> SweepSummary:
         graphs_checked += 1 << pair_count(n)
         part_counts, violating = _sweep_order(n, cfg)
         _merge_counts(counts, part_counts)
-        # each labeled member of a violating class is re-checked as itself, so
-        # its witnesses (smallest-mask tie-break included) belong to that graph
+        # verdicts are isomorphism-invariant, so each labeled member of a
+        # violating class is reported with its class's verdicts
         violations.extend(
-            theorem_report(from_edge_mask(n, mask), cfg) for mask in violating
+            TheoremReport(write_graph6(from_edge_mask(n, mask)), verdicts)
+            for mask, verdicts in violating
         )
     violations.sort(key=lambda r: r.graph)
     wall = int((time.monotonic() - start) * 1000)

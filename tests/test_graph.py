@@ -219,6 +219,9 @@ def test_automorphism_counts():
     assert canonical_form(path_graph(4))[1] == 2
     assert canonical_form(star_graph(6))[1] == 120
     assert canonical_form(cycle_graph(6))[1] == 12
+    # one refinement cell holding two twin classes
+    assert canonical_form(cycle_graph(4))[1] == 8
+    assert canonical_form(complete_bipartite(3, 3))[1] == 72
     assert canonical_form(empty_graph(0)) == (0, 1)
 
 

@@ -13,6 +13,7 @@ from irregraph.graph import (
     from_edge_mask,
     isomorphism_classes,
     pair_count,
+    parse_graph6,
     path_graph,
 )
 from irregraph.harness import (
@@ -168,6 +169,16 @@ def test_negative_control_fires_and_sorts():
     for report in summary.violations:
         for verdict in report.failures:
             assert verdict.witness
+
+
+def test_violations_reuse_class_verdicts():
+    # a violating class reports its verdicts once for every labeled member;
+    # recomputing each member's report from its graph6 string must agree
+    cfg = CheckConfig(t41_divisor=1)
+    summary = verify_range(5, cfg)
+    assert len(summary.violations) == 1094
+    for report in summary.violations:
+        assert report == theorem_report(parse_graph6(report.graph), cfg)
 
 
 def test_weakened_bound_cannot_fire():

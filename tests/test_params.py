@@ -1,16 +1,20 @@
 """Exact parameter solvers against frozen values and the naive oracles."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from irregraph.graph import (
     VertexSet,
     complement,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union_all,
     empty_graph,
     from_edge_mask,
+    from_edges,
     pair_count,
     path_graph,
     star_graph,
@@ -222,6 +226,53 @@ def test_oracle_equivalence_exhaustive_n4(fast, slow):
 def test_oracle_equivalence_random(g):
     for fast, slow in SOLVER_PAIRS:
         assert fast(g) == slow(g)
+
+
+def gnp(n, p, rng):
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    return from_edges(n, [e for e in pairs if rng.random() < p])
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+def test_exponential_solvers_match_oracles_beyond_n7(p):
+    rng = random.Random(int(p * 10))
+    for n in range(8, 13):
+        for _ in range(3):
+            g = gnp(n, p, rng)
+            assert max_cut(g) == naive_max_cut(g), (n, g.edge_mask)
+            assert gamma_ir(g) == naive_gamma_ir(g), (n, g.edge_mask)
+            assert gamma_reg(g) == naive_gamma_reg(g), (n, g.edge_mask)
+
+
+def test_split_scan_matches_oracles_at_small_orders(monkeypatch):
+    # the split scan only runs from n = 12 by default; force it everywhere
+    import irregraph.params as params_module
+
+    monkeypatch.setattr(params_module, "_SPLIT_FROM", 1)
+    rng = random.Random(7)
+    graphs = [from_edge_mask(n, mask) for n in range(1, 6)
+              for mask in range(1 << pair_count(n))]
+    graphs += [gnp(n, p, rng) for n in range(6, 12) for p in (0.2, 0.5, 0.8)]
+    for g in graphs:
+        assert gamma_ir(g) == naive_gamma_ir(g), (g.n, g.edge_mask)
+        assert gamma_reg(g) == naive_gamma_reg(g), (g.n, g.edge_mask)
+
+
+def test_witnesses_on_tie_heavy_graphs():
+    # many sets reach the optimum here, so the witness pins the tie-break
+    graphs = [empty_graph(9), complete_graph(9), complete_graph(12)]
+    graphs += [complete_bipartite(a, b) for a, b in ((1, 7), (3, 4), (5, 6), (6, 7))]
+    graphs += [cycle_graph(n) for n in (9, 10, 12, 14)]
+    graphs += [
+        disjoint_union_all([complete_graph(3), cycle_graph(5), empty_graph(2)]),
+        disjoint_union_all([complete_bipartite(2, 3), complete_graph(4)]),
+        disjoint_union_all([cycle_graph(4), cycle_graph(4), cycle_graph(3)]),
+        disjoint_union_all([empty_graph(3), complete_graph(5), cycle_graph(4)]),
+    ]
+    for g in graphs:
+        assert max_cut(g) == naive_max_cut(g), g.edge_mask
+        assert gamma_ir(g) == naive_gamma_ir(g), g.edge_mask
+        assert gamma_reg(g) == naive_gamma_reg(g), g.edge_mask
 
 
 # -- structural invariants ----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Planarity, outerplanarity, the alpha_ir = 1 structure, and classifiers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from irregraph.graph import (
     disjoint_union_all,
     empty_graph,
     from_edge_mask,
+    from_edges,
     join,
     matching_graph,
     pair_count,
@@ -109,6 +112,37 @@ def test_outerplanar_implies_planar_sample():
     for g in all_graphs(5):
         if is_outerplanar(g):
             assert is_planar(g)
+
+
+def test_planarity_matches_networkx_beyond_exhaustive_orders():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20170621)
+
+    def draw(n, low, high):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        return rng.sample(pairs, rng.randint(low, high))
+
+    def networkx_planar(n, edges):
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(edges)
+        return nx.check_planarity(h)[0]
+
+    verdicts = set()
+    for _ in range(60):
+        # edge counts up to 3n - 6, where the density prescreen stops deciding
+        n = rng.randint(7, 12)
+        edges = draw(n, n, 3 * n - 6)
+        planar = is_planar(from_edges(n, edges))
+        assert planar == networkx_planar(n, edges), (n, edges)
+        verdicts.add(("planar", planar))
+        # outerplanar iff planar after adding one vertex joined to all others
+        edges = draw(n, n - 1, 2 * n - 3)
+        apex = edges + [(v, n) for v in range(n)]
+        outer = is_outerplanar(from_edges(n, edges))
+        assert outer == networkx_planar(n + 1, apex), (n, edges)
+        verdicts.add(("outerplanar", outer))
+    assert len(verdicts) == 4  # both answers occur for both recognizers
 
 
 # -- alpha_ir = 1 structure ---------------------------------------------------
