@@ -27,7 +27,7 @@ STORY = {
     "staircase_gamma": "ascending bipartite staircase hits the gamma_ir = ceil(n/2) floor",
     "alpha_sharp_bipartite": "bipartite half meets the quadratic cut ceiling exactly",
     "alpha_sharp_clique": "clique rows meet the degree-span ceiling exactly",
-    "modstar": "modified star meets the radical cut bound to within 1e-9",
+    "modstar": "modified star meets the radical cut bound exactly",
     "product_extremal": "single graph maximizing the alpha_ir * alpha_reg product",
     "sum_extremal": "order-n graph realizing any feasible alpha_ir + alpha_reg total",
     "ng_alpha": "complement pair maximizing the alpha_ir sum",

@@ -1,11 +1,13 @@
-"""Closed-form bounds on the irregular parameters.
+"""Closed-form bounds on the irregular parameters, in exact integers.
 
-Each function evaluates one published inequality from graph statistics alone;
-nothing here enumerates subsets.  Integer-valued bounds (floors, ceilings,
-maxima of integers) are computed in exact integer arithmetic.  Bounds whose
-formula contains a radical return an unrounded float, and comparisons against
-them use RADICAL_TOL so that sharp cases, where the radical collapses to an
-integer, are not misclassified by floating-point noise.
+Each function evaluates one published inequality from graph statistics alone,
+and is the only place the package states it.  A ub_* function returns the
+largest integer the parameter may take, an lb_* function the smallest.
+
+The radical bounds are sharp, so only exact arithmetic can decide equality.
+Each has the form a <= (-b + sqrt(b^2 + 4c))/2, which for an integer a >= 0
+squares to a(a + b) <= c; the largest such a is (isqrt(b^2 + 4c) - b) // 2,
+and the bound equals a exactly when a(a + b) = c.
 """
 
 from __future__ import annotations
@@ -17,18 +19,6 @@ from typing import Optional
 
 from irregraph.graph import Graph, classify_degrees
 from irregraph.params import max_cut
-
-RADICAL_TOL = 1e-9
-
-
-def within_tol(a: float, b: float, tol: float = RADICAL_TOL) -> bool:
-    """Equality up to the radical tolerance."""
-    return abs(a - b) <= tol
-
-
-def le_with_tol(a: float, b: float, tol: float = RADICAL_TOL) -> bool:
-    """a <= b with slack for radical rounding."""
-    return a <= b + tol
 
 
 @dataclass(frozen=True)
@@ -88,71 +78,86 @@ class RamseyTable:
 DEFAULT_RAMSEY = RamseyTable()
 
 
-def ub_alpha_ir_thm21(inp: BoundInputs) -> float:
+def _root_floor(b: int, c: int) -> int:
+    """Largest integer a >= 0 with a(a + b) <= c, for b >= -1 and c >= 0."""
+    return (math.isqrt(b * b + 4 * c) - b) // 2
+
+
+def product_cap(n: int) -> int:
+    """floor(n/2) * ceil(n/2), the largest product of two nonnegative
+    integers that sum to n."""
+    return (n // 2) * ((n + 1) // 2)
+
+
+def ub_alpha_ir_thm21(inp: BoundInputs) -> int:
     """min of Delta - delta + 1, floor((n - delta + 1)/2), and the radical
-    (1 + sqrt(2n^2 - 2n - 4m + 1))/2."""
-    n, m = inp.n, inp.m
+    (1 + sqrt(2n^2 - 2n - 4m + 1))/2.
+
+    The radical term is a(a - 1) <= C(n,2) - m, the number of non-edges.
+    """
+    n = inp.n
     spread = inp.Delta - inp.delta + 1
     half = (n - inp.delta + 1) // 2
-    radicand = 2 * n * n - 2 * n - 4 * m + 1
-    radical = (1.0 + math.sqrt(radicand)) / 2.0
+    radical = _root_floor(-1, n * (n - 1) // 2 - inp.m)
     return min(spread, half, radical)
 
 
-def ub_alpha_ir_eq1(inp: BoundInputs) -> float:
-    """(-2 delta + 1 + sqrt((2 delta - 1)^2 + 8m)) / 2."""
-    d = inp.delta
-    return (-2 * d + 1 + math.sqrt((2 * d - 1) ** 2 + 8 * inp.m)) / 2.0
+def ub_alpha_ir_eq1(inp: BoundInputs) -> int:
+    """(-2 delta + 1 + sqrt((2 delta - 1)^2 + 8m)) / 2, that is
+    alpha_ir(alpha_ir + 2 delta - 1) <= 2m."""
+    return _root_floor(2 * inp.delta - 1, 2 * inp.m)
 
 
-def ub_alpha_ir_thm22(inp: BoundInputs) -> float:
+def ub_alpha_ir_thm22(inp: BoundInputs) -> int:
     """Same formula with the maximum cut in place of the edge count."""
-    d = inp.delta
-    return (-2 * d + 1 + math.sqrt((2 * d - 1) ** 2 + 8 * inp.beta)) / 2.0
+    return _root_floor(2 * inp.delta - 1, 2 * inp.beta)
 
 
-def ub_span_thm32(delta: int) -> float:
-    """(1 + sqrt(1 + 8 delta)) / 2; valid whenever alpha_ir = 1."""
+def ub_span_thm32(delta: int) -> int:
+    """(1 + sqrt(1 + 8 delta)) / 2, that is span(span - 1) <= 2 delta;
+    valid whenever alpha_ir = 1."""
     if delta < 0:
         raise ValueError("minimum degree cannot be negative")
-    return (1.0 + math.sqrt(1 + 8 * delta)) / 2.0
+    return _root_floor(-1, 2 * delta)
 
 
 def lb_gamma_ir_thm41(n: int, Delta: int) -> int:
-    """max(ceil(n/2), n - Delta), in exact integers."""
+    """max(ceil(n/2), n - Delta)."""
     if n < 1 or not 0 <= Delta <= n - 1:
         raise ValueError("need n >= 1 and 0 <= Delta <= n-1")
     return max((n + 1) // 2, n - Delta)
 
 
-def lb_gamma_ir_thm42(n: int, beta: int) -> float:
-    """n + (1 - sqrt(1 + 8 beta)) / 2."""
+def lb_gamma_ir_thm42(n: int, beta: int) -> int:
+    """n + (1 - sqrt(1 + 8 beta)) / 2, that is
+    (n - gamma_ir)(n - gamma_ir + 1) <= 2 beta."""
     if n < 1 or beta < 0:
         raise ValueError("need n >= 1 and beta >= 0")
-    return n + (1.0 - math.sqrt(1 + 8 * beta)) / 2.0
+    return n - _root_floor(1, 2 * beta)
 
 
-def lb_gamma_ir_cor43(n: int, avg_degree: Fraction) -> float:
-    """n - sqrt(d n); the radicand d*n equals 2m exactly."""
+def lb_gamma_ir_cor43(n: int, avg_degree: Fraction) -> int:
+    """n - sqrt(d n), that is (n - gamma_ir)^2 <= d n; for a graph the
+    radicand d n equals 2m."""
     if n < 1 or avg_degree < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    return n - math.sqrt(avg_degree * n)
+    # floor(sqrt(x)) = isqrt(floor(x)) for every real x >= 0
+    return n - math.isqrt(math.floor(avg_degree * n))
 
 
-def ub_gamma_ir_thm45(
-    n: int,
-    span: int,
-    delta: int,
-    ramsey: RamseyTable = DEFAULT_RAMSEY,
-) -> Optional[int]:
-    """Best applicable upper bound n - k; None when no rule fires.
+def ub_gamma_ir_thm45i(n: int, span: int, delta: int) -> Optional[int]:
+    """Rule (i): n - k for the largest tabulated k with span >= R(k,k) and
+    delta >= k; None when no k qualifies."""
+    ks = [k for k in DEFAULT_RAMSEY.known_k if span >= DEFAULT_RAMSEY[k] and delta >= k]
+    return n - max(ks) if ks else None
 
-    Rule (i): span >= R(k,k) and delta >= k give n - k, for each tabulated k.
-    Rule (ii): span >= 5 and delta >= 3 give n - 3 independently of (i).
-    """
-    candidates = [
-        n - k for k in ramsey.known_k if span >= ramsey[k] and delta >= k
-    ]
-    if span >= 5 and delta >= 3:
-        candidates.append(n - 3)
-    return min(candidates) if candidates else None
+
+def ub_gamma_ir_thm45ii(n: int, span: int, delta: int) -> Optional[int]:
+    """Rule (ii): n - 3 when span >= 5 and delta >= 3; None otherwise."""
+    return n - 3 if span >= 5 and delta >= 3 else None
+
+
+def ub_gamma_ir_thm45(n: int, span: int, delta: int) -> Optional[int]:
+    """The better of rules (i) and (ii); None when neither fires."""
+    rules = (ub_gamma_ir_thm45i(n, span, delta), ub_gamma_ir_thm45ii(n, span, delta))
+    return min((ub for ub in rules if ub is not None), default=None)

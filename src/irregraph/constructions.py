@@ -18,14 +18,11 @@ instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from irregraph.bounds import (
-    RADICAL_TOL,
-    BoundInputs,
-    ub_alpha_ir_thm22,
-)
+from irregraph.bounds import BoundInputs, product_cap, ub_alpha_ir_thm22
 from irregraph.graph import (
     Graph,
     VertexSet,
@@ -43,7 +40,6 @@ from irregraph.params import (
     gamma_ir,
     is_irregular_independent,
     is_regular_independent,
-    max_cut,
 )
 
 
@@ -53,14 +49,16 @@ class ConstructionError(ValueError):
 
 @dataclass(frozen=True)
 class Claim:
+    """A claimed integer value and the measured one.  A radical bound is
+    measured as its exact value, or None when that value is not an integer."""
+
     label: str
-    expected: float
-    actual: float
-    tol: float = 0.0
+    expected: int
+    actual: Optional[int]
 
     @property
     def ok(self) -> bool:
-        return abs(self.actual - self.expected) <= self.tol
+        return self.actual == self.expected
 
     def __str__(self) -> str:
         mark = "ok" if self.ok else "FAIL"
@@ -270,10 +268,13 @@ def _raw_alpha_sharp_clique(r: int, t: int) -> Graph:
 def _claims_alpha_sharp_clique(g: Graph, r: int, t: int) -> list[Claim]:
     n, m = g.n, g.m
     radicand = 2 * n * n - 2 * n - 4 * m + 1
-    radical = (1 + radicand**0.5) / 2
+    # the Thm 2.1 radical (1 + sqrt(radicand))/2 is exactly t when
+    # radicand = (2t - 1)^2
+    root = math.isqrt(radicand)
+    radical = (1 + root) // 2 if root * root == radicand else None
     return [
         Claim("alpha_ir", t, alpha_ir(g).value),
-        Claim("radical_bound", t, radical, tol=RADICAL_TOL),
+        Claim("radical_bound", t, radical),
     ]
 
 
@@ -303,15 +304,16 @@ def _raw_modstar(sched: ModStarSchedule) -> Graph:
 
 def _claims_modstar(g: Graph, sched: ModStarSchedule) -> list[Claim]:
     r, t = sched.r, sched.t
-    dc = classify_degrees(g)
-    beta = max_cut(g).value
     inp = BoundInputs.from_graph(g)
+    # the Thm 2.2 bound is exactly ub when ub(ub + 2delta - 1) = 2beta
+    ub = ub_alpha_ir_thm22(inp)
+    radical = ub if ub * (ub + 2 * inp.delta - 1) == 2 * inp.beta else None
     return [
-        Claim("delta", r, dc.delta),
+        Claim("delta", r, inp.delta),
         Claim("m", t * (2 * r + t - 1) // 2, g.m),
-        Claim("beta_equals_m", g.m, beta),
+        Claim("beta_equals_m", g.m, inp.beta),
         Claim("alpha_ir", t, alpha_ir(g).value),
-        Claim("cut_radical_bound", t, ub_alpha_ir_thm22(inp), tol=RADICAL_TOL),
+        Claim("cut_radical_bound", t, radical),
     ]
 
 
@@ -377,7 +379,7 @@ def _claims_product_extremal(
         Claim("y_regular_independent", 1, int(is_regular_independent(g, y_set))),
         Claim(
             "alpha_ir_times_alpha_reg",
-            (n // 2) * ((n + 1) // 2),
+            product_cap(n),
             alpha_ir(g).value * alpha_reg(g).value,
         ),
     ]
@@ -433,11 +435,7 @@ def _claims_ng_alpha(g: Graph, n: int) -> list[Claim]:
     a, ac = alpha_ir(g).value, alpha_ir(complement(g)).value
     return [
         Claim("alpha_ir_sum_with_complement", n, a + ac),
-        Claim(
-            "alpha_ir_product_with_complement",
-            (n // 2) * ((n + 1) // 2),
-            a * ac,
-        ),
+        Claim("alpha_ir_product_with_complement", product_cap(n), a * ac),
     ]
 
 
@@ -501,6 +499,8 @@ _RELATION_CASES = ("delta_pos", "delta_zero", "complement")
 
 
 def _raw_relation_extremal(n: int, case: str) -> Graph:
+    if n < 2:
+        raise ValueError("needs n >= 2")
     if case == "delta_pos":
         k = (n + 1) // 2
         profile = StaircaseProfile(k=k, t=n - k, mode="desc")
@@ -522,25 +522,25 @@ def _raw_relation_extremal(n: int, case: str) -> Graph:
 
 
 def _claims_relation_extremal(g: Graph, n: int, case: str) -> list[Claim]:
+    if case not in _RELATION_CASES:
+        raise ValueError(f"case must be one of {_RELATION_CASES}")
     a = alpha_ir(g).value
-    low, high = n // 2, (n + 1) // 2
     if case == "delta_pos":
         gi = gamma_ir(g).value
         return [
             Claim("alpha_ir_plus_gamma_ir", n, a + gi),
-            Claim("alpha_ir_times_gamma_ir", low * high, a * gi),
+            Claim("alpha_ir_times_gamma_ir", product_cap(n), a * gi),
         ]
-    low, high = (n + 1) // 2, (n + 2) // 2
     if case == "delta_zero":
         gi = gamma_ir(g).value
         return [
             Claim("alpha_ir_plus_gamma_ir", n + 1, a + gi),
-            Claim("alpha_ir_times_gamma_ir", low * high, a * gi),
+            Claim("alpha_ir_times_gamma_ir", product_cap(n + 1), a * gi),
         ]
     gic = gamma_ir(complement(g)).value
     return [
         Claim("alpha_ir_plus_complement_gamma_ir", n + 1, a + gic),
-        Claim("alpha_ir_times_complement_gamma_ir", low * high, a * gic),
+        Claim("alpha_ir_times_complement_gamma_ir", product_cap(n + 1), a * gic),
     ]
 
 
@@ -548,10 +548,6 @@ def build_relation_extremal(n: int, case: str) -> Graph:
     """Staircase attaining the sum/product ceilings tying alpha_ir to
     gamma_ir: with minimum degree positive (delta_pos), with an isolated
     vertex (delta_zero), or against the complement (complement)."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    if case not in _RELATION_CASES:
-        raise ValueError(f"case must be one of {_RELATION_CASES}")
     g = _raw_relation_extremal(n, case)
     return _finish(
         "relation_extremal",
@@ -654,7 +650,7 @@ def metadata_comment(report: ConstructionReport) -> str:
     """One '#' comment line: family, parameters, and the verified claims."""
     params = ",".join(f"{k}={v}" for k, v in sorted(report.params.items()))
     claims = "; ".join(
-        f"{c.label}={c.expected:g}" if c.ok else f"{c.label}: FAILED"
+        f"{c.label}={c.expected}" if c.ok else f"{c.label}: FAILED"
         for c in report.claims
     )
     return f"# {report.family}({params}) {claims}"

@@ -16,9 +16,9 @@ class's verdicts: every witness string is built from isomorphism invariants
 its representative's.  The tests hold the class sweep to a labeled sweep that
 checks every edge mask, verdicts included.
 
-Radical bounds are checked in exact integer arithmetic by squaring: for
-instance alpha_ir <= (1+sqrt(D))/2 for nonnegative D is equivalent to
-(2 alpha_ir - 1)^2 <= D, so no floating-point tolerance enters the sweep.
+The closed-form bounds come from irregraph.bounds, which states each
+published inequality once, in exact integers.  Only T4.1 keeps its own
+formula, because CheckConfig can falsify it (below).
 
 Checks take a CheckConfig so a deliberately falsified bound can be injected;
 the sweep must then report violations, which demonstrates it can detect a
@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial
 from typing import Iterator, Optional, Sequence
 
-from irregraph.bounds import DEFAULT_RAMSEY
+from irregraph import bounds
 from irregraph.constructions import evaluate as evaluate_construction
 from irregraph.graph import (
     Graph,
@@ -165,7 +166,7 @@ class _Ctx:
 
     __slots__ = (
         "g", "n", "m", "dc", "alpha", "alpha_ir", "alpha_reg",
-        "gamma_ir", "beta", "alpha_ir_c", "gamma_ir_c",
+        "gamma_ir", "beta", "alpha_ir_c", "gamma_ir_c", "inp",
     )
 
     def __init__(self, g: Graph):
@@ -181,6 +182,15 @@ class _Ctx:
         gc = complement(g)
         self.alpha_ir_c = alpha_ir(gc).value
         self.gamma_ir_c = gamma_ir(gc).value
+        self.inp = bounds.BoundInputs(
+            n=self.n,
+            m=self.m,
+            delta=self.dc.delta,
+            Delta=self.dc.Delta,
+            beta=self.beta,
+            span=self.dc.span,
+            avg_degree=Fraction(2 * self.m, self.n),
+        )
 
 
 def _verdict(tid: str, ok: bool, witness: str) -> Verdict:
@@ -194,35 +204,26 @@ def _na(tid: str) -> Verdict:
 
 
 def _check_t21(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    spread = c.dc.Delta - c.dc.delta + 1
-    half = (c.n - c.dc.delta + 1) // 2
-    rad = 2 * c.n * c.n - 2 * c.n - 4 * c.m + 1
-    ok = (
-        1 <= c.alpha_ir <= spread
-        and c.alpha_ir <= half
-        and (2 * c.alpha_ir - 1) ** 2 <= rad
-    )
+    ub = bounds.ub_alpha_ir_thm21(c.inp)
     return _verdict(
-        "T2.1", ok,
-        f"alpha_ir={c.alpha_ir} vs min(spread={spread}, half={half}, "
-        f"(1+sqrt({rad}))/2)",
+        "T2.1", 1 <= c.alpha_ir <= ub,
+        f"alpha_ir={c.alpha_ir} outside [1, {ub}]",
     )
 
 
 def _check_e1(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    # alpha_ir <= (-2 delta + 1 + sqrt((2 delta - 1)^2 + 8m)) / 2
-    lhs = c.alpha_ir * (c.alpha_ir + 2 * c.dc.delta - 1)
+    ub = bounds.ub_alpha_ir_eq1(c.inp)
     return _verdict(
-        "E1", lhs <= 2 * c.m,
-        f"alpha_ir(alpha_ir+2delta-1)={lhs} > 2m={2 * c.m}",
+        "E1", c.alpha_ir <= ub,
+        f"alpha_ir={c.alpha_ir} > {ub} (delta={c.dc.delta}, m={c.m})",
     )
 
 
 def _check_t22(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    lhs = c.alpha_ir * (c.alpha_ir + 2 * c.dc.delta - 1)
+    ub = bounds.ub_alpha_ir_thm22(c.inp)
     return _verdict(
-        "T2.2", lhs <= 2 * c.beta,
-        f"alpha_ir(alpha_ir+2delta-1)={lhs} > 2beta={2 * c.beta}",
+        "T2.2", c.alpha_ir <= ub,
+        f"alpha_ir={c.alpha_ir} > {ub} (delta={c.dc.delta}, beta={c.beta})",
     )
 
 
@@ -246,7 +247,7 @@ def _check_t23iii(c: _Ctx, cfg: CheckConfig) -> Verdict:
     if c.n < 4:
         return _na("T2.3iii")
     p = c.alpha_ir * c.alpha_reg
-    cap = (c.n // 2) * ((c.n + 1) // 2)
+    cap = bounds.product_cap(c.n)
     return _verdict(
         "T2.3iii", 1 <= p <= cap,
         f"alpha_ir*alpha_reg={p} outside [1, {cap}]",
@@ -266,7 +267,7 @@ def _check_c24(c: _Ctx, cfg: CheckConfig) -> Verdict:
     if c.n < 4:
         return _na("C2.4")
     p = c.alpha_ir * c.alpha_reg
-    cap = min(c.alpha**2, (c.n // 2) * ((c.n + 1) // 2))
+    cap = min(c.alpha**2, bounds.product_cap(c.n))
     return _verdict("C2.4", p <= cap, f"alpha_ir*alpha_reg={p} > {cap}")
 
 
@@ -294,11 +295,10 @@ def _check_t32i(c: _Ctx, cfg: CheckConfig) -> Verdict:
 def _check_t32ii(c: _Ctx, cfg: CheckConfig) -> Verdict:
     if c.alpha_ir != 1:
         return _na("T3.2ii")
-    s = c.dc.span
-    ok = s * (s - 1) <= 2 * c.dc.delta
+    ub = bounds.ub_span_thm32(c.dc.delta)
     return _verdict(
-        "T3.2ii", ok,
-        f"span(span-1)={s * (s - 1)} > 2delta={2 * c.dc.delta}",
+        "T3.2ii", c.dc.span <= ub,
+        f"span={c.dc.span} > {ub} (delta={c.dc.delta})",
     )
 
 
@@ -330,23 +330,22 @@ def _check_t41(c: _Ctx, cfg: CheckConfig) -> Verdict:
 
 
 def _check_t42(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    # gamma_ir >= n + (1 - sqrt(1 + 8 beta)) / 2
-    gap = c.n - c.gamma_ir
+    lb = bounds.lb_gamma_ir_thm42(c.n, c.beta)
     return _verdict(
-        "T4.2", gap * (gap + 1) <= 2 * c.beta,
-        f"(n-gamma_ir)(n-gamma_ir+1)={gap * (gap + 1)} > 2beta={2 * c.beta}",
+        "T4.2", c.gamma_ir >= lb,
+        f"gamma_ir={c.gamma_ir} < {lb} (n={c.n}, beta={c.beta})",
     )
 
 
 def _check_c43(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    # gamma_ir >= n - sqrt(dn) with dn = 2m; equality exactly for empty graphs
+    # equality in gamma_ir >= n - sqrt(2m) holds exactly for empty graphs
+    lb = bounds.lb_gamma_ir_cor43(c.n, c.inp.avg_degree)
     gap = c.n - c.gamma_ir
-    holds = gap * gap <= 2 * c.m
     eq = gap * gap == 2 * c.m
     empty = c.m == 0
     return _verdict(
-        "C4.3", holds and eq == empty,
-        f"(n-gamma_ir)^2={gap * gap} vs 2m={2 * c.m}; equality: {eq}, empty: {empty}",
+        "C4.3", c.gamma_ir >= lb and eq == empty,
+        f"gamma_ir={c.gamma_ir} vs {lb}; equality: {eq}, empty: {empty}",
     )
 
 
@@ -371,27 +370,25 @@ def _check_t44ii(c: _Ctx, cfg: CheckConfig) -> Verdict:
 
 
 def _check_t45i(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    fired = [
-        k for k in DEFAULT_RAMSEY.known_k
-        if c.dc.span >= DEFAULT_RAMSEY[k] and c.dc.delta >= k
-    ]
-    if not fired:
+    ub = bounds.ub_gamma_ir_thm45i(c.n, c.dc.span, c.dc.delta)
+    if ub is None:
         return _na("T4.5i")
-    k = max(fired)
+    k = c.n - ub
     return _verdict(
-        "T4.5i", c.gamma_ir <= c.n - k,
-        f"span={c.dc.span} >= R({k},{k})={DEFAULT_RAMSEY[k]} and "
-        f"delta={c.dc.delta} >= {k}, yet gamma_ir={c.gamma_ir} > n-{k}={c.n - k}",
+        "T4.5i", c.gamma_ir <= ub,
+        f"span={c.dc.span} >= R({k},{k})={bounds.DEFAULT_RAMSEY[k]} and "
+        f"delta={c.dc.delta} >= {k}, yet gamma_ir={c.gamma_ir} > n-{k}={ub}",
     )
 
 
 def _check_t45ii(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    if not (c.dc.span >= 5 and c.dc.delta >= 3):
+    ub = bounds.ub_gamma_ir_thm45ii(c.n, c.dc.span, c.dc.delta)
+    if ub is None:
         return _na("T4.5ii")
     return _verdict(
-        "T4.5ii", c.gamma_ir <= c.n - 3,
+        "T4.5ii", c.gamma_ir <= ub,
         f"span={c.dc.span} >= 5 and delta={c.dc.delta} >= 3, "
-        f"yet gamma_ir={c.gamma_ir} > n-3={c.n - 3}",
+        f"yet gamma_ir={c.gamma_ir} > n-3={ub}",
     )
 
 
@@ -405,10 +402,7 @@ def _check_t51i(c: _Ctx, cfg: CheckConfig) -> Verdict:
 
 
 def _check_t51ii(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    if c.dc.delta == 0:
-        cap = ((c.n + 1) // 2) * ((c.n + 2) // 2)
-    else:
-        cap = (c.n // 2) * ((c.n + 1) // 2)
+    cap = bounds.product_cap(c.n + 1 if c.dc.delta == 0 else c.n)
     p = c.alpha_ir * c.gamma_ir
     return _verdict(
         "T5.1ii", p <= cap,
@@ -425,7 +419,7 @@ def _check_t51iii(c: _Ctx, cfg: CheckConfig) -> Verdict:
 
 
 def _check_t51iv(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    cap = ((c.n + 1) // 2) * ((c.n + 2) // 2)
+    cap = bounds.product_cap(c.n + 1)
     p = c.alpha_ir * c.gamma_ir_c
     return _verdict("T5.1iv", p <= cap, f"alpha_ir*gamma_ir(comp)={p} > {cap}")
 
@@ -444,7 +438,7 @@ def _check_t61ii(c: _Ctx, cfg: CheckConfig) -> Verdict:
     if c.n < 2:
         return _na("T6.1ii")
     p = c.alpha_ir * c.alpha_ir_c
-    cap = (c.n // 2) * ((c.n + 1) // 2)
+    cap = bounds.product_cap(c.n)
     return _verdict(
         "T6.1ii", 1 <= p <= cap,
         f"alpha_ir*alpha_ir(comp)={p} outside [1, {cap}]",

@@ -3,12 +3,11 @@
 Each test is one acceptance criterion and prints a single PASS/FAIL line
 (run pytest with -rA to see the lines for passing tests).  Where a criterion
 states a wall-clock budget the test asserts it; arithmetic is exact integer
-throughout except the stated 1e-9 tolerance on radical bounds.  The full
+throughout, radical bounds included.  The full
 sweep over every labeled graph on at most seven vertices runs once and is
 shared by the criteria that consume it.
 """
 
-import math
 import random
 import time
 from functools import lru_cache
@@ -127,6 +126,16 @@ def test_criterion_2_solver_oracle_equivalence():
     )
 
 
+def _cut_radical_attained(g, t) -> bool:
+    """alpha_ir = t equals the Thm 2.2 bound (1 - 2delta + sqrt((2delta-1)^2
+    + 8beta))/2 exactly, that is t(t + 2delta - 1) = 2beta."""
+    inp = BoundInputs.from_graph(g)
+    return (
+        alpha_ir(g).value == t == ub_alpha_ir_thm22(inp)
+        and t * (t + 2 * inp.delta - 1) == 2 * inp.beta
+    )
+
+
 def test_criterion_3_sharpness_contracts():
     start = time.perf_counter()
     summary = sharpness_suite()
@@ -137,11 +146,7 @@ def test_criterion_3_sharpness_contracts():
         for p in SHARPNESS_GRIDS["clique_union"]
     )
     radical_ok = all(
-        abs(
-            ub_alpha_ir_thm22(BoundInputs.from_graph(g := build_modstar(ModStarSchedule(**p))))
-            - alpha_ir(g).value
-        )
-        <= 1e-9
+        _cut_radical_attained(build_modstar(ModStarSchedule(**p)), p["t"])
         for p in SHARPNESS_GRIDS["modstar"]
     )
     stair_ok = all(
@@ -240,13 +245,12 @@ def test_criterion_5_domination_radical_equality():
         for mask in range(1 << (n * (n - 1) // 2)):
             g = from_edge_mask(n, mask)
             m = g.m
-            equality = abs(gamma_ir(g).value - (n - math.sqrt(2 * m))) <= 1e-9
+            # gamma_ir = n - sqrt(2m) exactly
+            equality = (n - gamma_ir(g).value) ** 2 == 2 * m
             if equality != (m == 0):
                 mismatches += 1
             checked += 1
-    empties_ok = all(
-        gamma_ir(empty_graph(n)).value == n - math.sqrt(0) for n in range(1, 8)
-    )
+    empties_ok = all(gamma_ir(empty_graph(n)).value == n for n in range(1, 8))
     full = _full_sweep()
     ok = mismatches == 0 and empties_ok and _fails(full, "C4.3") == 0
     _verdict(

@@ -1,6 +1,6 @@
-"""Bound formulas: frozen example values, collapses, and soundness sweeps."""
+"""Bound formulas: frozen example values, collapses, tightness against the
+squared inequalities, and soundness sweeps."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -13,13 +13,14 @@ from irregraph.bounds import (
     lb_gamma_ir_cor43,
     lb_gamma_ir_thm41,
     lb_gamma_ir_thm42,
-    le_with_tol,
+    product_cap,
     ub_alpha_ir_eq1,
     ub_alpha_ir_thm21,
     ub_alpha_ir_thm22,
     ub_gamma_ir_thm45,
+    ub_gamma_ir_thm45i,
+    ub_gamma_ir_thm45ii,
     ub_span_thm32,
-    within_tol,
 )
 from irregraph.graph import from_edge_mask, pair_count, path_graph
 from irregraph.params import alpha_ir, gamma_ir
@@ -64,14 +65,14 @@ def test_thm21_values():
     # 3-regular on 6 vertices: the spread term pins the bound to 1
     reg = stats(n=6, m=9, delta=3, Delta=3, beta=9, span=1)
     assert ub_alpha_ir_thm21(reg) == 1
-    # radical term unrounded when it is the strict minimum
+    # the radical term (1 + sqrt(45))/2 = 3.85... is the strict minimum
     dense = stats(n=7, m=10, delta=0, Delta=5, beta=9, span=3)
-    assert within_tol(ub_alpha_ir_thm21(dense), (1 + math.sqrt(45)) / 2)
+    assert ub_alpha_ir_thm21(dense) == 3
 
 
 def test_eq1_values():
-    assert within_tol(ub_alpha_ir_eq1(P4_STATS), 2.0)
-    assert within_tol(ub_alpha_ir_eq1(E4_STATS), 1.0)
+    assert ub_alpha_ir_eq1(P4_STATS) == 2
+    assert ub_alpha_ir_eq1(E4_STATS) == 1
 
 
 def test_eq1_collapse_grid():
@@ -81,26 +82,26 @@ def test_eq1_collapse_grid():
             m = t * (2 * r + t - 1) // 2
             n = max(r + t + 1, 2 * m)  # any consistent frame
             inp = stats(n=n, m=m, delta=r, Delta=min(n - 1, max(r, m)), beta=m, span=1)
-            assert within_tol(ub_alpha_ir_eq1(inp), float(t)), (r, t)
+            assert ub_alpha_ir_eq1(inp) == t, (r, t)
 
 
 def test_thm22_values_and_collapse():
-    assert within_tol(ub_alpha_ir_thm22(P4_STATS), 2.0)
+    assert ub_alpha_ir_thm22(P4_STATS) == 2
     for r in range(0, 4):
         for t in range(1, 6):
             b = t * (2 * r + t - 1) // 2
             n = max(r + t + 1, 2 * b)
             inp = stats(n=n, m=b, delta=r, Delta=min(n - 1, max(r, b)), beta=b, span=1)
-            assert within_tol(ub_alpha_ir_thm22(inp), float(t)), (r, t)
+            assert ub_alpha_ir_thm22(inp) == t, (r, t)
 
 
 def test_span_bound_values():
-    assert within_tol(ub_span_thm32(1), 2.0)
-    assert within_tol(ub_span_thm32(0), 1.0)
+    assert ub_span_thm32(1) == 2
+    assert ub_span_thm32(0) == 1
     # delta = n - k with n = k(k+1)/2 collapses to exactly k
     for k in range(1, 8):
         n = k * (k + 1) // 2
-        assert within_tol(ub_span_thm32(n - k), float(k)), k
+        assert ub_span_thm32(n - k) == k, k
     with pytest.raises(ValueError):
         ub_span_thm32(-1)
 
@@ -114,21 +115,21 @@ def test_thm41_values():
 
 
 def test_thm42_values():
-    assert lb_gamma_ir_thm42(5, 0) == 5.0
-    assert within_tol(lb_gamma_ir_thm42(4, 4), 4 + (1 - math.sqrt(33)) / 2)
+    assert lb_gamma_ir_thm42(5, 0) == 5
+    # 4 + (1 - sqrt(33))/2 = 1.63...
+    assert lb_gamma_ir_thm42(4, 4) == 2
     # beta = n'(n'+1)/2 with n' = n - k collapses to exactly k
     for n in range(2, 12):
         for k in range(1, n + 1):
             npr = n - k
-            assert within_tol(
-                lb_gamma_ir_thm42(n, npr * (npr + 1) // 2), float(k)
-            ), (n, k)
+            assert lb_gamma_ir_thm42(n, npr * (npr + 1) // 2) == k, (n, k)
 
 
 def test_cor43_values():
-    assert lb_gamma_ir_cor43(5, Fraction(0)) == 5.0
-    assert within_tol(lb_gamma_ir_cor43(4, Fraction(3, 2)), 4 - math.sqrt(6))
-    assert lb_gamma_ir_cor43(1, Fraction(0)) == 1.0
+    assert lb_gamma_ir_cor43(5, Fraction(0)) == 5
+    # 4 - sqrt(6) = 1.55...
+    assert lb_gamma_ir_cor43(4, Fraction(3, 2)) == 2
+    assert lb_gamma_ir_cor43(1, Fraction(0)) == 1
 
 
 def test_thm45_values():
@@ -141,6 +142,10 @@ def test_thm45_values():
     # delta = 0 disables every rule
     assert ub_gamma_ir_thm45(10, 1, 0) is None
     assert ub_gamma_ir_thm45(10, 6, 0) is None
+    # the two rules separately: span 5 < R(3,3) leaves k = 2 for rule (i)
+    assert ub_gamma_ir_thm45i(20, 5, 3) == 18
+    assert ub_gamma_ir_thm45ii(20, 5, 3) == 17
+    assert ub_gamma_ir_thm45ii(20, 18, 2) is None
 
 
 def test_ramsey_table():
@@ -156,9 +161,9 @@ def test_ramsey_table():
 def test_alpha_ir_bounds_sound(g):
     inp = BoundInputs.from_graph(g)
     a = alpha_ir(g).value
-    assert a <= ub_alpha_ir_thm21(inp) + 1e-9
-    assert a <= ub_alpha_ir_eq1(inp) + 1e-9
-    assert a <= ub_alpha_ir_thm22(inp) + 1e-9
+    assert a <= ub_alpha_ir_thm21(inp)
+    assert a <= ub_alpha_ir_eq1(inp)
+    assert a <= ub_alpha_ir_thm22(inp)
 
 
 @settings(deadline=None)
@@ -167,8 +172,8 @@ def test_gamma_ir_bounds_sound(g):
     inp = BoundInputs.from_graph(g)
     value = gamma_ir(g).value
     assert value >= lb_gamma_ir_thm41(inp.n, inp.Delta)
-    assert value >= lb_gamma_ir_thm42(inp.n, inp.beta) - 1e-9
-    assert value >= lb_gamma_ir_cor43(inp.n, inp.avg_degree) - 1e-9
+    assert value >= lb_gamma_ir_thm42(inp.n, inp.beta)
+    assert value >= lb_gamma_ir_cor43(inp.n, inp.avg_degree)
     ub = ub_gamma_ir_thm45(inp.n, inp.span, inp.delta)
     if ub is not None:
         assert value <= ub
@@ -178,11 +183,57 @@ def test_gamma_ir_bounds_sound(g):
 @given(graphs())
 def test_thm22_dominates_eq1(g):
     inp = BoundInputs.from_graph(g)
-    assert ub_alpha_ir_thm22(inp) <= ub_alpha_ir_eq1(inp) + 1e-12
+    assert ub_alpha_ir_thm22(inp) <= ub_alpha_ir_eq1(inp)
 
 
-def test_tolerance_helpers():
-    assert within_tol(2.0, 2.0 + 5e-10)
-    assert not within_tol(2.0, 2.1)
-    assert le_with_tol(2.0 + 5e-10, 2.0)
-    assert not le_with_tol(2.1, 2.0)
+# -- tightness: each exact bound is the extreme integer that satisfies the
+# squared form of its inequality.  A bound loosened by one still passes
+# every soundness test and sweep count; only these tests catch it.
+
+TIGHT_N = 25
+
+
+def test_alpha_ir_radical_bounds_tight():
+    for n in range(1, TIGHT_N + 1):
+        top = n * (n - 1) // 2
+        for delta in range(n):
+            for m in range(top + 1):
+                # Delta = n - 1 keeps the spread term out of the way; the
+                # half term still competes with the radical
+                inp = stats(n=n, m=m, delta=delta, Delta=n - 1, beta=m, span=1)
+                half = (n - delta + 1) // 2
+                rad = 2 * n * n - 2 * n - 4 * m + 1
+                ub = ub_alpha_ir_thm21(inp)
+                assert ub <= half and (2 * ub - 1) ** 2 <= rad, (n, m, delta)
+                assert ub + 1 > half or (2 * ub + 1) ** 2 > rad, (n, m, delta)
+                ub = ub_alpha_ir_eq1(inp)
+                assert ub * (ub + 2 * delta - 1) <= 2 * m, (n, m, delta)
+                assert (ub + 1) * (ub + 2 * delta) > 2 * m, (n, m, delta)
+            for beta in range(top + 1):
+                inp = stats(n=n, m=top, delta=delta, Delta=n - 1, beta=beta, span=1)
+                ub = ub_alpha_ir_thm22(inp)
+                assert ub * (ub + 2 * delta - 1) <= 2 * beta, (n, beta, delta)
+                assert (ub + 1) * (ub + 2 * delta) > 2 * beta, (n, beta, delta)
+
+
+def test_span_bound_tight():
+    for delta in range(TIGHT_N * TIGHT_N):
+        ub = ub_span_thm32(delta)
+        assert ub * (ub - 1) <= 2 * delta < (ub + 1) * ub, delta
+
+
+def test_gamma_ir_radical_bounds_tight():
+    for n in range(1, TIGHT_N + 1):
+        for twice in range(n * (n - 1) + 1):  # 2beta for Thm 4.2, d n for Cor 4.3
+            if twice % 2 == 0:
+                lb = lb_gamma_ir_thm42(n, twice // 2)
+                gap = n - lb
+                assert gap * (gap + 1) <= twice < (gap + 1) * (gap + 2), (n, twice)
+            lb = lb_gamma_ir_cor43(n, Fraction(twice, n))
+            gap = n - lb
+            assert gap * gap <= twice < (gap + 1) ** 2, (n, twice)
+
+
+def test_product_cap_is_largest_product():
+    for n in range(2 * TIGHT_N):
+        assert product_cap(n) == max(x * (n - x) for x in range(n + 1)), n

@@ -117,6 +117,8 @@ def test_construct_parameter_errors_exit_two():
     assert code == 2
     code, _, _ = run_cli("construct", "no_such_family", "--n", "4")
     assert code == 2
+    code, out, err = run_cli("construct", "relation_extremal", "--n", "5", "--case", "sideways")
+    assert code == 2 and out == "" and "case must be one of" in err
 
 
 def test_recognize_text_and_json():

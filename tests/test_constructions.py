@@ -10,6 +10,9 @@ silent change to a builder's output graph cannot hide behind its own checks.
 import pytest
 
 from irregraph import (
+    SHARPNESS_GRIDS,
+    Claim,
+    ConstructionReport,
     ModStarSchedule,
     StaircaseProfile,
     alpha_ir,
@@ -26,6 +29,7 @@ from irregraph import (
     build_sum_extremal,
     complement,
     evaluate,
+    from_edges,
     gamma_ir,
     max_cut,
     metadata_comment,
@@ -140,6 +144,10 @@ def test_relation_extremal_values():
     assert alpha_ir(g).value + gamma_ir(g).value == 2
     with pytest.raises(ValueError):
         build_relation_extremal(5, "sideways")
+    with pytest.raises(ValueError):
+        evaluate("relation_extremal", {"n": 5, "case": "sideways"})
+    with pytest.raises(ValueError):
+        evaluate("relation_extremal", {"n": 5, "case": "sideways"}, graph=g)
 
 
 @pytest.mark.parametrize("case", ["delta_pos", "delta_zero", "complement"])
@@ -167,12 +175,28 @@ def test_evaluate_reports_failure_on_corrupted_graph():
     assert report.ok
     g = report.graph
     edges = list(g.edges())[1:]  # drop one edge
-    from irregraph import from_edges
-
     bad = evaluate("ng_gamma", {"n": 4}, graph=from_edges(g.n, edges))
     assert not bad.ok and len(bad.failures) >= 1
     with pytest.raises(ValueError):
         evaluate("no_such_family", {})
+
+
+def test_radical_claims_need_exact_equality():
+    # one edge fewer leaves each radical bound irrational while its floor
+    # stays t, so the sharp claims must fail on the exact identity.
+    # A single edge is skipped: the edgeless graph left attains both bounds.
+    for family, label in (
+        ("alpha_sharp_clique", "radical_bound"),
+        ("modstar", "cut_radical_bound"),
+    ):
+        for params in SHARPNESS_GRIDS[family]:
+            g = evaluate(family, params).graph
+            if g.m == 1:
+                continue
+            thinner = from_edges(g.n, list(g.edges())[1:])
+            report = evaluate(family, params, graph=thinner)
+            (claim,) = [c for c in report.claims if c.label == label]
+            assert claim.actual is None and not claim.ok, (family, params)
 
 
 def test_metadata_comment_format():
@@ -180,6 +204,9 @@ def test_metadata_comment_format():
     line = metadata_comment(report)
     assert line.startswith("# clique_union(r=2,t=2)")
     assert "alpha_ir=2" in line
+    # claim values are integers and print in full
+    big = ConstructionReport("f", {}, None, (Claim("m", 1234567, 1234567),))
+    assert metadata_comment(big) == "# f() m=1234567"
 
 
 def test_builder_raises_construction_error():
