@@ -245,7 +245,7 @@ def _cmd_verify(config: CliConfig, out, err) -> int:
     except ValueError as exc:
         print(f"verify: {exc}", file=err)
         return 2
-    print(json.dumps(summary.to_json(), indent=2), file=out)
+    summary.write_json(out)
     return 1 if summary.violations else 0
 
 

@@ -506,21 +506,33 @@ class Graph6Error(ValueError):
     """Malformed graph6 input."""
 
 
+# graph6 writes the first pair of each 6-pair group as the group's most
+# significant bit, where the edge mask holds it as the least significant one.
+# Entry x is the body byte of the group whose mask bits are x: 63 plus x with
+# its 6 bits reversed.
+_GRAPH6_BYTES = tuple(
+    chr(63 + int(format(x, "06b")[::-1], 2)) for x in range(64)
+)
+
+
+def graph6_from_edge_mask(n: int, mask: int) -> str:
+    """graph6 short form of the graph that from_edge_mask(n, mask) builds.
+
+    Defined for 1 <= n <= 62; the mask must lie in [0, 2^C(n,2)).
+    """
+    if not 1 <= n <= 62:
+        raise Graph6Error("short-form graph6 covers 1 <= n <= 62")
+    nbits = pair_count(n)
+    if mask < 0 or mask >> nbits:
+        raise ValueError("edge mask out of range")
+    return chr(n + 63) + "".join(
+        [_GRAPH6_BYTES[mask >> start & 63] for start in range(0, nbits, 6)]
+    )
+
+
 def write_graph6(g: Graph) -> str:
     """Encode in graph6 short form; defined for 1 <= n <= 62."""
-    if not 1 <= g.n <= 62:
-        raise Graph6Error("short-form graph6 covers 1 <= n <= 62")
-    out = [chr(g.n + 63)]
-    mask = g.edge_mask
-    nbits = pair_count(g.n)
-    for start in range(0, nbits, 6):
-        group = 0
-        for k in range(6):
-            p = start + k
-            bit = (mask >> p & 1) if p < nbits else 0
-            group = (group << 1) | bit
-        out.append(chr(group + 63))
-    return "".join(out)
+    return graph6_from_edge_mask(g.n, g.edge_mask)
 
 
 def parse_graph6(text: str | bytes) -> Graph:

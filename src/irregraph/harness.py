@@ -27,11 +27,12 @@ wrong theorem rather than rubber-stamping everything.
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 from irregraph import bounds
 from irregraph.constructions import evaluate as evaluate_construction
@@ -41,6 +42,7 @@ from irregraph.graph import (
     complement,
     from_edge_mask,
     from_edges,
+    graph6_from_edge_mask,
     isomorphism_classes,
     labeled_copies,
     pair_count,
@@ -139,15 +141,58 @@ class SweepSummary:
             raise ValueError("violation list inconsistent with fail counts")
 
     def to_json(self) -> dict:
+        return self._payload([r.to_json() for r in self.violations])
+
+    def _payload(self, violations) -> dict:
         return {
             "schema": 1,
             "kind": "sweep",
             "n_max": self.n_max,
             "graphs_checked": self.graphs_checked,
             "per_theorem": self.per_theorem,
-            "violations": [r.to_json() for r in self.violations],
+            "violations": violations,
             "wall_time_ms": self.wall_time_ms,
         }
+
+    def write_json(self, out: TextIO) -> None:
+        """Write json.dumps(self.to_json(), indent=2) and a newline to out.
+
+        The text is written piece by piece, one violation at a time.  The
+        members of a violating class share one verdicts tuple, so the text
+        around the graph is built once per tuple and reused; only the graph6
+        string differs between members.
+        """
+        head, tail = _dumps_around(self._payload(_HOLE))
+        out.write(head)
+        if self.violations:
+            around: dict[int, tuple[str, str]] = {}  # id of a verdicts tuple
+            sep = "[\n"
+            for report in self.violations:
+                key = id(report.verdicts)  # self keeps every tuple alive
+                if key not in around:
+                    # an item of the top-level list sits two levels deep
+                    around[key] = _dumps_around(
+                        replace(report, graph=_HOLE).to_json(), "    "
+                    )
+                before, after = around[key]
+                out.write(f"{sep}{before}{json.dumps(report.graph)}{after}")
+                sep = ",\n"
+            out.write("\n  ]")
+        else:
+            out.write("[]")
+        out.write(f"{tail}\n")
+
+
+# A value no payload holds: json.dumps writes it as "\u0000".
+_HOLE = "\x00"
+
+
+def _dumps_around(payload: dict, indent: str = "") -> tuple[str, str]:
+    """json.dumps(payload, indent=2) before and after its one _HOLE value,
+    with every line prefixed by indent."""
+    text = indent + json.dumps(payload, indent=2).replace("\n", "\n" + indent)
+    before, after = text.split(json.dumps(_HOLE))
+    return before, after
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
@@ -556,9 +601,9 @@ def verify_range(n_max: int, cfg: CheckConfig = DEFAULT_CONFIG) -> SweepSummary:
         part_counts, violating = _sweep_order(n, cfg)
         _merge_counts(counts, part_counts)
         # verdicts are isomorphism-invariant, so each labeled member of a
-        # violating class is reported with its class's verdicts
+        # violating class is reported with its class's verdicts tuple
         violations.extend(
-            TheoremReport(write_graph6(from_edge_mask(n, mask)), verdicts)
+            TheoremReport(graph6_from_edge_mask(n, mask), verdicts)
             for mask, verdicts in violating
         )
     violations.sort(key=lambda r: r.graph)

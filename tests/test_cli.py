@@ -8,6 +8,7 @@ import pytest
 from irregraph.cli import CliConfig, main, parse_cli
 from irregraph.constructions import FAMILIES, build_clique_union
 from irregraph.graph import complete_graph, star_graph, write_graph6
+from irregraph.harness import THEOREM_IDS, Verdict
 
 
 def run_cli(*argv, stdin_text=""):
@@ -173,10 +174,28 @@ def test_verify_engine_and_worker_flags(capsys):
         assert flag in capsys.readouterr().err  # argparse's usage error
 
 
+def test_verify_serialises_each_violating_class_once(monkeypatch):
+    # order <= 5 with the falsified T4.1: 1094 violations in 47 classes, and
+    # each class's verdict list goes through Verdict.to_json once
+    calls = []
+    to_json = Verdict.to_json
+
+    def counted(self):
+        calls.append(self.theorem_id)
+        return to_json(self)
+
+    monkeypatch.setattr(Verdict, "to_json", counted)
+    code, out, _ = run_cli("verify", "--n-max", "5", "--t41-divisor", "1")
+    assert code == 1
+    assert len(json.loads(out)["violations"]) == 1094
+    assert len(calls) == 47 * len(THEOREM_IDS)
+
+
 def test_verify_bad_order_exits_two():
-    code, _, err = run_cli("verify", "--n-max", "9")
+    code, out, err = run_cli("verify", "--n-max", "9")
     assert code == 2
     assert "verify:" in err
+    assert out == ""
 
 
 def test_sharpness_clean_and_corrupt():

@@ -1,6 +1,7 @@
 """Graph value type, combinators, isomorphism, canonical forms, and the
 graph6 codec."""
 
+import random
 from math import factorial
 
 import pytest
@@ -20,6 +21,7 @@ from irregraph.graph import (
     empty_graph,
     from_edge_mask,
     from_edges,
+    graph6_from_edge_mask,
     is_isomorphic,
     isomorphism_classes,
     join,
@@ -305,10 +307,61 @@ def test_graph6_rejects_nonzero_padding():
 
 
 def test_graph6_size_limits():
-    with pytest.raises(Graph6Error):
-        write_graph6(empty_graph(0))
-    with pytest.raises(Graph6Error):
-        write_graph6(empty_graph(63))
+    for n in (0, 63):
+        with pytest.raises(Graph6Error):
+            write_graph6(empty_graph(n))
+        with pytest.raises(Graph6Error):
+            graph6_from_edge_mask(n, 0)
+    for n, mask in ((1, 1), (4, -1), (4, 1 << 6), (62, 1 << pair_count(62))):
+        with pytest.raises(ValueError, match="edge mask out of range"):
+            graph6_from_edge_mask(n, mask)
+        with pytest.raises(ValueError, match="edge mask out of range"):
+            from_edge_mask(n, mask)
+
+
+def bitwise_graph6(g: Graph) -> str:
+    """Oracle: the graph6 writer the package had before its table encoder,
+    one bit at a time, first pair of a group in the most significant bit."""
+    if not 1 <= g.n <= 62:
+        raise Graph6Error("short-form graph6 covers 1 <= n <= 62")
+    out = [chr(g.n + 63)]
+    mask = g.edge_mask
+    nbits = pair_count(g.n)
+    for start in range(0, nbits, 6):
+        group = 0
+        for k in range(6):
+            p = start + k
+            bit = (mask >> p & 1) if p < nbits else 0
+            group = (group << 1) | bit
+        out.append(chr(group + 63))
+    return "".join(out)
+
+
+def _mask_cases():
+    for n in range(1, 6):
+        for mask in range(1 << pair_count(n)):
+            yield n, mask
+    for n in range(6, 9):
+        top = 1 << pair_count(n)
+        for mask in range(0, top, top // 997 + 1):
+            yield n, mask
+        yield n, top - 1
+    rng = random.Random(20170)
+    for n in range(9, 63):
+        for _ in range(8):
+            yield n, rng.getrandbits(pair_count(n))
+        yield n, (1 << pair_count(n)) - 1
+
+
+def test_graph6_mask_encoder_matches_bitwise_oracle():
+    seen = 0
+    for n, mask in _mask_cases():
+        g = from_edge_mask(n, mask)
+        text = graph6_from_edge_mask(n, mask)
+        assert text == bitwise_graph6(g) == write_graph6(g)
+        assert parse_graph6(text).edge_mask == mask
+        seen += 1
+    assert seen > 4500
 
 
 @given(graphs(max_n=12))

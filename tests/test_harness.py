@@ -1,6 +1,7 @@
 """Sweep harness: class sweep against the labeled reference, frozen counts,
 and the negative controls."""
 
+import io
 import json
 from math import factorial
 
@@ -220,6 +221,55 @@ def test_sweep_json_is_serializable():
         v["status"] == "fail" and v["witness"]
         for v in parsed["violations"][0]["verdicts"]
     )
+
+
+def _streamed(summary: SweepSummary) -> str:
+    out = io.StringIO()
+    summary.write_json(out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("divisor", [1, 2])
+def test_streamed_sweep_json_is_byte_identical(divisor):
+    cfg = CheckConfig(t41_divisor=divisor)
+    for n in range(6):
+        summary = verify_range(n, cfg)
+        assert _streamed(summary) == json.dumps(summary.to_json(), indent=2) + "\n"
+    # order 5 with the falsified T4.1: 1094 members of 47 classes, and
+    # graph6 strings with a backslash, which JSON escapes
+    if divisor == 1:
+        assert len(summary.violations) == 1094
+        assert len({id(r.verdicts) for r in summary.violations}) == 47
+        assert sum("\\" in r.graph for r in summary.violations) == 17
+
+
+def test_streamed_sweep_json_without_shared_verdicts():
+    # equal but distinct verdict tuples miss the per-tuple cache; the text
+    # must not change, nor may one member's text leak into another's
+    def failing(witness):
+        return tuple(
+            Verdict(tid, "fail", witness) if tid == "T4.1" else Verdict(tid, "pass")
+            for tid in THEOREM_IDS
+        )
+
+    counts = {tid: {"pass": 3, "fail": 0, "not_applicable": 0} for tid in THEOREM_IDS}
+    counts["T4.1"] = {"pass": 0, "fail": 3, "not_applicable": 0}
+    verdicts = failing("a")
+    summary = SweepSummary(
+        n_max=2,
+        graphs_checked=4,
+        per_theorem=counts,
+        violations=(
+            TheoremReport("A_", verdicts),
+            TheoremReport("B\\", failing("a")),
+            TheoremReport("Bw", failing("b \"quoted\"")),
+            TheoremReport("B~", verdicts),
+        ),
+        wall_time_ms=7,
+    )
+    assert summary.violations[0].verdicts == summary.violations[1].verdicts
+    assert summary.violations[0].verdicts is not summary.violations[1].verdicts
+    assert _streamed(summary) == json.dumps(summary.to_json(), indent=2) + "\n"
 
 
 def test_sweep_summary_consistency_guard():
