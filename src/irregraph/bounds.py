@@ -31,7 +31,6 @@ class BoundInputs:
     Delta: int
     beta: int
     span: int
-    avg_degree: Fraction
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -40,8 +39,6 @@ class BoundInputs:
             raise ValueError("degree extremes out of range")
         if not 0 <= self.beta <= self.m <= self.n * (self.n - 1) // 2:
             raise ValueError("edge statistics out of range")
-        if self.avg_degree != Fraction(2 * self.m, self.n):
-            raise ValueError("avg_degree inconsistent with n and m")
 
     @classmethod
     def from_graph(cls, g: Graph) -> "BoundInputs":
@@ -53,7 +50,6 @@ class BoundInputs:
             Delta=dc.Delta,
             beta=max_cut(g).value,
             span=dc.span,
-            avg_degree=Fraction(2 * g.m, g.n),
         )
 
 
@@ -121,11 +117,11 @@ def ub_span_thm32(delta: int) -> int:
     return _root_floor(-1, 2 * delta)
 
 
-def lb_gamma_ir_thm41(n: int, Delta: int) -> int:
-    """max(ceil(n/2), n - Delta)."""
-    if n < 1 or not 0 <= Delta <= n - 1:
-        raise ValueError("need n >= 1 and 0 <= Delta <= n-1")
-    return max((n + 1) // 2, n - Delta)
+def lb_gamma_ir_thm41(n: int, Delta: int, divisor: int = 2) -> int:
+    """max(ceil(n/divisor), n - Delta); the published divisor is 2."""
+    if n < 1 or not 0 <= Delta <= n - 1 or divisor < 1:
+        raise ValueError("need n >= 1, 0 <= Delta <= n-1 and divisor >= 1")
+    return max(-(-n // divisor), n - Delta)
 
 
 def lb_gamma_ir_thm42(n: int, beta: int) -> int:

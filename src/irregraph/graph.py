@@ -6,10 +6,9 @@ operations return new graphs; nothing here mutates shared state, so graphs can
 be handed to any number of workers.
 
 The module also provides the degree classification used throughout (degree
-classes N_i, their sizes, the span), isomorphism testing by backtracking over
-degree-compatible assignments, canonical keys with automorphism counts, one
-representative per isomorphism class of small order, and a bit-exact graph6
-codec restricted to the short form (1 <= n <= 62).
+classes N_i, their sizes, the span), canonical keys with automorphism counts,
+one representative per isomorphism class of small order, and a bit-exact
+graph6 codec restricted to the short form (1 <= n <= 62).
 
 Edge-mask convention: the C(n,2) vertex pairs are numbered in column-major
 upper-triangle order, pair (u, v) with u < v at position v*(v-1)/2 + u.  This
@@ -297,62 +296,6 @@ def classify_degrees(g: Graph) -> DegreeClassification:
         delta=distinct[0],
         Delta=distinct[-1],
     )
-
-
-# -- isomorphism ----------------------------------------------------------
-
-
-def _invariant(g: Graph) -> tuple:
-    degs = g.degrees()
-    neighbor_profiles = tuple(
-        sorted(tuple(sorted(degs[u] for u in g.neighbors(v))) for v in range(g.n))
-    )
-    return (g.n, g.m, tuple(sorted(degs)), neighbor_profiles)
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test; intended for n up to about 12.
-
-    A cheap invariant (order, size, degree sequence, sorted multiset of
-    neighbor degrees per vertex) prescreens most non-isomorphic pairs, then a
-    backtracking search maps vertices of g onto degree-compatible vertices of
-    h, checking adjacency against all previously mapped vertices.
-    """
-    if _invariant(g) != _invariant(h):
-        return False
-    n = g.n
-    degs_g, degs_h = g.degrees(), h.degrees()
-    # Mapping vertices in order of rarest degree first shrinks the branching.
-    freq: dict[int, int] = {}
-    for d in degs_g:
-        freq[d] = freq.get(d, 0) + 1
-    order = sorted(range(n), key=lambda v: (freq[degs_g[v]], degs_g[v], v))
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in range(n):
-            if used[w] or degs_h[w] != degs_g[v]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if g.has_edge(v, u) != h.has_edge(w, image[u]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                used[w] = False
-                image[v] = -1
-        return False
-
-    return extend(0)
 
 
 # -- canonical form and isomorphism classes -------------------------------

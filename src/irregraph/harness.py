@@ -1,11 +1,15 @@
 """Exhaustive verification sweep over all labeled graphs of small order.
 
-Every published inequality and characterization handled by this package is
-re-derived here as an executable check over exact solver output.  A sweep
-covers every labeled graph up to a given order (all 2^C(n,2) edge masks,
-nothing sampled) and reports any violation together with the instantiated
-inequality, so a failure can be re-checked by hand from the graph6 string
-alone.
+Each of the 28 published facts the package checks is one row of a table,
+evaluated over exact solver output by one evaluator.  An inequality row
+names an integer value and its integer bounds, which come from
+irregraph.bounds, where each published inequality is stated once; a
+characterization row names the two sides of an "if and only if"; a few rows
+carry both.  Each row has a witness template that the evaluator fills in
+only when the row fails, with the instantiated inequality, so a failure can
+be re-checked by hand from the graph6 string alone.  A sweep covers every
+labeled graph up to a given order (all 2^C(n,2) edge masks, nothing
+sampled).
 
 Every check is invariant under relabeling, so the sweep evaluates one
 representative per isomorphism class and counts its verdicts n!/|Aut| times,
@@ -15,10 +19,6 @@ class's verdicts: every witness string is built from isomorphism invariants
 (parameter values, degree classes, family tags), so a member's verdicts equal
 its representative's.  The tests hold the class sweep to a labeled sweep that
 checks every edge mask, verdicts included.
-
-The closed-form bounds come from irregraph.bounds, which states each
-published inequality once, in exact integers.  Only T4.1 keeps its own
-formula, because CheckConfig can falsify it (below).
 
 Checks take a CheckConfig so a deliberately falsified bound can be injected;
 the sweep must then report violations, which demonstrates it can detect a
@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Callable, NamedTuple, Optional, Sequence, TextIO, Union
 
 from irregraph import bounds
 from irregraph.constructions import evaluate as evaluate_construction
@@ -40,7 +40,6 @@ from irregraph.graph import (
     Graph,
     classify_degrees,
     complement,
-    from_edge_mask,
     from_edges,
     graph6_from_edge_mask,
     isomorphism_classes,
@@ -57,15 +56,6 @@ from irregraph.recognizers import (
     is_outerplanar,
     is_planar,
     satisfies_lemma31,
-)
-
-THEOREM_IDS = (
-    "T2.1", "E1", "T2.2",
-    "T2.3i", "T2.3ii", "T2.3iii", "T2.3b", "C2.4",
-    "L3.1", "T3.2i", "T3.2ii", "T3.3", "C3.6",
-    "T4.1", "T4.2", "C4.3", "T4.4i", "T4.4ii", "T4.5i", "T4.5ii",
-    "T5.1i", "T5.1ii", "T5.1iii", "T5.1iv",
-    "T6.1i", "T6.1ii", "T6.2i", "T6.2ii",
 )
 
 ENUMERATION_LIMIT = 8
@@ -85,9 +75,6 @@ class CheckConfig:
     def __post_init__(self) -> None:
         if self.t41_divisor < 1:
             raise ValueError("divisor must be >= 1")
-
-    def t41_bound(self, n: int, Delta: int) -> int:
-        return max(-(-n // self.t41_divisor), n - Delta)
 
 
 DEFAULT_CONFIG = CheckConfig()
@@ -195,27 +182,20 @@ def _dumps_around(payload: dict, indent: str = "") -> tuple[str, str]:
     return before, after
 
 
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All labeled graphs of order n, once each, in edge-mask order."""
-    if not 0 <= n <= ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration supports 0 <= n <= {ENUMERATION_LIMIT}")
-    for mask in range(1 << pair_count(n)):
-        yield from_edge_mask(n, mask)
-
-
-# -- checks: one graph, one readable report -------------------------------
+# -- checks: one table row per published fact -----------------------------
 
 
 class _Ctx:
-    """Everything the checks need about one graph, computed once."""
+    """Everything the rows need about one graph, computed once."""
 
     __slots__ = (
-        "g", "n", "m", "dc", "alpha", "alpha_ir", "alpha_reg",
+        "g", "cfg", "n", "m", "dc", "alpha", "alpha_ir", "alpha_reg",
         "gamma_ir", "beta", "alpha_ir_c", "gamma_ir_c", "inp",
     )
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, cfg: CheckConfig):
         self.g = g
+        self.cfg = cfg
         self.n = g.n
         self.m = g.m
         self.dc = classify_degrees(g)
@@ -234,307 +214,272 @@ class _Ctx:
             Delta=self.dc.Delta,
             beta=self.beta,
             span=self.dc.span,
-            avg_degree=Fraction(2 * self.m, self.n),
         )
 
 
-def _verdict(tid: str, ok: bool, witness: str) -> Verdict:
-    if ok:
-        return Verdict(tid, "pass")
-    return Verdict(tid, "fail", witness)
+class _Row(NamedTuple):
+    """One published fact, checked on one graph c.
+
+    The row holds when lo(c) <= value(c) <= hi(c), a missing end being open,
+    and, if it has an iff, when the two sides iff(c, value, hi) returns are
+    equal.  It is not applicable when applies(c) is false, or when a bound
+    is None: that is how irregraph.bounds says the fact's hypothesis fails.
+
+    witness is a str.format template over the fields c, v (the value), lo,
+    hi, lhs and rhs (the sides of the iff), or a callable taking them as
+    keywords; it is filled in only when the row fails.  Every callable looks
+    up the solvers, recognizers and bounds it uses by name when it runs, so
+    a replacement installed in this module or in irregraph.bounds is the
+    one called.
+    """
+
+    tid: str
+    witness: Union[str, Callable[..., str]]
+    value: Optional[Callable[[_Ctx], object]] = None
+    lo: Optional[Callable[[_Ctx], Optional[int]]] = None
+    hi: Optional[Callable[[_Ctx], Optional[int]]] = None
+    iff: Optional[Callable[[_Ctx, object, Optional[int]], tuple]] = None
+    applies: Optional[Callable[[_Ctx], bool]] = None
 
 
-def _na(tid: str) -> Verdict:
-    return Verdict(tid, "not_applicable")
+def _family(tag) -> Optional[str]:
+    return tag.family.value if tag else None
 
 
-def _check_t21(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    ub = bounds.ub_alpha_ir_thm21(c.inp)
-    return _verdict(
-        "T2.1", 1 <= c.alpha_ir <= ub,
-        f"alpha_ir={c.alpha_ir} outside [1, {ub}]",
-    )
+def _extreme_edges(c: _Ctx) -> bool:
+    return c.m == 0 or c.m == pair_count(c.n)
 
 
-def _check_e1(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    ub = bounds.ub_alpha_ir_eq1(c.inp)
-    return _verdict(
-        "E1", c.alpha_ir <= ub,
-        f"alpha_ir={c.alpha_ir} > {ub} (delta={c.dc.delta}, m={c.m})",
-    )
+def _thin_class(c: _Ctx, **_) -> str:
+    k, nk = next((k, nk) for k, nk in c.dc.sizes.items() if nk < c.n - k)
+    return f"degree class k={k} has n_k={nk} < n-k={c.n - k}"
 
 
-def _check_t22(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    ub = bounds.ub_alpha_ir_thm22(c.inp)
-    return _verdict(
-        "T2.2", c.alpha_ir <= ub,
-        f"alpha_ir={c.alpha_ir} > {ub} (delta={c.dc.delta}, beta={c.beta})",
-    )
-
-
-def _check_t23i(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    s = c.alpha_ir + c.alpha_reg
-    return _verdict(
-        "T2.3i", 2 <= s <= c.n + 1,
-        f"alpha_ir+alpha_reg={s} outside [2, {c.n + 1}]",
-    )
-
-
-def _check_t23ii(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    p = c.alpha_ir * c.alpha_reg
-    return _verdict(
-        "T2.3ii", c.alpha <= p <= c.alpha**2,
-        f"alpha_ir*alpha_reg={p} outside [alpha={c.alpha}, alpha^2={c.alpha ** 2}]",
-    )
-
-
-def _check_t23iii(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    if c.n < 4:
-        return _na("T2.3iii")
-    p = c.alpha_ir * c.alpha_reg
-    cap = bounds.product_cap(c.n)
-    return _verdict(
-        "T2.3iii", 1 <= p <= cap,
-        f"alpha_ir*alpha_reg={p} outside [1, {cap}]",
-    )
-
-
-def _check_t23b(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    attained = c.alpha_ir + c.alpha_reg == c.n + 1
-    empty = c.m == 0
-    return _verdict(
-        "T2.3b", attained == empty,
-        f"sum={c.alpha_ir + c.alpha_reg} attains n+1: {attained}, empty: {empty}",
-    )
-
-
-def _check_c24(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    if c.n < 4:
-        return _na("C2.4")
-    p = c.alpha_ir * c.alpha_reg
-    cap = min(c.alpha**2, bounds.product_cap(c.n))
-    return _verdict("C2.4", p <= cap, f"alpha_ir*alpha_reg={p} > {cap}")
-
-
-def _check_l31(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    holds = satisfies_lemma31(c.g)
-    one = c.alpha_ir == 1
-    return _verdict(
-        "L3.1", holds == one,
-        f"degree-class structure holds: {holds}, alpha_ir=1: {one}",
-    )
-
-
-def _check_t32i(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    if c.alpha_ir != 1:
-        return _na("T3.2i")
-    for k, nk in c.dc.sizes.items():
-        if nk < c.n - k:
-            return Verdict(
-                "T3.2i", "fail",
-                f"degree class k={k} has n_k={nk} < n-k={c.n - k}",
-            )
-    return Verdict("T3.2i", "pass")
-
-
-def _check_t32ii(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    if c.alpha_ir != 1:
-        return _na("T3.2ii")
-    ub = bounds.ub_span_thm32(c.dc.delta)
-    return _verdict(
-        "T3.2ii", c.dc.span <= ub,
-        f"span={c.dc.span} > {ub} (delta={c.dc.delta})",
-    )
-
-
-def _check_t33(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    lhs = c.alpha_ir == 1 and is_planar(c.g)
-    tag = classify_planar_alpha1(c.g)
-    return _verdict(
-        "T3.3", lhs == (tag is not None),
-        f"planar with alpha_ir=1: {lhs}, family: {tag.family.value if tag else None}",
-    )
-
-
-def _check_c36(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    lhs = c.alpha_ir == 1 and is_outerplanar(c.g)
-    tag = classify_outerplanar_alpha1(c.g)
-    return _verdict(
-        "C3.6", lhs == (tag is not None),
-        f"outerplanar with alpha_ir=1: {lhs}, family: {tag.family.value if tag else None}",
-    )
-
-
-def _check_t41(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    bound = cfg.t41_bound(c.n, c.dc.Delta)
-    return _verdict(
-        "T4.1", c.gamma_ir >= bound,
-        f"gamma_ir={c.gamma_ir} < max(ceil({c.n}/{cfg.t41_divisor}), "
-        f"n-Delta={c.n - c.dc.Delta}) = {bound}",
-    )
-
-
-def _check_t42(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    lb = bounds.lb_gamma_ir_thm42(c.n, c.beta)
-    return _verdict(
-        "T4.2", c.gamma_ir >= lb,
-        f"gamma_ir={c.gamma_ir} < {lb} (n={c.n}, beta={c.beta})",
-    )
-
-
-def _check_c43(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    # equality in gamma_ir >= n - sqrt(2m) holds exactly for empty graphs
-    lb = bounds.lb_gamma_ir_cor43(c.n, c.inp.avg_degree)
-    gap = c.n - c.gamma_ir
-    eq = gap * gap == 2 * c.m
-    empty = c.m == 0
-    return _verdict(
-        "C4.3", c.gamma_ir >= lb and eq == empty,
-        f"gamma_ir={c.gamma_ir} vs {lb}; equality: {eq}, empty: {empty}",
-    )
-
-
-def _check_t44i(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    return _verdict(
-        "T4.4i", (c.gamma_ir == c.n) == (c.m == 0),
-        f"gamma_ir={c.gamma_ir}, n={c.n}, m={c.m}",
-    )
-
-
-def _check_t44ii(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    tag = classify_gamma_extremal(c.g)
-    rhs = tag is not None and tag.family in (
-        Family.ISOLATED_PLUS_STAR,
-        Family.ISOLATED_PLUS_REGULAR,
-    )
-    return _verdict(
-        "T4.4ii", (c.gamma_ir == c.n - 1) == rhs,
-        f"gamma_ir={c.gamma_ir} vs n-1={c.n - 1}, "
-        f"family: {tag.family.value if tag else None}",
-    )
-
-
-def _check_t45i(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    ub = bounds.ub_gamma_ir_thm45i(c.n, c.dc.span, c.dc.delta)
-    if ub is None:
-        return _na("T4.5i")
-    k = c.n - ub
-    return _verdict(
-        "T4.5i", c.gamma_ir <= ub,
+def _t45i_witness(c: _Ctx, v: int, hi: int, **_) -> str:
+    k = c.n - hi
+    return (
         f"span={c.dc.span} >= R({k},{k})={bounds.DEFAULT_RAMSEY[k]} and "
-        f"delta={c.dc.delta} >= {k}, yet gamma_ir={c.gamma_ir} > n-{k}={ub}",
+        f"delta={c.dc.delta} >= {k}, yet gamma_ir={v} > n-{k}={hi}"
     )
 
 
-def _check_t45ii(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    ub = bounds.ub_gamma_ir_thm45ii(c.n, c.dc.span, c.dc.delta)
-    if ub is None:
-        return _na("T4.5ii")
-    return _verdict(
-        "T4.5ii", c.gamma_ir <= ub,
-        f"span={c.dc.span} >= 5 and delta={c.dc.delta} >= 3, "
-        f"yet gamma_ir={c.gamma_ir} > n-3={ub}",
-    )
-
-
-def _check_t51i(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    cap = c.n + 1 if c.dc.delta == 0 else c.n
-    s = c.alpha_ir + c.gamma_ir
-    return _verdict(
-        "T5.1i", s <= cap,
-        f"alpha_ir+gamma_ir={s} > {cap} (delta={c.dc.delta})",
-    )
-
-
-def _check_t51ii(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    cap = bounds.product_cap(c.n + 1 if c.dc.delta == 0 else c.n)
-    p = c.alpha_ir * c.gamma_ir
-    return _verdict(
-        "T5.1ii", p <= cap,
-        f"alpha_ir*gamma_ir={p} > {cap} (delta={c.dc.delta})",
-    )
-
-
-def _check_t51iii(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    s = c.alpha_ir + c.gamma_ir_c
-    return _verdict(
-        "T5.1iii", s <= c.n + 1,
-        f"alpha_ir+gamma_ir(comp)={s} > n+1={c.n + 1}",
-    )
-
-
-def _check_t51iv(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    cap = bounds.product_cap(c.n + 1)
-    p = c.alpha_ir * c.gamma_ir_c
-    return _verdict("T5.1iv", p <= cap, f"alpha_ir*gamma_ir(comp)={p} > {cap}")
-
-
-def _check_t61i(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    if c.n < 2:
-        return _na("T6.1i")
-    s = c.alpha_ir + c.alpha_ir_c
-    return _verdict(
-        "T6.1i", 2 <= s <= c.n,
-        f"alpha_ir+alpha_ir(comp)={s} outside [2, {c.n}]",
-    )
-
-
-def _check_t61ii(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    if c.n < 2:
-        return _na("T6.1ii")
-    p = c.alpha_ir * c.alpha_ir_c
-    cap = bounds.product_cap(c.n)
-    return _verdict(
-        "T6.1ii", 1 <= p <= cap,
-        f"alpha_ir*alpha_ir(comp)={p} outside [1, {cap}]",
-    )
-
-
-def _check_t62i(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    if c.n < 2:
-        return _na("T6.2i")
-    s = c.gamma_ir + c.gamma_ir_c
-    low, high = 2 * ((c.n + 1) // 2), 2 * c.n - 1
-    extremal = c.m == 0 or c.m == pair_count(c.n)
-    ok = low <= s <= high and (s == high) == extremal
-    return _verdict(
-        "T6.2i", ok,
-        f"gamma_ir+gamma_ir(comp)={s} vs [{low}, {high}], "
-        f"attains top: {s == high}, empty-or-complete: {extremal}",
-    )
-
-
-def _check_t62ii(c: _Ctx, cfg: CheckConfig) -> Verdict:
-    if c.n < 2:
-        return _na("T6.2ii")
-    p = c.gamma_ir * c.gamma_ir_c
-    low, high = ((c.n + 1) // 2) ** 2, c.n * (c.n - 1)
-    extremal = c.m == 0 or c.m == pair_count(c.n)
-    ok = low <= p <= high and (p == high) == extremal
-    return _verdict(
-        "T6.2ii", ok,
-        f"gamma_ir*gamma_ir(comp)={p} vs [{low}, {high}], "
-        f"attains top: {p == high}, empty-or-complete: {extremal}",
-    )
-
-
-_CHECKS = (
-    _check_t21, _check_e1, _check_t22,
-    _check_t23i, _check_t23ii, _check_t23iii, _check_t23b, _check_c24,
-    _check_l31, _check_t32i, _check_t32ii, _check_t33, _check_c36,
-    _check_t41, _check_t42, _check_c43, _check_t44i, _check_t44ii,
-    _check_t45i, _check_t45ii,
-    _check_t51i, _check_t51ii, _check_t51iii, _check_t51iv,
-    _check_t61i, _check_t61ii, _check_t62i, _check_t62ii,
+# the families with gamma_ir = n - 1 (T4.4ii)
+_N_MINUS_1_FAMILIES = (
+    Family.ISOLATED_PLUS_STAR.value,
+    Family.ISOLATED_PLUS_REGULAR.value,
 )
+
+_ROWS = (
+    _Row(
+        "T2.1", "alpha_ir={v} outside [1, {hi}]",
+        value=lambda c: c.alpha_ir,
+        lo=lambda c: 1,
+        hi=lambda c: bounds.ub_alpha_ir_thm21(c.inp),
+    ),
+    _Row(
+        "E1", "alpha_ir={v} > {hi} (delta={c.dc.delta}, m={c.m})",
+        value=lambda c: c.alpha_ir,
+        hi=lambda c: bounds.ub_alpha_ir_eq1(c.inp),
+    ),
+    _Row(
+        "T2.2", "alpha_ir={v} > {hi} (delta={c.dc.delta}, beta={c.beta})",
+        value=lambda c: c.alpha_ir,
+        hi=lambda c: bounds.ub_alpha_ir_thm22(c.inp),
+    ),
+    _Row(
+        "T2.3i", "alpha_ir+alpha_reg={v} outside [2, {hi}]",
+        value=lambda c: c.alpha_ir + c.alpha_reg,
+        lo=lambda c: 2,
+        hi=lambda c: c.n + 1,
+    ),
+    _Row(
+        "T2.3ii", "alpha_ir*alpha_reg={v} outside [alpha={lo}, alpha^2={hi}]",
+        value=lambda c: c.alpha_ir * c.alpha_reg,
+        lo=lambda c: c.alpha,
+        hi=lambda c: c.alpha**2,
+    ),
+    _Row(
+        "T2.3iii", "alpha_ir*alpha_reg={v} outside [1, {hi}]",
+        value=lambda c: c.alpha_ir * c.alpha_reg,
+        lo=lambda c: 1,
+        hi=lambda c: bounds.product_cap(c.n),
+        applies=lambda c: c.n >= 4,
+    ),
+    _Row(
+        "T2.3b", "sum={v} attains n+1: {lhs}, empty: {rhs}",
+        value=lambda c: c.alpha_ir + c.alpha_reg,
+        iff=lambda c, v, hi: (v == c.n + 1, c.m == 0),
+    ),
+    _Row(
+        "C2.4", "alpha_ir*alpha_reg={v} > {hi}",
+        value=lambda c: c.alpha_ir * c.alpha_reg,
+        hi=lambda c: min(c.alpha**2, bounds.product_cap(c.n)),
+        applies=lambda c: c.n >= 4,
+    ),
+    _Row(
+        "L3.1", "degree-class structure holds: {lhs}, alpha_ir=1: {rhs}",
+        iff=lambda c, v, hi: (satisfies_lemma31(c.g), c.alpha_ir == 1),
+    ),
+    _Row(
+        # n_k >= n - k for every degree class k
+        "T3.2i", _thin_class,
+        value=lambda c: min(k + nk for k, nk in c.dc.sizes.items()),
+        lo=lambda c: c.n,
+        applies=lambda c: c.alpha_ir == 1,
+    ),
+    _Row(
+        "T3.2ii", "span={v} > {hi} (delta={c.dc.delta})",
+        value=lambda c: c.dc.span,
+        hi=lambda c: bounds.ub_span_thm32(c.dc.delta),
+        applies=lambda c: c.alpha_ir == 1,
+    ),
+    _Row(
+        "T3.3", "planar with alpha_ir=1: {lhs}, family: {v}",
+        value=lambda c: _family(classify_planar_alpha1(c.g)),
+        iff=lambda c, v, hi: (
+            c.alpha_ir == 1 and is_planar(c.g), v is not None
+        ),
+    ),
+    _Row(
+        "C3.6", "outerplanar with alpha_ir=1: {lhs}, family: {v}",
+        value=lambda c: _family(classify_outerplanar_alpha1(c.g)),
+        iff=lambda c, v, hi: (
+            c.alpha_ir == 1 and is_outerplanar(c.g), v is not None
+        ),
+    ),
+    _Row(
+        "T4.1",
+        lambda c, v, lo, **_: (
+            f"gamma_ir={v} < max(ceil({c.n}/{c.cfg.t41_divisor}), "
+            f"n-Delta={c.n - c.dc.Delta}) = {lo}"
+        ),
+        value=lambda c: c.gamma_ir,
+        lo=lambda c: bounds.lb_gamma_ir_thm41(c.n, c.dc.Delta, c.cfg.t41_divisor),
+    ),
+    _Row(
+        "T4.2", "gamma_ir={v} < {lo} (n={c.n}, beta={c.beta})",
+        value=lambda c: c.gamma_ir,
+        lo=lambda c: bounds.lb_gamma_ir_thm42(c.n, c.beta),
+    ),
+    _Row(
+        # equality in gamma_ir >= n - sqrt(2m) holds exactly for empty graphs
+        "C4.3", "gamma_ir={v} vs {lo}; equality: {lhs}, empty: {rhs}",
+        value=lambda c: c.gamma_ir,
+        lo=lambda c: bounds.lb_gamma_ir_cor43(c.n, Fraction(2 * c.m, c.n)),
+        iff=lambda c, v, hi: ((c.n - v) ** 2 == 2 * c.m, c.m == 0),
+    ),
+    _Row(
+        "T4.4i", "gamma_ir={v}, n={c.n}, m={c.m}",
+        value=lambda c: c.gamma_ir,
+        iff=lambda c, v, hi: (v == c.n, c.m == 0),
+    ),
+    _Row(
+        "T4.4ii",
+        lambda c, v, **_: f"gamma_ir={c.gamma_ir} vs n-1={c.n - 1}, family: {v}",
+        value=lambda c: _family(classify_gamma_extremal(c.g)),
+        iff=lambda c, v, hi: (c.gamma_ir == c.n - 1, v in _N_MINUS_1_FAMILIES),
+    ),
+    _Row(
+        "T4.5i", _t45i_witness,
+        value=lambda c: c.gamma_ir,
+        hi=lambda c: bounds.ub_gamma_ir_thm45i(c.n, c.dc.span, c.dc.delta),
+    ),
+    _Row(
+        "T4.5ii",
+        "span={c.dc.span} >= 5 and delta={c.dc.delta} >= 3, "
+        "yet gamma_ir={v} > n-3={hi}",
+        value=lambda c: c.gamma_ir,
+        hi=lambda c: bounds.ub_gamma_ir_thm45ii(c.n, c.dc.span, c.dc.delta),
+    ),
+    _Row(
+        "T5.1i", "alpha_ir+gamma_ir={v} > {hi} (delta={c.dc.delta})",
+        value=lambda c: c.alpha_ir + c.gamma_ir,
+        hi=lambda c: c.n + 1 if c.dc.delta == 0 else c.n,
+    ),
+    _Row(
+        "T5.1ii", "alpha_ir*gamma_ir={v} > {hi} (delta={c.dc.delta})",
+        value=lambda c: c.alpha_ir * c.gamma_ir,
+        hi=lambda c: bounds.product_cap(c.n + 1 if c.dc.delta == 0 else c.n),
+    ),
+    _Row(
+        "T5.1iii", "alpha_ir+gamma_ir(comp)={v} > n+1={hi}",
+        value=lambda c: c.alpha_ir + c.gamma_ir_c,
+        hi=lambda c: c.n + 1,
+    ),
+    _Row(
+        "T5.1iv", "alpha_ir*gamma_ir(comp)={v} > {hi}",
+        value=lambda c: c.alpha_ir * c.gamma_ir_c,
+        hi=lambda c: bounds.product_cap(c.n + 1),
+    ),
+    _Row(
+        "T6.1i", "alpha_ir+alpha_ir(comp)={v} outside [2, {hi}]",
+        value=lambda c: c.alpha_ir + c.alpha_ir_c,
+        lo=lambda c: 2,
+        hi=lambda c: c.n,
+        applies=lambda c: c.n >= 2,
+    ),
+    _Row(
+        "T6.1ii", "alpha_ir*alpha_ir(comp)={v} outside [1, {hi}]",
+        value=lambda c: c.alpha_ir * c.alpha_ir_c,
+        lo=lambda c: 1,
+        hi=lambda c: bounds.product_cap(c.n),
+        applies=lambda c: c.n >= 2,
+    ),
+    _Row(
+        # the top is attained exactly by the empty and the complete graph
+        "T6.2i",
+        "gamma_ir+gamma_ir(comp)={v} vs [{lo}, {hi}], "
+        "attains top: {lhs}, empty-or-complete: {rhs}",
+        value=lambda c: c.gamma_ir + c.gamma_ir_c,
+        lo=lambda c: 2 * ((c.n + 1) // 2),
+        hi=lambda c: 2 * c.n - 1,
+        iff=lambda c, v, hi: (v == hi, _extreme_edges(c)),
+        applies=lambda c: c.n >= 2,
+    ),
+    _Row(
+        "T6.2ii",
+        "gamma_ir*gamma_ir(comp)={v} vs [{lo}, {hi}], "
+        "attains top: {lhs}, empty-or-complete: {rhs}",
+        value=lambda c: c.gamma_ir * c.gamma_ir_c,
+        lo=lambda c: ((c.n + 1) // 2) ** 2,
+        hi=lambda c: c.n * (c.n - 1),
+        iff=lambda c, v, hi: (v == hi, _extreme_edges(c)),
+        applies=lambda c: c.n >= 2,
+    ),
+)
+
+THEOREM_IDS = tuple(row.tid for row in _ROWS)
+
+
+def _evaluate(row: _Row, c: _Ctx) -> Verdict:
+    """The verdict of one row on one graph."""
+    if row.applies is not None and not row.applies(c):
+        return Verdict(row.tid, "not_applicable")
+    v = row.value(c) if row.value else None
+    lo = row.lo(c) if row.lo else None
+    hi = row.hi(c) if row.hi else None
+    if (row.lo and lo is None) or (row.hi and hi is None):
+        return Verdict(row.tid, "not_applicable")
+    ok = (lo is None or lo <= v) and (hi is None or v <= hi)
+    lhs = rhs = None
+    if row.iff:
+        lhs, rhs = row.iff(c, v, hi)
+        ok = ok and lhs == rhs
+    if ok:
+        return Verdict(row.tid, "pass")
+    fields = {"c": c, "v": v, "lo": lo, "hi": hi, "lhs": lhs, "rhs": rhs}
+    w = row.witness
+    return Verdict(
+        row.tid, "fail", w.format(**fields) if isinstance(w, str) else w(**fields)
+    )
 
 
 def theorem_report(g: Graph, cfg: CheckConfig = DEFAULT_CONFIG) -> TheoremReport:
-    """Evaluate every check on one graph."""
+    """Evaluate every row of the table on one graph."""
     if g.n < 1:
         raise ValueError("checks need at least one vertex")
-    ctx = _Ctx(g)
-    return TheoremReport(write_graph6(g), tuple(f(ctx, cfg) for f in _CHECKS))
+    c = _Ctx(g, cfg)
+    return TheoremReport(write_graph6(g), tuple(_evaluate(row, c) for row in _ROWS))
 
 
 # -- sweep driver -----------------------------------------------------------------
@@ -567,19 +512,6 @@ def _sweep_order(n: int, cfg: CheckConfig):
         if report.failures:
             violating.extend((mask, report.verdicts) for mask in labeled_copies(g))
     violating.sort(key=lambda pair: pair[0])
-    return counts, violating
-
-
-def _sweep_order_scalar(n: int, cfg: CheckConfig):
-    """Labeled reference for _sweep_order: one report per edge mask."""
-    counts = _blank_counts()
-    violating = []
-    for mask in range(1 << pair_count(n)):
-        report = theorem_report(from_edge_mask(n, mask), cfg)
-        for v in report.verdicts:
-            counts[v.theorem_id][v.status] += 1
-        if report.failures:
-            violating.append((mask, report.verdicts))
     return counts, violating
 
 

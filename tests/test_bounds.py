@@ -34,7 +34,6 @@ def stats(n, m, delta, Delta, beta, span):
         Delta=Delta,
         beta=beta,
         span=span,
-        avg_degree=Fraction(2 * m, n),
     )
 
 
@@ -54,8 +53,6 @@ def test_bound_inputs_validation():
         stats(n=4, m=3, delta=2, Delta=1, beta=3, span=2)  # delta > Delta
     with pytest.raises(ValueError):
         stats(n=4, m=3, delta=1, Delta=2, beta=4, span=2)  # beta > m
-    with pytest.raises(ValueError):
-        BoundInputs(4, 3, 1, 2, 3, 2, Fraction(1))  # wrong avg_degree
     assert BoundInputs.from_graph(path_graph(4)) == P4_STATS
 
 
@@ -110,8 +107,16 @@ def test_thm41_values():
     assert lb_gamma_ir_thm41(4, 2) == 2
     assert lb_gamma_ir_thm41(3, 0) == 3
     assert lb_gamma_ir_thm41(7, 3) == 4
+    assert lb_gamma_ir_thm41(5, 1) == 4  # max(ceil(5/2), 5-1)
+    assert lb_gamma_ir_thm41(6, 5) == 3
+    # divisor 1 falsifies the bound: it claims gamma_ir >= n
+    for n, Delta in ((1, 0), (4, 2), (6, 5), (7, 3)):
+        assert lb_gamma_ir_thm41(n, Delta, 1) == n
+    assert lb_gamma_ir_thm41(7, 6, 3) == 3
     with pytest.raises(ValueError):
         lb_gamma_ir_thm41(4, 4)
+    with pytest.raises(ValueError):
+        lb_gamma_ir_thm41(4, 2, 0)
 
 
 def test_thm42_values():
@@ -173,7 +178,7 @@ def test_gamma_ir_bounds_sound(g):
     value = gamma_ir(g).value
     assert value >= lb_gamma_ir_thm41(inp.n, inp.Delta)
     assert value >= lb_gamma_ir_thm42(inp.n, inp.beta)
-    assert value >= lb_gamma_ir_cor43(inp.n, inp.avg_degree)
+    assert value >= lb_gamma_ir_cor43(inp.n, Fraction(2 * inp.m, inp.n))
     ub = ub_gamma_ir_thm45(inp.n, inp.span, inp.delta)
     if ub is not None:
         assert value <= ub

@@ -25,13 +25,12 @@ from irregraph.harness import (
     TheoremReport,
     Verdict,
     _sweep_order,
-    _sweep_order_scalar,
-    enumerate_labeled_graphs,
     sharpness_suite,
     theorem_report,
     verify_range,
 )
 from irregraph.recognizers import is_outerplanar, is_planar
+from oracles import enumerate_labeled_graphs, sweep_order_labeled
 
 # labeled graphs of order 0..n summed: 1, 2, 4, 12, 76, 1100, 33868, 2131020
 GRAPHS_THROUGH = {0: 1, 1: 2, 2: 4, 3: 12, 4: 76, 5: 1100, 6: 33868}
@@ -100,11 +99,15 @@ def test_report_structural_invariants():
 
 
 def test_checkconfig_validation_and_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="divisor must be >= 1"):
         CheckConfig(t41_divisor=0)
-    assert DEFAULT_CONFIG.t41_bound(5, 1) == 4  # max(ceil(5/2), 5-1)
-    assert DEFAULT_CONFIG.t41_bound(6, 5) == 3
-    assert CheckConfig(t41_divisor=1).t41_bound(6, 5) == 6
+    # the T4.1 row takes its bound, divisor included, from irregraph.bounds
+    by_id = lambda r: {v.theorem_id: v for v in r.verdicts}
+    k3 = complete_graph(3)  # gamma_ir = 2 = max(ceil(3/2), 3-2)
+    assert by_id(theorem_report(k3))["T4.1"].status == "pass"
+    assert by_id(theorem_report(k3, CheckConfig(t41_divisor=1)))["T4.1"] == Verdict(
+        "T4.1", "fail", "gamma_ir=2 < max(ceil(3/1), n-Delta=1) = 3"
+    )
 
 
 def test_sweep_frozen_graph_counts():
@@ -129,7 +132,7 @@ def test_engines_agree_through_order_five():
     # the class sweep against the labeled reference that checks every mask
     for n in range(1, 6):
         class_counts, class_viol = _sweep_order(n, DEFAULT_CONFIG)
-        labeled_counts, labeled_viol = _sweep_order_scalar(n, DEFAULT_CONFIG)
+        labeled_counts, labeled_viol = sweep_order_labeled(n, DEFAULT_CONFIG)
         assert class_viol == labeled_viol == []
         assert class_counts == labeled_counts
 
@@ -138,7 +141,7 @@ def test_engines_agree_on_violations():
     cfg = CheckConfig(t41_divisor=1)
     for n in range(1, 5):
         class_counts, class_viol = _sweep_order(n, cfg)
-        labeled_counts, labeled_viol = _sweep_order_scalar(n, cfg)
+        labeled_counts, labeled_viol = sweep_order_labeled(n, cfg)
         assert class_viol == labeled_viol
         assert class_counts == labeled_counts
 
