@@ -7,6 +7,8 @@ matched.  The frozen values below pin the examples down independently, so a
 silent change to a builder's output graph cannot hide behind its own checks.
 """
 
+import hashlib
+
 import pytest
 
 from irregraph import (
@@ -212,3 +214,23 @@ def test_metadata_comment_format():
 def test_builder_raises_construction_error():
     # ConstructionError is a ValueError carrying the failed claims
     assert issubclass(ConstructionError, ValueError)
+
+
+# sha256 over "graph6\nmetadata_comment\n" of every SHARPNESS_GRIDS build, in
+# grid order.  The sharpness payload lists only failures, so a builder that
+# changed a graph while its claims still held would otherwise go unnoticed.
+GRID_BUILDS = 168
+GRID_DIGEST = "a75680b32257e6ddcfc00504a7c2f23a5d07cd631cee953b2c1802afabcb3f43"
+
+
+def test_every_grid_build_is_frozen():
+    digest = hashlib.sha256()
+    builds = 0
+    for family, grid in SHARPNESS_GRIDS.items():
+        for params in grid:
+            report = evaluate(family, params)
+            text = f"{write_graph6(report.graph)}\n{metadata_comment(report)}\n"
+            digest.update(text.encode("ascii"))
+            builds += 1
+    assert builds == GRID_BUILDS
+    assert digest.hexdigest() == GRID_DIGEST
