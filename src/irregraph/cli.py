@@ -183,7 +183,7 @@ def _cmd_compute(config: CliConfig, stdin, out, err) -> int:
 def _cmd_construct(config: CliConfig, out, err) -> int:
     try:
         report = evaluate(config.family, config.params)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"construct {config.family}: {exc}", file=err)
         return 2
     print(write_graph6(report.graph), file=out)

@@ -1,26 +1,31 @@
 """Parameterized extremal constructions with machine-checked claims.
 
-Every builder here realizes a family of graphs that attains one of the
-published bounds with equality.  A builder never trusts the closed-form
-argument: it constructs the graph, runs the exact solvers on it, and raises
-ConstructionError if any claimed value is off.  The claim evaluation is also
-exposed separately (evaluate / FAMILIES) so a verification sweep can collect
-failures in bulk, or re-check a deliberately corrupted graph, without dying
-on the first assertion.
+Every family here realizes graphs that attain one of the published bounds
+with equality.  Nothing trusts the closed-form argument: the graph is built,
+the exact solvers run on it, and each claimed value is compared with the
+measured one.
+
+Each family is one row of FAMILIES: its parameter names, its builder, its
+claims and its sharpness grid.  The builder raises ValueError outside the
+family's parameter domain, and is the only place that domain is stated.
+evaluate is the one path through a row.  build_*, the command line and the
+sharpness suite all call it; build_* raise ConstructionError on a failed
+claim, while evaluate reports it, so a sweep can collect failures in bulk or
+re-check a deliberately corrupted graph.
 
 Edge assignment conventions: when a construction says a vertex receives some
-number of neighbors on the other side without naming them, the default is the
-prefix rule (lowest indices).  The three constructions whose minimum-degree
-claims force balanced assignment (build_alpha_sharp_bipartite,
-build_alpha_sharp_clique, build_modstar) use a rolling round-robin pointer
-instead.
+number of neighbors on the other side without naming them, it takes the
+lowest indices (the prefix rule).  The families whose minimum-degree claims
+force a balanced assignment (alpha_sharp_bipartite and modstar, which share
+one builder, and alpha_sharp_clique) hand out neighbors through
+_round_robin instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from irregraph.bounds import BoundInputs, product_cap, ub_alpha_ir_thm22
 from irregraph.graph import (
@@ -81,15 +86,14 @@ class ConstructionReport:
         return tuple(c for c in self.claims if not c.ok)
 
 
-def _finish(family: str, params: dict, graph: Graph, claims) -> Graph:
-    report = ConstructionReport(family, params, graph, tuple(claims))
+def _checked(report: ConstructionReport) -> Graph:
     if not report.ok:
         lines = "; ".join(str(c) for c in report.failures)
-        raise ConstructionError(f"{family}{params}: {lines}")
-    return graph
+        raise ConstructionError(f"{report.family}{report.params}: {lines}")
+    return report.graph
 
 
-# -- profiles and schedules ---------------------------------------------------
+# -- profiles, schedules and the round-robin wiring ------------------------------
 
 
 _PROFILE_MODES = ("asc", "asc0", "desc")
@@ -126,56 +130,52 @@ class StaircaseProfile:
         return self.k - i + 1
 
 
+def _balanced(r: int, t: int) -> bool:
+    """t(t-1) >= 2r(r-1): without it some w-vertex gets fewer than r
+    neighbors, so delta < r."""
+    return t * (t - 1) >= 2 * r * (r - 1)
+
+
 @dataclass(frozen=True)
 class ModStarSchedule:
-    """Interval schedule handing v_i the w-indices s_{i-1}+1 .. s_i, reduced
-    by the to-k modulus that maps multiples of k to k instead of 0."""
+    """Interval schedule handing v_i (i = 1..t) the r+i-1 w-indices
+    s_{i-1}+1 .. s_i, reduced mod k = r+t-1, where s_i = sum_{j<i} (r+j)."""
 
     r: int
     t: int
 
     def __post_init__(self) -> None:
         if self.r < 1 or self.t < 1:
-            raise ValueError("schedule needs r >= 1 and t >= 1")
-        if self.t * (self.t - 1) < 2 * self.r * (self.r - 1):
-            raise ValueError("schedule requires t(t-1) >= 2r(r-1)")
+            raise ValueError("needs r >= 1 and t >= 1")
+        if not _balanced(self.r, self.t):
+            raise ValueError("needs t(t-1) >= 2r(r-1), otherwise delta < r")
 
     @property
     def k(self) -> int:
         return self.r + self.t - 1
 
-    def s(self, i: int) -> int:
-        # s_i = sum_{j=0}^{i-1} (r + j)
-        return i * self.r + i * (i - 1) // 2
 
-
-def _mod_star(j: int, k: int) -> int:
-    """1-based modulus: multiples of k map to k, never to 0."""
-    m = j % k
-    return k if m == 0 else m
-
-
-# -- the bipartite staircase -----------------------------------------------------
-
-
-def build_staircase(profile: StaircaseProfile, assignment: str = "prefix") -> Graph:
-    """Bipartite graph: k u-vertices (indices 0..k-1), then t v-vertices,
-    v_i wired to degree_of(i) u's by prefix or by a rolling round-robin."""
-    if assignment not in ("prefix", "round_robin"):
-        raise ValueError("assignment must be 'prefix' or 'round_robin'")
-    k, t = profile.k, profile.t
+def _round_robin(k: int, degrees: Sequence[int]) -> list[tuple[int, int]]:
+    """Edges giving v_i (vertex k+i-1) the next degrees[i-1] of the k
+    u-vertices 0..k-1, cyclically."""
     edges = []
     pointer = 0
-    for i in range(1, t + 1):
-        d = profile.degree_of(i)
-        v = k + i - 1
-        if assignment == "prefix":
-            targets = range(d)
-        else:
-            targets = [(pointer + j) % k for j in range(d)]
-            pointer = (pointer + d) % k
-        edges.extend((u, v) for u in targets)
-    g = from_edges(k + t, edges)
+    for v, d in enumerate(degrees, k):
+        edges.extend(((pointer + j) % k, v) for j in range(d))
+        # after v_{i-1} the pointer sits at s_{i-1} mod k, s_i being the sum
+        # of the first i degrees: this is the paper's interval schedule
+        pointer = (pointer + d) % k
+    return edges
+
+
+def build_staircase(profile: StaircaseProfile) -> Graph:
+    """Bipartite graph: k u-vertices (indices 0..k-1), then t v-vertices,
+    v_i wired to the first degree_of(i) u's."""
+    k, t = profile.k, profile.t
+    g = from_edges(
+        k + t,
+        [(u, k + i - 1) for i in range(1, t + 1) for u in range(profile.degree_of(i))],
+    )
     claims = [
         Claim("u_side_internal_edges", 0, sum(1 for u, v in g.edges() if u < k and v < k)),
         Claim("v_side_internal_edges", 0, sum(1 for u, v in g.edges() if u >= k and v >= k)),
@@ -184,13 +184,16 @@ def build_staircase(profile: StaircaseProfile, assignment: str = "prefix") -> Gr
         Claim(f"v{i}_degree", profile.degree_of(i), g.degree(k + i - 1))
         for i in range(1, t + 1)
     ]
-    return _finish("staircase", {"k": k, "t": t, "mode": profile.mode}, g, claims)
+    params = {"k": k, "t": t, "mode": profile.mode}
+    return _checked(ConstructionReport("staircase", params, g, tuple(claims)))
 
 
-# -- constructions with parameter claims --------------------------------------------
+# -- builders and claims, one pair per family -------------------------------------
 
 
-def _raw_clique_union(r: int, t: int) -> Graph:
+def _clique_union(r: int, t: int) -> Graph:
+    if r < 1 or t < 1:
+        raise ValueError("needs r >= 1 and t >= 1")
     g = empty_graph(0)
     for size in range(r, r + t):
         g = disjoint_union(g, complete_graph(size))
@@ -205,24 +208,20 @@ def _claims_clique_union(g: Graph, r: int, t: int) -> list[Claim]:
     ]
 
 
-def build_clique_union(r: int, t: int) -> Graph:
-    """Disjoint cliques of sizes r, r+1, ..., r+t-1; alpha_ir comes out t."""
-    if r < 1 or t < 1:
-        raise ValueError("need r >= 1 and t >= 1")
-    g = _raw_clique_union(r, t)
-    return _finish("clique_union", {"r": r, "t": t}, g, _claims_clique_union(g, r, t))
+def _staircase_gamma(n: int) -> Graph:
+    if n < 2:
+        raise ValueError("needs n >= 2")
+    k = (n + 1) // 2
+    return build_staircase(StaircaseProfile(k=k, t=n - k, mode="asc"))
 
 
-def _raw_alpha_sharp_bipartite(r: int, t: int) -> Graph:
-    k = r + t - 1
-    edges = []
-    pointer = 0
-    for i in range(1, t + 1):
-        d = r + i - 1
-        v = k + i - 1
-        edges.extend(((pointer + j) % k, v) for j in range(d))
-        pointer = (pointer + d) % k
-    return from_edges(k + t, edges)
+def _claims_staircase_gamma(g: Graph, n: int) -> list[Claim]:
+    return [Claim("gamma_ir", (n + 1) // 2, gamma_ir(g).value)]
+
+
+def _modstar(r: int, t: int) -> Graph:
+    k = ModStarSchedule(r, t).k
+    return from_edges(k + t, _round_robin(k, range(r, k + 1)))
 
 
 def _claims_alpha_sharp_bipartite(g: Graph, r: int, t: int) -> list[Claim]:
@@ -235,33 +234,11 @@ def _claims_alpha_sharp_bipartite(g: Graph, r: int, t: int) -> list[Claim]:
     ]
 
 
-def build_alpha_sharp_bipartite(r: int, t: int) -> Graph:
-    """Bipartite graph attaining the floor((n - delta + 1)/2) ceiling.
-
-    k = r+t-1 w-vertices; v_i receives r+i-1 w-neighbors round-robin.  The
-    balance precondition t(t-1) >= 2r(r-1) is what makes delta equal r.
-    """
-    if r < 1 or t < 1:
-        raise ValueError("need r >= 1 and t >= 1")
-    if t * (t - 1) < 2 * r * (r - 1):
-        raise ValueError("requires t(t-1) >= 2r(r-1), otherwise delta < r")
-    g = _raw_alpha_sharp_bipartite(r, t)
-    return _finish(
-        "alpha_sharp_bipartite",
-        {"r": r, "t": t},
-        g,
-        _claims_alpha_sharp_bipartite(g, r, t),
-    )
-
-
-def _raw_alpha_sharp_clique(r: int, t: int) -> Graph:
+def _alpha_sharp_clique(r: int, t: int) -> Graph:
+    if not 1 <= t <= r:
+        raise ValueError("needs r >= t >= 1")
     edges = [(u, v) for v in range(r) for u in range(v)]
-    pointer = 0
-    for i in range(1, t + 1):
-        d = r - t + i
-        v = r + i - 1
-        edges.extend(((pointer + j) % r, v) for j in range(d))
-        pointer = (pointer + d) % r
+    edges += _round_robin(r, range(r - t + 1, r + 1))
     return from_edges(r + t, edges)
 
 
@@ -278,32 +255,7 @@ def _claims_alpha_sharp_clique(g: Graph, r: int, t: int) -> list[Claim]:
     ]
 
 
-def build_alpha_sharp_clique(r: int, t: int) -> Graph:
-    """K_r plus t outside vertices wired so the quadratic-radical ceiling on
-    alpha_ir collapses to the integer t and is attained."""
-    if not 1 <= t <= r:
-        raise ValueError("need r >= t >= 1")
-    g = _raw_alpha_sharp_clique(r, t)
-    return _finish(
-        "alpha_sharp_clique",
-        {"r": r, "t": t},
-        g,
-        _claims_alpha_sharp_clique(g, r, t),
-    )
-
-
-def _raw_modstar(sched: ModStarSchedule) -> Graph:
-    k, t = sched.k, sched.t
-    edges = []
-    for i in range(1, t + 1):
-        v = k + i - 1
-        for j in range(sched.s(i - 1) + 1, sched.s(i) + 1):
-            edges.append((_mod_star(j, k) - 1, v))
-    return from_edges(k + t, edges)
-
-
-def _claims_modstar(g: Graph, sched: ModStarSchedule) -> list[Claim]:
-    r, t = sched.r, sched.t
+def _claims_modstar(g: Graph, r: int, t: int) -> list[Claim]:
     inp = BoundInputs.from_graph(g)
     # the Thm 2.2 bound is exactly ub when ub(ub + 2delta - 1) = 2beta
     ub = ub_alpha_ir_thm22(inp)
@@ -315,18 +267,6 @@ def _claims_modstar(g: Graph, sched: ModStarSchedule) -> list[Claim]:
         Claim("alpha_ir", t, alpha_ir(g).value),
         Claim("cut_radical_bound", t, radical),
     ]
-
-
-def build_modstar(sched: ModStarSchedule) -> Graph:
-    """Interval-schedule bipartite graph attaining the maximum-cut radical
-    bound on alpha_ir exactly."""
-    g = _raw_modstar(sched)
-    return _finish(
-        "modstar",
-        {"r": sched.r, "t": sched.t},
-        g,
-        _claims_modstar(g, sched),
-    )
 
 
 def _product_extremal_parts(n: int) -> tuple[int, list[tuple[int, int, int]], int]:
@@ -353,7 +293,9 @@ def _product_extremal_parts(n: int) -> tuple[int, list[tuple[int, int, int]], in
     return x, pairs, -1
 
 
-def _raw_product_extremal(n: int) -> tuple[Graph, VertexSet, VertexSet]:
+def _product_extremal(n: int) -> Graph:
+    if n < 4:
+        raise ValueError("needs n >= 4")
     x_size, pairs, full_vertex = _product_extremal_parts(n)
     y_size = n - x_size
     edges = []
@@ -365,15 +307,12 @@ def _raw_product_extremal(n: int) -> tuple[Graph, VertexSet, VertexSet]:
     if full_vertex > 0:
         for y in range(y_size):
             edges.append((full_vertex - 1, x_size + y))
-    g = from_edges(n, edges)
-    x_set = VertexSet(n, (1 << x_size) - 1)
+    return from_edges(n, edges)
+
+
+def _claims_product_extremal(g: Graph, n: int) -> list[Claim]:
+    x_set = VertexSet(n, (1 << _product_extremal_parts(n)[0]) - 1)
     y_set = VertexSet(n, ((1 << n) - 1) ^ x_set.mask)
-    return g, x_set, y_set
-
-
-def _claims_product_extremal(
-    g: Graph, x_set: VertexSet, y_set: VertexSet, n: int
-) -> list[Claim]:
     return [
         Claim("x_irregular_independent", 1, int(is_irregular_independent(g, x_set))),
         Claim("y_regular_independent", 1, int(is_regular_independent(g, y_set))),
@@ -385,21 +324,9 @@ def _claims_product_extremal(
     ]
 
 
-def build_product_extremal(n: int) -> Graph:
-    """Split [n] into an irregular independent X and a regular independent Y
-    so that alpha_ir times alpha_reg reaches floor(n/2) ceil(n/2)."""
-    if n < 4:
-        raise ValueError("needs n >= 4")
-    g, x_set, y_set = _raw_product_extremal(n)
-    return _finish(
-        "product_extremal",
-        {"n": n},
-        g,
-        _claims_product_extremal(g, x_set, y_set, n),
-    )
-
-
-def _raw_sum_extremal(n: int, k: int) -> Graph:
+def _sum_extremal(n: int, k: int) -> Graph:
+    if not 2 <= k <= n + 1:
+        raise ValueError("needs 2 <= k <= n+1")
     return disjoint_union(empty_graph(k - 2), complete_graph(n - k + 2))
 
 
@@ -413,16 +340,9 @@ def _claims_sum_extremal(g: Graph, n: int, k: int) -> list[Claim]:
     ]
 
 
-def build_sum_extremal(n: int, k: int) -> Graph:
-    """E_{k-2} with a clique on the other n-k+2 vertices; the two independence
-    numbers sum to exactly k, for any 2 <= k <= n+1."""
-    if not 2 <= k <= n + 1:
-        raise ValueError("needs 2 <= k <= n+1")
-    g = _raw_sum_extremal(n, k)
-    return _finish("sum_extremal", {"n": n, "k": k}, g, _claims_sum_extremal(g, n, k))
-
-
-def _raw_ng_alpha(n: int) -> Graph:
+def _ng_alpha(n: int) -> Graph:
+    if n < 2:
+        raise ValueError("needs n >= 2")
     k = (n + 1) // 2
     l = n // 2
     edges = [(k + a, k + b) for b in range(l) for a in range(b)]
@@ -439,16 +359,9 @@ def _claims_ng_alpha(g: Graph, n: int) -> list[Claim]:
     ]
 
 
-def build_ng_alpha(n: int) -> Graph:
-    """Clique of floor(n/2) v's plus ceil(n/2) u's on a prefix staircase; the
-    irregular independence numbers of the graph and its complement add to n."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    g = _raw_ng_alpha(n)
-    return _finish("ng_alpha", {"n": n}, g, _claims_ng_alpha(g, n))
-
-
-def _raw_ng_gamma(n: int) -> Graph:
+def _ng_gamma(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("needs n >= 3")
     if n % 2 == 1:
         k = (n - 1) // 2
         # u_1..u_k then v_1..v_{k+1}; u_i adjacent to v_1..v_i
@@ -482,25 +395,14 @@ def _claims_ng_gamma(g: Graph, n: int) -> list[Claim]:
     ]
 
 
-def build_ng_gamma(n: int) -> Graph:
-    """Graph whose irregular domination number equals ceil(n/2) in both the
-    graph and its complement, so the sum and product floors are attained.
-
-    Odd orders use the prefix staircase; n = 4 is the path, n = 6 a bespoke
-    six-edge graph, and even n >= 8 a staircase with one column rewired.
-    """
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    g = _raw_ng_gamma(n)
-    return _finish("ng_gamma", {"n": n}, g, _claims_ng_gamma(g, n))
-
-
 _RELATION_CASES = ("delta_pos", "delta_zero", "complement")
 
 
-def _raw_relation_extremal(n: int, case: str) -> Graph:
+def _relation_extremal(n: int, case: str) -> Graph:
     if n < 2:
         raise ValueError("needs n >= 2")
+    if case not in _RELATION_CASES:
+        raise ValueError(f"case must be one of {_RELATION_CASES}")
     if case == "delta_pos":
         k = (n + 1) // 2
         profile = StaircaseProfile(k=k, t=n - k, mode="desc")
@@ -518,12 +420,10 @@ def _raw_relation_extremal(n: int, case: str) -> Graph:
         edges = [(u, k + i - 1) for i in range(1, k + 1) for u in range(i)]
         edges += [(0, u) for u in range(1, k)]
         return from_edges(n, edges)
-    return build_staircase(profile, "prefix")
+    return build_staircase(profile)
 
 
 def _claims_relation_extremal(g: Graph, n: int, case: str) -> list[Claim]:
-    if case not in _RELATION_CASES:
-        raise ValueError(f"case must be one of {_RELATION_CASES}")
     a = alpha_ir(g).value
     if case == "delta_pos":
         gi = gamma_ir(g).value
@@ -544,106 +444,150 @@ def _claims_relation_extremal(g: Graph, n: int, case: str) -> list[Claim]:
     ]
 
 
-def build_relation_extremal(n: int, case: str) -> Graph:
-    """Staircase attaining the sum/product ceilings tying alpha_ir to
-    gamma_ir: with minimum degree positive (delta_pos), with an isolated
-    vertex (delta_zero), or against the complement (complement)."""
-    g = _raw_relation_extremal(n, case)
-    return _finish(
-        "relation_extremal",
-        {"n": n, "case": case},
-        g,
-        _claims_relation_extremal(g, n, case),
-    )
+# -- the table and its one evaluator ------------------------------------------------
 
 
-# -- registry for sweeps, corruption probes, and the command line ------------------
+class _Family(NamedTuple):
+    """One construction family.
+
+    build(**params) returns the member graph and raises ValueError outside
+    the family's domain.  claims(g, **params) measures every claim on g.
+    grid lists the parameter sets the sharpness suite rebuilds.
+    """
+
+    params: tuple[str, ...]
+    build: Callable[..., Graph]
+    claims: Callable[..., list[Claim]]
+    grid: tuple[dict, ...]
 
 
-def _eval_clique_union(params, graph=None):
-    r, t = params["r"], params["t"]
-    g = graph if graph is not None else _raw_clique_union(r, t)
-    return g, _claims_clique_union(g, r, t)
+_BALANCED_GRID = tuple(
+    {"r": r, "t": t} for r in range(1, 4) for t in range(1, 7) if _balanced(r, t)
+)
 
-
-def _eval_staircase_gamma(params, graph=None):
-    n = params["n"]
-    k = (n + 1) // 2
-    if graph is None:
-        graph = build_staircase(StaircaseProfile(k=k, t=n - k, mode="asc"), "prefix")
-    return graph, [Claim("gamma_ir", k, gamma_ir(graph).value)]
-
-
-def _eval_alpha_sharp_bipartite(params, graph=None):
-    r, t = params["r"], params["t"]
-    g = graph if graph is not None else _raw_alpha_sharp_bipartite(r, t)
-    return g, _claims_alpha_sharp_bipartite(g, r, t)
-
-
-def _eval_alpha_sharp_clique(params, graph=None):
-    r, t = params["r"], params["t"]
-    g = graph if graph is not None else _raw_alpha_sharp_clique(r, t)
-    return g, _claims_alpha_sharp_clique(g, r, t)
-
-
-def _eval_modstar(params, graph=None):
-    sched = ModStarSchedule(params["r"], params["t"])
-    g = graph if graph is not None else _raw_modstar(sched)
-    return g, _claims_modstar(g, sched)
-
-
-def _eval_product_extremal(params, graph=None):
-    n = params["n"]
-    g, x_set, y_set = _raw_product_extremal(n)
-    if graph is not None:
-        g = graph
-    return g, _claims_product_extremal(g, x_set, y_set, n)
-
-
-def _eval_sum_extremal(params, graph=None):
-    n, k = params["n"], params["k"]
-    g = graph if graph is not None else _raw_sum_extremal(n, k)
-    return g, _claims_sum_extremal(g, n, k)
-
-
-def _eval_ng_alpha(params, graph=None):
-    n = params["n"]
-    g = graph if graph is not None else _raw_ng_alpha(n)
-    return g, _claims_ng_alpha(g, n)
-
-
-def _eval_ng_gamma(params, graph=None):
-    n = params["n"]
-    g = graph if graph is not None else _raw_ng_gamma(n)
-    return g, _claims_ng_gamma(g, n)
-
-
-def _eval_relation_extremal(params, graph=None):
-    n, case = params["n"], params["case"]
-    g = graph if graph is not None else _raw_relation_extremal(n, case)
-    return g, _claims_relation_extremal(g, n, case)
-
-
-FAMILIES: dict[str, Callable] = {
-    "clique_union": _eval_clique_union,
-    "staircase_gamma": _eval_staircase_gamma,
-    "alpha_sharp_bipartite": _eval_alpha_sharp_bipartite,
-    "alpha_sharp_clique": _eval_alpha_sharp_clique,
-    "modstar": _eval_modstar,
-    "product_extremal": _eval_product_extremal,
-    "sum_extremal": _eval_sum_extremal,
-    "ng_alpha": _eval_ng_alpha,
-    "ng_gamma": _eval_ng_gamma,
-    "relation_extremal": _eval_relation_extremal,
+# the order is the sharpness suite's families_run order
+FAMILIES: dict[str, _Family] = {
+    "clique_union": _Family(
+        ("r", "t"), _clique_union, _claims_clique_union,
+        tuple({"r": r, "t": t} for r in range(1, 5) for t in range(1, 5)),
+    ),
+    "staircase_gamma": _Family(
+        ("n",), _staircase_gamma, _claims_staircase_gamma,
+        tuple({"n": n} for n in range(2, 15)),
+    ),
+    "alpha_sharp_bipartite": _Family(
+        ("r", "t"), _modstar, _claims_alpha_sharp_bipartite, _BALANCED_GRID
+    ),
+    "alpha_sharp_clique": _Family(
+        ("r", "t"), _alpha_sharp_clique, _claims_alpha_sharp_clique,
+        tuple({"r": r, "t": t} for r in range(1, 6) for t in range(1, r + 1)),
+    ),
+    "modstar": _Family(("r", "t"), _modstar, _claims_modstar, _BALANCED_GRID),
+    "product_extremal": _Family(
+        ("n",), _product_extremal, _claims_product_extremal,
+        tuple({"n": n} for n in range(4, 13)),
+    ),
+    "sum_extremal": _Family(
+        ("n", "k"), _sum_extremal, _claims_sum_extremal,
+        tuple({"n": n, "k": k} for n in range(2, 9) for k in range(2, n + 2)),
+    ),
+    "ng_alpha": _Family(
+        ("n",), _ng_alpha, _claims_ng_alpha, tuple({"n": n} for n in range(2, 13))
+    ),
+    "ng_gamma": _Family(
+        ("n",), _ng_gamma, _claims_ng_gamma, tuple({"n": n} for n in range(3, 13))
+    ),
+    "relation_extremal": _Family(
+        ("n", "case"), _relation_extremal, _claims_relation_extremal,
+        tuple({"n": n, "case": c} for n in range(2, 13) for c in _RELATION_CASES),
+    ),
 }
 
 
 def evaluate(family: str, params: dict, graph: Optional[Graph] = None) -> ConstructionReport:
-    """Build (or adopt) a graph for the family and measure every claim."""
+    """Build the family member for params and measure every claim on it.
+
+    The build always runs, so params are checked against the family's
+    domain even when a graph is given; the claims are then measured on that
+    graph instead, which is how a corrupted variant is re-checked.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown construction family '{family}'")
-    g, claims = FAMILIES[family](params, graph)
-    return ConstructionReport(family, dict(params), g, tuple(claims))
+    row = FAMILIES[family]
+    problems = [f"unknown parameter '{p}'" for p in params if p not in row.params]
+    problems += [f"missing parameter '{p}'" for p in row.params if p not in params]
+    if problems:
+        raise ValueError(f"{'; '.join(problems)} (takes {', '.join(row.params)})")
+    g = row.build(**params)
+    if graph is not None:
+        g = graph
+    return ConstructionReport(family, dict(params), g, tuple(row.claims(g, **params)))
+
+
+def _build(family: str, **params) -> Graph:
+    return _checked(evaluate(family, params))
+
+
+def build_clique_union(r: int, t: int) -> Graph:
+    """Disjoint cliques of sizes r, r+1, ..., r+t-1; alpha_ir comes out t."""
+    return _build("clique_union", r=r, t=t)
+
+
+def build_alpha_sharp_bipartite(r: int, t: int) -> Graph:
+    """Bipartite graph attaining the floor((n - delta + 1)/2) ceiling.
+
+    k = r+t-1 w-vertices; v_i receives r+i-1 w-neighbors round-robin.  The
+    balance precondition t(t-1) >= 2r(r-1) is what makes delta equal r.
+    This is the modstar graph, checked against a different bound.
+    """
+    return _build("alpha_sharp_bipartite", r=r, t=t)
+
+
+def build_alpha_sharp_clique(r: int, t: int) -> Graph:
+    """K_r plus t outside vertices wired so the quadratic-radical ceiling on
+    alpha_ir collapses to the integer t and is attained."""
+    return _build("alpha_sharp_clique", r=r, t=t)
+
+
+def build_modstar(sched: ModStarSchedule) -> Graph:
+    """Interval-schedule bipartite graph attaining the maximum-cut radical
+    bound on alpha_ir exactly."""
+    return _build("modstar", r=sched.r, t=sched.t)
+
+
+def build_product_extremal(n: int) -> Graph:
+    """Split [n] into an irregular independent X and a regular independent Y
+    so that alpha_ir times alpha_reg reaches floor(n/2) ceil(n/2)."""
+    return _build("product_extremal", n=n)
+
+
+def build_sum_extremal(n: int, k: int) -> Graph:
+    """E_{k-2} with a clique on the other n-k+2 vertices; the two independence
+    numbers sum to exactly k, for any 2 <= k <= n+1."""
+    return _build("sum_extremal", n=n, k=k)
+
+
+def build_ng_alpha(n: int) -> Graph:
+    """Clique of floor(n/2) v's plus ceil(n/2) u's on a prefix staircase; the
+    irregular independence numbers of the graph and its complement add to n."""
+    return _build("ng_alpha", n=n)
+
+
+def build_ng_gamma(n: int) -> Graph:
+    """Graph whose irregular domination number equals ceil(n/2) in both the
+    graph and its complement, so the sum and product floors are attained.
+
+    Odd orders use the prefix staircase; n = 4 is the path, n = 6 a bespoke
+    six-edge graph, and even n >= 8 a staircase with one column rewired.
+    """
+    return _build("ng_gamma", n=n)
+
+
+def build_relation_extremal(n: int, case: str) -> Graph:
+    """Staircase attaining the sum/product ceilings tying alpha_ir to
+    gamma_ir: with minimum degree positive (delta_pos), with an isolated
+    vertex (delta_zero), or against the complement (complement)."""
+    return _build("relation_extremal", n=n, case=case)
 
 
 def metadata_comment(report: ConstructionReport) -> str:

@@ -2,8 +2,7 @@
 
 A graph on n vertices is stored as a tuple of n integers; bit u of row v is 1
 exactly when {u, v} is an edge.  Vertices are the integers 0..n-1.  All
-operations return new graphs; nothing here mutates shared state, so graphs can
-be handed to any number of workers.
+operations return new graphs; nothing here mutates shared state.
 
 The module also provides the degree classification used throughout (degree
 classes N_i, their sizes, the span), canonical keys with automorphism counts,

@@ -35,7 +35,7 @@ from math import factorial
 from typing import Callable, NamedTuple, Optional, Sequence, TextIO, Union
 
 from irregraph import bounds
-from irregraph.constructions import evaluate as evaluate_construction
+from irregraph.constructions import FAMILIES, evaluate as evaluate_construction
 from irregraph.graph import (
     Graph,
     classify_degrees,
@@ -547,36 +547,7 @@ def verify_range(n_max: int, cfg: CheckConfig = DEFAULT_CONFIG) -> SweepSummary:
 
 
 SHARPNESS_GRIDS: dict[str, tuple[dict, ...]] = {
-    "clique_union": tuple(
-        {"r": r, "t": t} for r in range(1, 5) for t in range(1, 5)
-    ),
-    "staircase_gamma": tuple({"n": n} for n in range(2, 15)),
-    "alpha_sharp_bipartite": tuple(
-        {"r": r, "t": t}
-        for r in range(1, 4)
-        for t in range(1, 7)
-        if t * (t - 1) >= 2 * r * (r - 1)
-    ),
-    "alpha_sharp_clique": tuple(
-        {"r": r, "t": t} for r in range(1, 6) for t in range(1, r + 1)
-    ),
-    "modstar": tuple(
-        {"r": r, "t": t}
-        for r in range(1, 4)
-        for t in range(1, 7)
-        if t * (t - 1) >= 2 * r * (r - 1)
-    ),
-    "product_extremal": tuple({"n": n} for n in range(4, 13)),
-    "sum_extremal": tuple(
-        {"n": n, "k": k} for n in range(2, 9) for k in range(2, n + 2)
-    ),
-    "ng_alpha": tuple({"n": n} for n in range(2, 13)),
-    "ng_gamma": tuple({"n": n} for n in range(3, 13)),
-    "relation_extremal": tuple(
-        {"n": n, "case": case}
-        for n in range(2, 13)
-        for case in ("delta_pos", "delta_zero", "complement")
-    ),
+    family: row.grid for family, row in FAMILIES.items()
 }
 
 

@@ -82,22 +82,19 @@ def _has_complete_subdivision(g: Graph, k: int) -> bool:
     return False
 
 
-def _has_bipartite_subdivision(g: Graph, a: int, b: int) -> bool:
-    """Subdivision of K_{a,b} with a == b; the first pick is pinned to one
-    side to kill the side-swap symmetry (invalid for unequal sides)."""
-    if a != b:
-        raise ValueError("side pinning assumes equal part sizes")
+def _has_k33_subdivision(g: Graph) -> bool:
+    """Subdivision of K_{3,3} present?  Branch vertices need degree >= 3; the
+    first pick is pinned to one side to kill the side-swap symmetry."""
     rows = g.rows
-    cands = [v for v in range(g.n) if rows[v].bit_count() >= a]
-    for chosen in combinations(cands, a + b):
+    cands = [v for v in range(g.n) if rows[v].bit_count() >= 3]
+    for chosen in combinations(cands, 6):
         first, rest = chosen[0], chosen[1:]
-        for others in combinations(rest, a - 1):
-            side_a = (first,) + others
+        branch_mask = 0
+        for v in chosen:
+            branch_mask |= 1 << v
+        for others in combinations(rest, 2):
             side_b = tuple(v for v in rest if v not in others)
-            branch_mask = 0
-            for v in chosen:
-                branch_mask |= 1 << v
-            pairs = [(u, v) for u in side_a for v in side_b]
+            pairs = [(u, v) for u in (first,) + others for v in side_b]
             if _paths_embed(rows, branch_mask, pairs):
                 return True
     return False
@@ -116,9 +113,7 @@ def is_planar(g: Graph) -> bool:
         return True
     if g.m > 3 * g.n - 6:
         return False
-    return not (
-        _has_complete_subdivision(g, 5) or _has_bipartite_subdivision(g, 3, 3)
-    )
+    return not (_has_complete_subdivision(g, 5) or _has_k33_subdivision(g))
 
 
 def is_outerplanar(g: Graph) -> bool:

@@ -151,9 +151,7 @@ def test_criterion_3_sharpness_contracts():
     )
     stair_ok = all(
         gamma_ir(
-            build_staircase(
-                StaircaseProfile(k=(n + 1) // 2, t=n // 2, mode="asc"), "prefix"
-            )
+            build_staircase(StaircaseProfile(k=(n + 1) // 2, t=n // 2, mode="asc"))
         ).value
         == (n + 1) // 2
         for n in range(2, 15)

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from irregraph import constructions
 from irregraph.cli import CliConfig, main, parse_cli
 from irregraph.constructions import FAMILIES, build_clique_union
 from irregraph.graph import complete_graph, star_graph, write_graph6
@@ -103,23 +108,40 @@ def test_construct_compute_pipeline_closure(family):
     assert lines[1].startswith(f"# {family}(")
 
 
-def test_construct_failed_claims_exit_one():
-    # the balance precondition is violated, so the build's claims miss and
-    # the metadata records which ones
-    code, out, _ = run_cli("construct", "alpha_sharp_bipartite", "--r", "2", "--t", "2")
+def test_construct_failed_claims_exit_one(monkeypatch):
+    # a solver off by one makes a claim miss, and the metadata records which
+    real = constructions.alpha_ir
+    monkeypatch.setattr(
+        constructions, "alpha_ir", lambda g: real(g)._replace(value=real(g).value + 1)
+    )
+    code, out, _ = run_cli("construct", "clique_union", "--r", "1", "--t", "3")
     assert code == 1
-    assert "FAILED" in out.splitlines()[1]
+    assert out.splitlines()[1] == (
+        "# clique_union(r=1,t=3) alpha_ir: FAILED; degree_spread_plus_one=3"
+    )
 
 
 def test_construct_parameter_errors_exit_two():
     code, _, err = run_cli("construct", "modstar", "--r", "2", "--t", "2")
     assert code == 2 and "modstar" in err
-    code, _, err = run_cli("construct", "clique_union", "--r", "1")
-    assert code == 2
     code, _, _ = run_cli("construct", "no_such_family", "--n", "4")
     assert code == 2
     code, out, err = run_cli("construct", "relation_extremal", "--n", "5", "--case", "sideways")
     assert code == 2 and out == "" and "case must be one of" in err
+    for argv, condition in (
+        (("clique_union", "--r", "0", "--t", "1"), "needs r >= 1 and t >= 1"),
+        (("alpha_sharp_bipartite", "--r", "2", "--t", "2"), "needs t(t-1) >= 2r(r-1)"),
+        (("alpha_sharp_clique", "--r", "2", "--t", "3"), "needs r >= t >= 1"),
+        (("sum_extremal", "--n", "5", "--k", "7"), "needs 2 <= k <= n+1"),
+        (("ng_alpha", "--n", "1"), "needs n >= 2"),
+        (("ng_gamma", "--n", "2"), "needs n >= 3"),
+        (("product_extremal", "--n", "3"), "needs n >= 4"),
+        (("clique_union", "--r", "1", "--t", "2", "--n", "5"), "unknown parameter 'n'"),
+        (("clique_union", "--r", "1"), "missing parameter 't'"),
+    ):
+        code, out, err = run_cli("construct", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"construct {argv[0]}: ") and condition in err, err
 
 
 def test_recognize_text_and_json():
@@ -242,3 +264,14 @@ def test_entrypoint_wires_exit_code(monkeypatch, capsys):
         cli_module.entrypoint()
     assert info.value.code == 0
     assert json.loads(capsys.readouterr().out)["graphs_checked"] == 4
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(constructions.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "irregraph", "construct", "clique_union", "--r", "1", "--t", "3"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == write_graph6(build_clique_union(1, 3))

@@ -8,6 +8,7 @@ silent change to a builder's output graph cannot hide behind its own checks.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -38,7 +39,8 @@ from irregraph import (
     parse_graph6,
     write_graph6,
 )
-from irregraph.constructions import ConstructionError
+from irregraph import constructions
+from irregraph.constructions import ConstructionError, _modstar
 
 
 def test_clique_union_values():
@@ -50,13 +52,10 @@ def test_clique_union_values():
 
 def test_staircase_shapes():
     p = StaircaseProfile(k=4, t=3, mode="asc")
-    g = build_staircase(p, "prefix")
+    g = build_staircase(p)
     assert g.n == 7
     assert [g.degree(v) for v in range(4, 7)] == [1, 2, 3]
     assert gamma_ir(g).value == 4
-    rr = build_staircase(p, "round_robin")
-    assert rr.m == g.m
-    assert [rr.degree(v) for v in range(4, 7)] == [1, 2, 3]
 
 
 def test_staircase_profile_validation():
@@ -64,8 +63,6 @@ def test_staircase_profile_validation():
         StaircaseProfile(k=2, t=4, mode="asc")  # degree_of(4) = 4 > k
     with pytest.raises(ValueError):
         StaircaseProfile(k=3, t=2, mode="sideways")
-    with pytest.raises(ValueError):
-        build_staircase(StaircaseProfile(k=3, t=2), "random")
 
 
 def test_alpha_sharp_bipartite_values():
@@ -100,12 +97,29 @@ def test_modstar_values():
 
 
 def test_modstar_matches_round_robin_bipartite():
-    # the interval schedule reduced mod k lands on the same graph as the
-    # rolling round-robin assignment
+    # the two families share one builder
     for r, t in [(1, 1), (1, 4), (2, 4), (2, 6), (3, 5)]:
         a = build_modstar(ModStarSchedule(r, t))
         b = build_alpha_sharp_bipartite(r, t)
         assert a.rows == b.rows
+
+
+def test_round_robin_is_the_interval_schedule():
+    # the paper's schedule, written out: v_i takes the w-indices
+    # s_{i-1}+1 .. s_i with s_i = sum_{j<i} (r+j), multiples of k mapping
+    # to k rather than 0
+    for r in range(1, 8):
+        for t in range(1, 16):
+            if t * (t - 1) < 2 * r * (r - 1):
+                continue
+            k = r + t - 1
+            s = [i * r + i * (i - 1) // 2 for i in range(t + 1)]
+            edges = [
+                ((j - 1) % k, k + i - 1)
+                for i in range(1, t + 1)
+                for j in range(s[i - 1] + 1, s[i] + 1)
+            ]
+            assert _modstar(r, t).rows == from_edges(k + t, edges).rows, (r, t)
 
 
 @pytest.mark.parametrize("n,product", [(4, 4), (5, 6), (6, 9), (7, 12), (8, 16), (9, 20)])
@@ -181,6 +195,10 @@ def test_evaluate_reports_failure_on_corrupted_graph():
     assert not bad.ok and len(bad.failures) >= 1
     with pytest.raises(ValueError):
         evaluate("no_such_family", {})
+    with pytest.raises(ValueError, match="missing parameter 't'"):
+        evaluate("clique_union", {"r": 1})
+    with pytest.raises(ValueError, match="unknown parameter 'n'"):
+        evaluate("clique_union", {"r": 1, "t": 2, "n": 5})
 
 
 def test_radical_claims_need_exact_equality():
@@ -211,9 +229,41 @@ def test_metadata_comment_format():
     assert metadata_comment(big) == "# f() m=1234567"
 
 
-def test_builder_raises_construction_error():
+def test_builder_raises_construction_error(monkeypatch):
     # ConstructionError is a ValueError carrying the failed claims
     assert issubclass(ConstructionError, ValueError)
+    real = constructions.alpha_ir
+    monkeypatch.setattr(
+        constructions, "alpha_ir", lambda g: real(g)._replace(value=real(g).value + 1)
+    )
+    with pytest.raises(ConstructionError, match="alpha_ir: expected 3, got 4"):
+        build_clique_union(1, 3)
+    assert not evaluate("clique_union", {"r": 1, "t": 3}).ok
+
+
+@pytest.mark.parametrize(
+    "build,args,family,params,condition",
+    [
+        (build_clique_union, (0, 1), "clique_union", {"r": 0, "t": 1}, "r >= 1 and t >= 1"),
+        (build_alpha_sharp_bipartite, (2, 2), "alpha_sharp_bipartite", {"r": 2, "t": 2},
+         "t(t-1) >= 2r(r-1)"),
+        (build_alpha_sharp_clique, (2, 3), "alpha_sharp_clique", {"r": 2, "t": 3}, "r >= t >= 1"),
+        (build_sum_extremal, (5, 7), "sum_extremal", {"n": 5, "k": 7}, "2 <= k <= n+1"),
+        (build_ng_alpha, (1,), "ng_alpha", {"n": 1}, "n >= 2"),
+        (build_ng_gamma, (2,), "ng_gamma", {"n": 2}, "n >= 3"),
+        (build_product_extremal, (3,), "product_extremal", {"n": 3}, "n >= 4"),
+        (build_relation_extremal, (1, "delta_pos"), "relation_extremal",
+         {"n": 1, "case": "delta_pos"}, "n >= 2"),
+    ],
+)
+def test_one_domain_check_for_build_and_evaluate(build, args, family, params, condition):
+    with pytest.raises(ValueError, match=re.escape(condition)):
+        build(*args)
+    with pytest.raises(ValueError, match=re.escape(condition)):
+        evaluate(family, params)
+    # a supplied graph does not skip the domain check
+    with pytest.raises(ValueError, match=re.escape(condition)):
+        evaluate(family, params, graph=from_edges(2, [(0, 1)]))
 
 
 # sha256 over "graph6\nmetadata_comment\n" of every SHARPNESS_GRIDS build, in
