@@ -10,7 +10,7 @@ truth and the checker answers with concrete counterexamples, each carrying
 a witness string you can verify by hand.
 """
 
-from irregraph import CheckConfig, verify_range
+from irregraph import verify_range
 
 if __name__ == "__main__":
     summary = verify_range(5)
@@ -24,7 +24,7 @@ if __name__ == "__main__":
         print(f"{tid:<8} {counts['pass']:>6} {counts['not_applicable']:>6}")
 
     print()
-    corrupted = verify_range(4, cfg=CheckConfig(t41_divisor=1))
+    corrupted = verify_range(4, t41_divisor=1)
     print(
         f"corrupted bound: {len(corrupted.violations)} violations through "
         f"order {corrupted.n_max}"

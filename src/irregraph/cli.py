@@ -6,21 +6,24 @@ graph6 with a metadata comment, recognize answers one structural question
 per graph, verify sweeps every labeled graph up to a given order, and
 sharpness re-verifies the attained-equality grids.  Input is one graph6
 string per line; compute passes '#' comment lines through unchanged, so
-construct output pipes straight back in.
+construct output pipes straight back in.  Each subparser names its handler,
+which receives the parsed arguments as they are; construct has one flag per
+parameter name in FAMILIES.
 
 Exit codes: 0 for a clean run, 1 when verification or a claim check finds a
-failure, 2 for unusable input, with the line number in the message.
+failure or when the reader closes stdout early, 2 for unusable input, with
+the line number in the message.
 """
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from typing import TextIO
 
 from irregraph.constructions import FAMILIES, evaluate, metadata_comment
 from irregraph.graph import Graph6Error, parse_graph6, write_graph6
-from irregraph.harness import CheckConfig, sharpness_suite, verify_range
+from irregraph.harness import sharpness_suite, verify_range
 from irregraph.params import full_report
 from irregraph.recognizers import (
     classify_gamma_extremal,
@@ -46,21 +49,10 @@ _REPORT_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """One parsed invocation; only the chosen command's fields matter."""
-
-    command: str
-    graphs: tuple = ()
-    input_path: Optional[str] = None
-    fmt: str = "text"
-    family: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    prop: Optional[str] = None
-    n_max: int = 6
-    t41_divisor: int = 2
-    families: Optional[tuple] = None
-    corrupt_sample: bool = False
+# one construct flag per construction parameter, parsed with the row's type
+_CONSTRUCT_PARAMS = {
+    name: kind for row in FAMILIES.values() for name, kind in row.params.items()
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,84 +63,48 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="exact parameters per graph")
+    compute.set_defaults(handler=_cmd_compute)
     compute.add_argument("graphs", nargs="*", metavar="GRAPH6")
     compute.add_argument("--input", metavar="PATH")
     compute.add_argument("--format", choices=("text", "json"), default="text")
 
     construct = sub.add_parser("construct", help="build a named family member")
+    construct.set_defaults(handler=_cmd_construct)
     construct.add_argument("family", choices=sorted(FAMILIES))
-    construct.add_argument("--r", type=int)
-    construct.add_argument("--t", type=int)
-    construct.add_argument("--n", type=int)
-    construct.add_argument("--k", type=int)
-    construct.add_argument("--case")
+    for name, kind in _CONSTRUCT_PARAMS.items():
+        construct.add_argument(f"--{name}", type=kind)
 
     recognize = sub.add_parser("recognize", help="structural question per graph")
+    recognize.set_defaults(handler=_cmd_recognize)
     recognize.add_argument("property", choices=sorted(PROPERTIES))
     recognize.add_argument("graphs", nargs="*", metavar="GRAPH6")
     recognize.add_argument("--input", metavar="PATH")
     recognize.add_argument("--format", choices=("text", "json"), default="text")
 
     verify = sub.add_parser("verify", help="sweep all graphs up to an order")
-    verify.add_argument("--n-max", type=int, default=6, dest="n_max")
-    verify.add_argument("--t41-divisor", type=int, default=2, dest="t41_divisor")
+    verify.set_defaults(handler=_cmd_verify)
+    verify.add_argument("--n-max", type=int, default=6)
+    verify.add_argument("--t41-divisor", type=int, default=2)
 
     sharp = sub.add_parser("sharpness", help="re-verify the equality grids")
+    sharp.set_defaults(handler=_cmd_sharpness)
     sharp.add_argument("--families", nargs="+", metavar="FAMILY")
     sharp.add_argument("--corrupt-sample", action="store_true")
     return parser
 
 
-def parse_cli(argv) -> CliConfig:
-    ns = _build_parser().parse_args(argv)
-    if ns.command == "compute":
-        return CliConfig(
-            command="compute",
-            graphs=tuple(ns.graphs),
-            input_path=ns.input,
-            fmt=ns.format,
-        )
-    if ns.command == "construct":
-        params = {
-            key: value
-            for key, value in (
-                ("r", ns.r), ("t", ns.t), ("n", ns.n),
-                ("k", ns.k), ("case", ns.case),
-            )
-            if value is not None
-        }
-        return CliConfig(command="construct", family=ns.family, params=params)
-    if ns.command == "recognize":
-        return CliConfig(
-            command="recognize",
-            prop=ns.property,
-            graphs=tuple(ns.graphs),
-            input_path=ns.input,
-            fmt=ns.format,
-        )
-    if ns.command == "verify":
-        return CliConfig(
-            command="verify", n_max=ns.n_max, t41_divisor=ns.t41_divisor
-        )
-    return CliConfig(
-        command="sharpness",
-        families=tuple(ns.families) if ns.families is not None else None,
-        corrupt_sample=ns.corrupt_sample,
-    )
-
-
-def _input_lines(config: CliConfig, stdin: TextIO):
+def _input_lines(args, stdin: TextIO):
     """Numbered input lines from inline arguments, a file, or stdin."""
-    if config.graphs:
-        return list(enumerate(config.graphs, 1))
-    if config.input_path is not None:
-        with open(config.input_path, encoding="ascii") as handle:
+    if args.graphs:
+        return list(enumerate(args.graphs, 1))
+    if args.input is not None:
+        with open(args.input, encoding="ascii") as handle:
             return list(enumerate(handle.read().splitlines(), 1))
     return list(enumerate(stdin.read().splitlines(), 1))
 
 
-def _cmd_compute(config: CliConfig, stdin, out, err) -> int:
-    for lineno, raw in _input_lines(config, stdin):
+def _cmd_compute(args, stdin, out, err) -> int:
+    for lineno, raw in _input_lines(args, stdin):
         line = raw.strip()
         if not line:
             continue
@@ -160,7 +116,7 @@ def _cmd_compute(config: CliConfig, stdin, out, err) -> int:
         except (Graph6Error, ValueError) as exc:
             print(f"line {lineno}: {exc}", file=err)
             return 2
-        if config.fmt == "json":
+        if args.format == "json":
             print(
                 json.dumps(
                     {
@@ -180,11 +136,16 @@ def _cmd_compute(config: CliConfig, stdin, out, err) -> int:
     return 0
 
 
-def _cmd_construct(config: CliConfig, out, err) -> int:
+def _cmd_construct(args, stdin, out, err) -> int:
+    params = {
+        name: getattr(args, name)
+        for name in _CONSTRUCT_PARAMS
+        if getattr(args, name) is not None
+    }
     try:
-        report = evaluate(config.family, config.params)
+        report = evaluate(args.family, params)
     except ValueError as exc:
-        print(f"construct {config.family}: {exc}", file=err)
+        print(f"construct {args.family}: {exc}", file=err)
         return 2
     print(write_graph6(report.graph), file=out)
     print(metadata_comment(report), file=out)
@@ -200,9 +161,9 @@ def _format_tag(tag) -> str:
     return f"{tag.family.value}({inner})"
 
 
-def _cmd_recognize(config: CliConfig, stdin, out, err) -> int:
-    question = PROPERTIES[config.prop]
-    for lineno, raw in _input_lines(config, stdin):
+def _cmd_recognize(args, stdin, out, err) -> int:
+    question = PROPERTIES[args.property]
+    for lineno, raw in _input_lines(args, stdin):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -211,7 +172,7 @@ def _cmd_recognize(config: CliConfig, stdin, out, err) -> int:
         except (Graph6Error, ValueError) as exc:
             print(f"line {lineno}: {exc}", file=err)
             return 2
-        if config.fmt == "json":
+        if args.format == "json":
             if answer is None or isinstance(answer, bool):
                 value = answer
             else:
@@ -222,7 +183,7 @@ def _cmd_recognize(config: CliConfig, stdin, out, err) -> int:
                         "schema": 1,
                         "kind": "recognition",
                         "graph": line,
-                        "property": config.prop,
+                        "property": args.property,
                         "value": value,
                     }
                 ),
@@ -233,15 +194,13 @@ def _cmd_recognize(config: CliConfig, stdin, out, err) -> int:
                 text = "true" if answer else "false"
             else:
                 text = _format_tag(answer)
-            print(f"{line} {config.prop}={text}", file=out)
+            print(f"{line} {args.property}={text}", file=out)
     return 0
 
 
-def _cmd_verify(config: CliConfig, out, err) -> int:
+def _cmd_verify(args, stdin, out, err) -> int:
     try:
-        summary = verify_range(
-            config.n_max, CheckConfig(t41_divisor=config.t41_divisor)
-        )
+        summary = verify_range(args.n_max, args.t41_divisor)
     except ValueError as exc:
         print(f"verify: {exc}", file=err)
         return 2
@@ -249,11 +208,9 @@ def _cmd_verify(config: CliConfig, out, err) -> int:
     return 1 if summary.violations else 0
 
 
-def _cmd_sharpness(config: CliConfig, out, err) -> int:
+def _cmd_sharpness(args, stdin, out, err) -> int:
     try:
-        summary = sharpness_suite(
-            families=config.families, corrupt=config.corrupt_sample
-        )
+        summary = sharpness_suite(args.families, args.corrupt_sample)
     except ValueError as exc:
         print(f"sharpness: {exc}", file=err)
         return 2
@@ -261,30 +218,34 @@ def _cmd_sharpness(config: CliConfig, out, err) -> int:
     return 1 if summary.failures else 0
 
 
-def run(config: CliConfig, stdin: TextIO, out: TextIO, err: TextIO) -> int:
-    if config.command == "compute":
-        return _cmd_compute(config, stdin, out, err)
-    if config.command == "construct":
-        return _cmd_construct(config, out, err)
-    if config.command == "recognize":
-        return _cmd_recognize(config, stdin, out, err)
-    if config.command == "verify":
-        return _cmd_verify(config, out, err)
-    return _cmd_sharpness(config, out, err)
-
-
 def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    stdin = sys.stdin if stdin is None else stdin
-    stdout = sys.stdout if stdout is None else stdout
-    stderr = sys.stderr if stderr is None else stderr
     try:
-        config = parse_cli(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse reports its own usage errors
         code = exc.code
         return code if isinstance(code, int) else 2
-    return run(config, stdin, stdout, stderr)
+    return args.handler(
+        args,
+        sys.stdin if stdin is None else stdin,
+        sys.stdout if stdout is None else stdout,
+        sys.stderr if stderr is None else stderr,
+    )
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (say, `| head -1`); pointing stdout
+        # at devnull keeps the interpreter's final flush from failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    entrypoint()

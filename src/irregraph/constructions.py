@@ -5,13 +5,13 @@ with equality.  Nothing trusts the closed-form argument: the graph is built,
 the exact solvers run on it, and each claimed value is compared with the
 measured one.
 
-Each family is one row of FAMILIES: its parameter names, its builder, its
-claims and its sharpness grid.  The builder raises ValueError outside the
-family's parameter domain, and is the only place that domain is stated.
-evaluate is the one path through a row.  build_*, the command line and the
-sharpness suite all call it; build_* raise ConstructionError on a failed
-claim, while evaluate reports it, so a sweep can collect failures in bulk or
-re-check a deliberately corrupted graph.
+Each family is one row of FAMILIES: its parameter names and types, its
+builder, its claims and its sharpness grid.  The builder raises ValueError
+outside the family's parameter domain, and is the only place that domain is
+stated.  evaluate is the one path through a row.  build_*, the command line
+and the sharpness suite all call it; build_* raise ConstructionError on a
+failed claim, while evaluate reports it, so a sweep can collect failures in
+bulk or re-check a deliberately corrupted graph.
 
 Edge assignment conventions: when a construction says a vertex receives some
 number of neighbors on the other side without naming them, it takes the
@@ -93,7 +93,7 @@ def _checked(report: ConstructionReport) -> Graph:
     return report.graph
 
 
-# -- profiles, schedules and the round-robin wiring ------------------------------
+# -- profiles and the round-robin wiring -----------------------------------------
 
 
 _PROFILE_MODES = ("asc", "asc0", "desc")
@@ -134,25 +134,6 @@ def _balanced(r: int, t: int) -> bool:
     """t(t-1) >= 2r(r-1): without it some w-vertex gets fewer than r
     neighbors, so delta < r."""
     return t * (t - 1) >= 2 * r * (r - 1)
-
-
-@dataclass(frozen=True)
-class ModStarSchedule:
-    """Interval schedule handing v_i (i = 1..t) the r+i-1 w-indices
-    s_{i-1}+1 .. s_i, reduced mod k = r+t-1, where s_i = sum_{j<i} (r+j)."""
-
-    r: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.r < 1 or self.t < 1:
-            raise ValueError("needs r >= 1 and t >= 1")
-        if not _balanced(self.r, self.t):
-            raise ValueError("needs t(t-1) >= 2r(r-1), otherwise delta < r")
-
-    @property
-    def k(self) -> int:
-        return self.r + self.t - 1
 
 
 def _round_robin(k: int, degrees: Sequence[int]) -> list[tuple[int, int]]:
@@ -220,7 +201,13 @@ def _claims_staircase_gamma(g: Graph, n: int) -> list[Claim]:
 
 
 def _modstar(r: int, t: int) -> Graph:
-    k = ModStarSchedule(r, t).k
+    """v_i (i = 1..t) takes the r+i-1 w-indices s_{i-1}+1 .. s_i, reduced
+    mod k = r+t-1, where s_i = sum_{j<i} (r+j)."""
+    if r < 1 or t < 1:
+        raise ValueError("needs r >= 1 and t >= 1")
+    if not _balanced(r, t):
+        raise ValueError("needs t(t-1) >= 2r(r-1), otherwise delta < r")
+    k = r + t - 1
     return from_edges(k + t, _round_robin(k, range(r, k + 1)))
 
 
@@ -450,12 +437,14 @@ def _claims_relation_extremal(g: Graph, n: int, case: str) -> list[Claim]:
 class _Family(NamedTuple):
     """One construction family.
 
-    build(**params) returns the member graph and raises ValueError outside
-    the family's domain.  claims(g, **params) measures every claim on g.
-    grid lists the parameter sets the sharpness suite rebuilds.
+    params maps each parameter name to its type, which the command line
+    parses it with.  build(**params) returns the member graph and raises
+    ValueError outside the family's domain.  claims(g, **params) measures
+    every claim on g.  grid lists the parameter sets the sharpness suite
+    rebuilds.
     """
 
-    params: tuple[str, ...]
+    params: dict[str, type]
     build: Callable[..., Graph]
     claims: Callable[..., list[Claim]]
     grid: tuple[dict, ...]
@@ -468,37 +457,40 @@ _BALANCED_GRID = tuple(
 # the order is the sharpness suite's families_run order
 FAMILIES: dict[str, _Family] = {
     "clique_union": _Family(
-        ("r", "t"), _clique_union, _claims_clique_union,
+        {"r": int, "t": int}, _clique_union, _claims_clique_union,
         tuple({"r": r, "t": t} for r in range(1, 5) for t in range(1, 5)),
     ),
     "staircase_gamma": _Family(
-        ("n",), _staircase_gamma, _claims_staircase_gamma,
+        {"n": int}, _staircase_gamma, _claims_staircase_gamma,
         tuple({"n": n} for n in range(2, 15)),
     ),
     "alpha_sharp_bipartite": _Family(
-        ("r", "t"), _modstar, _claims_alpha_sharp_bipartite, _BALANCED_GRID
+        {"r": int, "t": int}, _modstar, _claims_alpha_sharp_bipartite,
+        _BALANCED_GRID,
     ),
     "alpha_sharp_clique": _Family(
-        ("r", "t"), _alpha_sharp_clique, _claims_alpha_sharp_clique,
+        {"r": int, "t": int}, _alpha_sharp_clique, _claims_alpha_sharp_clique,
         tuple({"r": r, "t": t} for r in range(1, 6) for t in range(1, r + 1)),
     ),
-    "modstar": _Family(("r", "t"), _modstar, _claims_modstar, _BALANCED_GRID),
+    "modstar": _Family(
+        {"r": int, "t": int}, _modstar, _claims_modstar, _BALANCED_GRID
+    ),
     "product_extremal": _Family(
-        ("n",), _product_extremal, _claims_product_extremal,
+        {"n": int}, _product_extremal, _claims_product_extremal,
         tuple({"n": n} for n in range(4, 13)),
     ),
     "sum_extremal": _Family(
-        ("n", "k"), _sum_extremal, _claims_sum_extremal,
+        {"n": int, "k": int}, _sum_extremal, _claims_sum_extremal,
         tuple({"n": n, "k": k} for n in range(2, 9) for k in range(2, n + 2)),
     ),
     "ng_alpha": _Family(
-        ("n",), _ng_alpha, _claims_ng_alpha, tuple({"n": n} for n in range(2, 13))
+        {"n": int}, _ng_alpha, _claims_ng_alpha, tuple({"n": n} for n in range(2, 13))
     ),
     "ng_gamma": _Family(
-        ("n",), _ng_gamma, _claims_ng_gamma, tuple({"n": n} for n in range(3, 13))
+        {"n": int}, _ng_gamma, _claims_ng_gamma, tuple({"n": n} for n in range(3, 13))
     ),
     "relation_extremal": _Family(
-        ("n", "case"), _relation_extremal, _claims_relation_extremal,
+        {"n": int, "case": str}, _relation_extremal, _claims_relation_extremal,
         tuple({"n": n, "case": c} for n in range(2, 13) for c in _RELATION_CASES),
     ),
 }
@@ -549,10 +541,10 @@ def build_alpha_sharp_clique(r: int, t: int) -> Graph:
     return _build("alpha_sharp_clique", r=r, t=t)
 
 
-def build_modstar(sched: ModStarSchedule) -> Graph:
+def build_modstar(r: int, t: int) -> Graph:
     """Interval-schedule bipartite graph attaining the maximum-cut radical
-    bound on alpha_ir exactly."""
-    return _build("modstar", r=sched.r, t=sched.t)
+    bound on alpha_ir exactly; needs t(t-1) >= 2r(r-1)."""
+    return _build("modstar", r=r, t=t)
 
 
 def build_product_extremal(n: int) -> Graph:

@@ -20,9 +20,11 @@ class's verdicts: every witness string is built from isomorphism invariants
 its representative's.  The tests hold the class sweep to a labeled sweep that
 checks every edge mask, verdicts included.
 
-Checks take a CheckConfig so a deliberately falsified bound can be injected;
-the sweep must then report violations, which demonstrates it can detect a
-wrong theorem rather than rubber-stamping everything.
+verify_range and theorem_report take t41_divisor, the 2 in the published
+ceil(n/2) domination lower bound (T4.1).  Setting it to 1 claims
+gamma_ir >= n, which is false for almost every graph; the sweep must then
+report violations, which demonstrates it can detect a wrong theorem rather
+than rubber-stamping everything.
 """
 
 from __future__ import annotations
@@ -59,25 +61,6 @@ from irregraph.recognizers import (
 )
 
 ENUMERATION_LIMIT = 8
-
-
-@dataclass(frozen=True)
-class CheckConfig:
-    """Tunable constants inside the checks.
-
-    t41_divisor replaces the 2 in the ceil(n/2) domination lower bound.  The
-    default is the published value; setting 1 claims gamma_ir >= n, which is
-    false for almost every graph and must make the sweep light up.
-    """
-
-    t41_divisor: int = 2
-
-    def __post_init__(self) -> None:
-        if self.t41_divisor < 1:
-            raise ValueError("divisor must be >= 1")
-
-
-DEFAULT_CONFIG = CheckConfig()
 
 
 @dataclass(frozen=True)
@@ -189,13 +172,13 @@ class _Ctx:
     """Everything the rows need about one graph, computed once."""
 
     __slots__ = (
-        "g", "cfg", "n", "m", "dc", "alpha", "alpha_ir", "alpha_reg",
+        "g", "t41_divisor", "n", "m", "dc", "alpha", "alpha_ir", "alpha_reg",
         "gamma_ir", "beta", "alpha_ir_c", "gamma_ir_c", "inp",
     )
 
-    def __init__(self, g: Graph, cfg: CheckConfig):
+    def __init__(self, g: Graph, t41_divisor: int):
         self.g = g
-        self.cfg = cfg
+        self.t41_divisor = t41_divisor
         self.n = g.n
         self.m = g.m
         self.dc = classify_degrees(g)
@@ -350,11 +333,11 @@ _ROWS = (
     _Row(
         "T4.1",
         lambda c, v, lo, **_: (
-            f"gamma_ir={v} < max(ceil({c.n}/{c.cfg.t41_divisor}), "
+            f"gamma_ir={v} < max(ceil({c.n}/{c.t41_divisor}), "
             f"n-Delta={c.n - c.dc.Delta}) = {lo}"
         ),
         value=lambda c: c.gamma_ir,
-        lo=lambda c: bounds.lb_gamma_ir_thm41(c.n, c.dc.Delta, c.cfg.t41_divisor),
+        lo=lambda c: bounds.lb_gamma_ir_thm41(c.n, c.dc.Delta, c.t41_divisor),
     ),
     _Row(
         "T4.2", "gamma_ir={v} < {lo} (n={c.n}, beta={c.beta})",
@@ -474,11 +457,11 @@ def _evaluate(row: _Row, c: _Ctx) -> Verdict:
     )
 
 
-def theorem_report(g: Graph, cfg: CheckConfig = DEFAULT_CONFIG) -> TheoremReport:
+def theorem_report(g: Graph, t41_divisor: int = 2) -> TheoremReport:
     """Evaluate every row of the table on one graph."""
     if g.n < 1:
         raise ValueError("checks need at least one vertex")
-    c = _Ctx(g, cfg)
+    c = _Ctx(g, t41_divisor)
     return TheoremReport(write_graph6(g), tuple(_evaluate(row, c) for row in _ROWS))
 
 
@@ -495,7 +478,7 @@ def _merge_counts(into: dict, part: dict) -> None:
             into[tid][key] += val
 
 
-def _sweep_order(n: int, cfg: CheckConfig):
+def _sweep_order(n: int, t41_divisor: int):
     """Per-theorem counts and the violating (edge mask, verdicts) pairs of
     order n, in ascending mask order.
 
@@ -506,7 +489,7 @@ def _sweep_order(n: int, cfg: CheckConfig):
     violating: list[tuple[int, tuple[Verdict, ...]]] = []
     for g, aut in isomorphism_classes(n):
         weight = factorial(n) // aut
-        report = theorem_report(g, cfg)
+        report = theorem_report(g, t41_divisor)
         for v in report.verdicts:
             counts[v.theorem_id][v.status] += weight
         if report.failures:
@@ -515,7 +498,7 @@ def _sweep_order(n: int, cfg: CheckConfig):
     return counts, violating
 
 
-def verify_range(n_max: int, cfg: CheckConfig = DEFAULT_CONFIG) -> SweepSummary:
+def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
     """Check every theorem on every labeled graph of order 1..n_max.
 
     The order-0 graph is counted but carries no checks.  The result is
@@ -524,13 +507,15 @@ def verify_range(n_max: int, cfg: CheckConfig = DEFAULT_CONFIG) -> SweepSummary:
     """
     if not 0 <= n_max <= ENUMERATION_LIMIT:
         raise ValueError(f"sweep budget is 0 <= n_max <= {ENUMERATION_LIMIT}")
+    if t41_divisor < 1:
+        raise ValueError("divisor must be >= 1")
     start = time.monotonic()
     counts = _blank_counts()
     graphs_checked = 1  # the single order-0 graph
     violations: list[TheoremReport] = []
     for n in range(1, n_max + 1):
         graphs_checked += 1 << pair_count(n)
-        part_counts, violating = _sweep_order(n, cfg)
+        part_counts, violating = _sweep_order(n, t41_divisor)
         _merge_counts(counts, part_counts)
         # verdicts are isomorphism-invariant, so each labeled member of a
         # violating class is reported with its class's verdicts tuple
@@ -544,11 +529,6 @@ def verify_range(n_max: int, cfg: CheckConfig = DEFAULT_CONFIG) -> SweepSummary:
 
 
 # -- sharpness suite ----------------------------------------------------------------
-
-
-SHARPNESS_GRIDS: dict[str, tuple[dict, ...]] = {
-    family: row.grid for family, row in FAMILIES.items()
-}
 
 
 @dataclass(frozen=True)
@@ -581,18 +561,22 @@ def sharpness_suite(
 ) -> SharpnessSummary:
     """Re-verify every attained-with-equality claim across the whole grid.
 
+    families names FAMILIES rows, each at most once; None runs them all.
     corrupt=True additionally re-checks the order-4 path construction with
     one edge removed, a negative control proving failures are detectable.
     """
-    chosen = tuple(families) if families is not None else tuple(SHARPNESS_GRIDS)
-    unknown = [f for f in chosen if f not in SHARPNESS_GRIDS]
+    chosen = tuple(families) if families is not None else tuple(FAMILIES)
+    unknown = [f for f in chosen if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown families: {unknown}")
+    repeated = sorted({f for f in chosen if chosen.count(f) > 1})
+    if repeated:
+        raise ValueError(f"repeated families: {repeated}")
     start = time.monotonic()
     builds = 0
     failures: list[dict] = []
     for family in chosen:
-        for params in SHARPNESS_GRIDS[family]:
+        for params in FAMILIES[family].grid:
             report = evaluate_construction(family, params)
             builds += 1
             if not report.ok:

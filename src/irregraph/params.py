@@ -18,11 +18,10 @@ bit, which the test suite checks exhaustively at order 4 and on random graphs
 up to order 12.
 
 Everything here enumerates subsets, so the intended range is small n.  The
-solvers whose cost is a hard 2^n (gamma_ir, gamma_reg, max_cut) refuse n > 26
-unless the caller raises the guard explicitly.  max_cut walks the sides in
-Gray-code order, so each side costs one popcount.  gamma_ir and gamma_reg
-visit the k-subsets of each size in ascending mask order and test each one in
-a single inline loop.  From order 12 on they split each subset into a high
+solvers whose cost is a hard 2^n (gamma_ir, gamma_reg, max_cut) refuse
+n > SIZE_GUARD = 26.  max_cut walks the sides in Gray-code order, so each
+side costs one popcount.  gamma_ir and gamma_reg visit the k-subsets of each
+size in ascending mask order and test each one in a single inline loop.  From order 12 on they split each subset into a high
 and a low half and skip, in bulk, the low halves on which the high vertices
 outside the subset already break the count condition.  gamma_ir also skips
 the sizes for which the degree sequence leaves no room for pairwise distinct
@@ -269,11 +268,11 @@ def naive_max_cut(g: Graph) -> Extremum:
 # -- optimized solvers ---------------------------------------------------------
 
 
-def _require_small(g: Graph, what: str, guard: int) -> None:
-    if g.n > guard:
+def _require_small(g: Graph, what: str) -> None:
+    if g.n > SIZE_GUARD:
         raise ValueError(
-            f"{what} enumerates 2^n subsets; n={g.n} exceeds the guard "
-            f"({guard}); pass size_guard explicitly to override"
+            f"{what} enumerates 2^n subsets; n={g.n} exceeds the size guard "
+            f"({SIZE_GUARD})"
         )
 
 
@@ -485,7 +484,7 @@ def _equal_nonzero(outside, everything: int) -> int:
     return keep
 
 
-def gamma_ir(g: Graph, size_guard: int = SIZE_GUARD) -> Extremum:
+def gamma_ir(g: Graph) -> Extremum:
     """Irregular domination number.
 
     Candidate sizes run upward from max(ceil(n/2), n - Delta), which is a
@@ -498,7 +497,7 @@ def gamma_ir(g: Graph, size_guard: int = SIZE_GUARD) -> Extremum:
     """
     if g.n < 1:
         raise ValueError("parameters need at least one vertex")
-    _require_small(g, "gamma_ir", size_guard)
+    _require_small(g, "gamma_ir")
     rows, n, degs = g.rows, g.n, g.degrees()
     vertices = [(1 << v, rows[v]) for v in range(n)]
     scan = _SplitScan(rows)
@@ -520,7 +519,7 @@ def gamma_ir(g: Graph, size_guard: int = SIZE_GUARD) -> Extremum:
     raise AssertionError("V(G) must be irregular dominating; solver bug")
 
 
-def gamma_reg(g: Graph, size_guard: int = SIZE_GUARD) -> Extremum:
+def gamma_reg(g: Graph) -> Extremum:
     """Regular (fair) domination number.
 
     Sizes are tried upward from 1.  Within a size the masks come in
@@ -530,7 +529,7 @@ def gamma_reg(g: Graph, size_guard: int = SIZE_GUARD) -> Extremum:
     """
     if g.n < 1:
         raise ValueError("parameters need at least one vertex")
-    _require_small(g, "gamma_reg", size_guard)
+    _require_small(g, "gamma_reg")
     rows, n = g.rows, g.n
     vertices = [(1 << v, rows[v]) for v in range(n)]
     scan = _SplitScan(rows)
@@ -554,7 +553,7 @@ def gamma_reg(g: Graph, size_guard: int = SIZE_GUARD) -> Extremum:
 _GRAY_BLOCK = 10
 
 
-def max_cut(g: Graph, size_guard: int = SIZE_GUARD) -> Extremum:
+def max_cut(g: Graph) -> Extremum:
     """Maximum cut over the 2^(n-1) sides that avoid the last vertex.
 
     Each bipartition has exactly one side without vertex n-1, and it is the
@@ -569,7 +568,7 @@ def max_cut(g: Graph, size_guard: int = SIZE_GUARD) -> Extremum:
     """
     if g.n < 1:
         raise ValueError("parameters need at least one vertex")
-    _require_small(g, "max_cut", size_guard)
+    _require_small(g, "max_cut")
     rows, n = g.rows, g.n
     free = n - 1  # vertices that may join the side
     low = min(_GRAY_BLOCK, free)
@@ -658,7 +657,7 @@ _WITNESS_CHECKS = {
 }
 
 
-def full_report(g: Graph, size_guard: int = SIZE_GUARD) -> ParameterReport:
+def full_report(g: Graph) -> ParameterReport:
     """Compute every parameter exactly and re-validate each witness."""
     if g.n < 1:
         raise ValueError("parameters need at least one vertex")
@@ -667,9 +666,9 @@ def full_report(g: Graph, size_guard: int = SIZE_GUARD) -> ParameterReport:
         "alpha": alpha(g),
         "alpha_ir": alpha_ir(g),
         "alpha_reg": alpha_reg(g),
-        "gamma_ir": gamma_ir(g, size_guard),
-        "gamma_reg": gamma_reg(g, size_guard),
-        "beta": max_cut(g, size_guard),
+        "gamma_ir": gamma_ir(g),
+        "gamma_reg": gamma_reg(g),
+        "beta": max_cut(g),
     }
     for key, ext in results.items():
         check = _WITNESS_CHECKS.get(key)

@@ -174,7 +174,6 @@ class Family(Enum):
     CYCLE_UNION = "CycleUnion"
     EMPTY = "Empty"
     PERFECT_MATCHING = "PerfectMatching"
-    K22 = "K22"
     K2_PLUS_E2 = "K2PlusE2"
     ISOLATED_PLUS_STAR = "IsolatedPlusStar"
     ISOLATED_PLUS_REGULAR = "IsolatedPlusRegular"
@@ -286,9 +285,10 @@ def classify_planar_alpha1(g: Graph) -> Optional[FamilyTag]:
 def classify_outerplanar_alpha1(g: Graph) -> Optional[FamilyTag]:
     """The outerplanar alpha_ir = 1 family containing g, or None.
 
-    Precedence order: disjoint cycle unions, the empty graph, the perfect
-    matching, the star, K_{2,2}, K_2 + E_2, and the triangle windmill.  Every
-    matcher is structural and exact, so no outerplanarity test is needed.
+    Precedence order: disjoint cycle unions (K_{2,2} among them), the empty
+    graph, the perfect matching, the star, K_2 + E_2, and the triangle
+    windmill.  Every matcher is structural and exact, so no outerplanarity
+    test is needed.
     """
     if not satisfies_lemma31(g):
         return None
@@ -302,8 +302,6 @@ def classify_outerplanar_alpha1(g: Graph) -> Optional[FamilyTag]:
         return FamilyTag(Family.PERFECT_MATCHING, {"n": n})
     if counts.get(n - 1, 0) == 1 and counts.get(1, 0) == n - 1:
         return FamilyTag(Family.STAR, {"n": n})
-    if n == 4 and counts.get(2, 0) == 4:
-        return FamilyTag(Family.K22, {})  # shadowed by the cycle branch
     if n == 4 and counts.get(3, 0) == 2 and counts.get(2, 0) == 2:
         return FamilyTag(Family.K2_PLUS_E2, {})
     if (

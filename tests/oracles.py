@@ -21,12 +21,12 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
         yield from_edge_mask(n, mask)
 
 
-def sweep_order_labeled(n: int, cfg):
+def sweep_order_labeled(n: int, t41_divisor: int):
     """Labeled reference for harness._sweep_order: one report per edge mask."""
     counts = _blank_counts()
     violating = []
     for g in enumerate_labeled_graphs(n):
-        report = theorem_report(g, cfg)
+        report = theorem_report(g, t41_divisor)
         for v in report.verdicts:
             counts[v.theorem_id][v.status] += 1
         if report.failures:

@@ -15,10 +15,8 @@ from itertools import combinations
 
 from irregraph import (
     BoundInputs,
-    CheckConfig,
+    FAMILIES,
     Family,
-    ModStarSchedule,
-    SHARPNESS_GRIDS,
     StaircaseProfile,
     THEOREM_IDS,
     alpha_ir,
@@ -143,11 +141,11 @@ def test_criterion_3_sharpness_contracts():
     spread_ok = all(
         (rep := full_report(build_clique_union(**p))).alpha_ir
         == rep.Delta - rep.delta + 1
-        for p in SHARPNESS_GRIDS["clique_union"]
+        for p in FAMILIES["clique_union"].grid
     )
     radical_ok = all(
-        _cut_radical_attained(build_modstar(ModStarSchedule(**p)), p["t"])
-        for p in SHARPNESS_GRIDS["modstar"]
+        _cut_radical_attained(build_modstar(**p), p["t"])
+        for p in FAMILIES["modstar"].grid
     )
     stair_ok = all(
         gamma_ir(
@@ -164,9 +162,9 @@ def test_criterion_3_sharpness_contracts():
 
     elapsed = time.perf_counter() - start
     ok = (
-        summary.builds == sum(len(grid) for grid in SHARPNESS_GRIDS.values())
+        summary.builds == sum(len(row.grid) for row in FAMILIES.values())
         and not summary.failures
-        and set(summary.families_run) == set(SHARPNESS_GRIDS)
+        and set(summary.families_run) == set(FAMILIES)
         and spread_ok
         and radical_ok
         and stair_ok
@@ -334,8 +332,8 @@ def test_criterion_7_graph6_format_fidelity():
 def test_criterion_8_negative_controls():
     # Dividing by more than 2 weakens the claimed lower bound, so it can
     # never fire; dividing by 1 strengthens it past the truth and must.
-    weakened = verify_range(4, cfg=CheckConfig(t41_divisor=3))
-    falsified = verify_range(4, cfg=CheckConfig(t41_divisor=1))
+    weakened = verify_range(4, t41_divisor=3)
+    falsified = verify_range(4, t41_divisor=1)
 
     first = falsified.violations[0] if falsified.violations else None
     fail_verdicts = (

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from irregraph import constructions
-from irregraph.cli import CliConfig, main, parse_cli
+from irregraph.cli import main
 from irregraph.constructions import FAMILIES, build_clique_union
 from irregraph.graph import complete_graph, star_graph, write_graph6
 from irregraph.harness import THEOREM_IDS, Verdict
@@ -241,19 +242,28 @@ def test_sharpness_unknown_family_exits_two():
     assert "sharpness:" in err
 
 
+def test_sharpness_repeated_family_exits_two():
+    code, out, err = run_cli("sharpness", "--families", "ng_gamma", "ng_alpha", "ng_gamma")
+    assert (code, out) == (2, "")
+    assert err == "sharpness: repeated families: ['ng_gamma']\n"
+
+
 def test_usage_errors_and_help():
     assert run_cli()[0] == 2
     assert run_cli("no_such_command")[0] == 2
     assert run_cli("--help")[0] == 0
 
 
-def test_parse_cli_shapes():
-    config = parse_cli(["construct", "sum_extremal", "--n", "4", "--k", "3"])
-    assert config == CliConfig(
-        command="construct", family="sum_extremal", params={"n": 4, "k": 3}
-    )
-    config = parse_cli(["verify", "--n-max", "5", "--t41-divisor", "3"])
-    assert config == CliConfig(command="verify", n_max=5, t41_divisor=3)
+def test_construct_flags_are_the_family_parameters(capsys):
+    assert run_cli("construct", "--help")[0] == 0
+    flags = set(re.findall(r"--[a-z_]+", capsys.readouterr().out)) - {"--help"}
+    assert flags == {f"--{name}" for row in FAMILIES.values() for name in row.params}
+
+
+def test_verify_rejects_divisor_before_sweeping():
+    code, out, err = run_cli("verify", "--n-max", "0", "--t41-divisor", "0")
+    assert (code, out) == (2, "")
+    assert err == "verify: divisor must be >= 1\n"
 
 
 def test_entrypoint_wires_exit_code(monkeypatch, capsys):
@@ -266,12 +276,30 @@ def test_entrypoint_wires_exit_code(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["graphs_checked"] == 4
 
 
-def test_python_dash_m_runs_the_cli():
+def _cli_env() -> dict:
     src = Path(constructions.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
+@pytest.mark.parametrize("module", ["irregraph", "irregraph.cli"])
+def test_python_dash_m_runs_the_cli(module):
     done = subprocess.run(
-        [sys.executable, "-m", "irregraph", "construct", "clique_union", "--r", "1", "--t", "3"],
-        capture_output=True, text=True, env=env, check=False,
+        [sys.executable, "-m", module, "construct", "clique_union", "--r", "1", "--t", "3"],
+        capture_output=True, text=True, env=_cli_env(), check=False,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == write_graph6(build_clique_union(1, 3))
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # order <= 5 with the falsified T4.1 prints megabytes of JSON, far more
+    # than a pipe buffers, so the writer meets the closed pipe
+    with subprocess.Popen(
+        [sys.executable, "-m", "irregraph", "verify", "--n-max", "5", "--t41-divisor", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""

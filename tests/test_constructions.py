@@ -13,10 +13,9 @@ import re
 import pytest
 
 from irregraph import (
-    SHARPNESS_GRIDS,
+    FAMILIES,
     Claim,
     ConstructionReport,
-    ModStarSchedule,
     StaircaseProfile,
     alpha_ir,
     alpha_reg,
@@ -88,18 +87,20 @@ def test_alpha_sharp_clique_values():
 
 
 def test_modstar_values():
-    g = build_modstar(ModStarSchedule(1, 2))
+    g = build_modstar(1, 2)
     assert max_cut(g).value == 3 and alpha_ir(g).value == 2
-    g = build_modstar(ModStarSchedule(2, 4))
+    g = build_modstar(2, 4)
     assert g.n == 9 and g.m == 14 and alpha_ir(g).value == 4
-    with pytest.raises(ValueError):
-        ModStarSchedule(3, 2)
+    with pytest.raises(ValueError, match=re.escape("needs t(t-1) >= 2r(r-1)")):
+        build_modstar(3, 2)
+    with pytest.raises(ValueError, match="needs r >= 1 and t >= 1"):
+        build_modstar(0, 1)
 
 
 def test_modstar_matches_round_robin_bipartite():
     # the two families share one builder
     for r, t in [(1, 1), (1, 4), (2, 4), (2, 6), (3, 5)]:
-        a = build_modstar(ModStarSchedule(r, t))
+        a = build_modstar(r, t)
         b = build_alpha_sharp_bipartite(r, t)
         assert a.rows == b.rows
 
@@ -178,7 +179,7 @@ def test_grids_round_trip_graph6():
         for t in range(1, 4):
             graphs.append(build_clique_union(r, t))
             if t * (t - 1) >= 2 * r * (r - 1):
-                graphs.append(build_modstar(ModStarSchedule(r, t)))
+                graphs.append(build_modstar(r, t))
     graphs += [build_ng_gamma(n) for n in range(3, 11)]
     graphs += [build_product_extremal(n) for n in range(4, 11)]
     graphs += [build_sum_extremal(n, k) for n in range(2, 7) for k in range(2, n + 2)]
@@ -209,7 +210,7 @@ def test_radical_claims_need_exact_equality():
         ("alpha_sharp_clique", "radical_bound"),
         ("modstar", "cut_radical_bound"),
     ):
-        for params in SHARPNESS_GRIDS[family]:
+        for params in FAMILIES[family].grid:
             g = evaluate(family, params).graph
             if g.m == 1:
                 continue
@@ -266,7 +267,7 @@ def test_one_domain_check_for_build_and_evaluate(build, args, family, params, co
         evaluate(family, params, graph=from_edges(2, [(0, 1)]))
 
 
-# sha256 over "graph6\nmetadata_comment\n" of every SHARPNESS_GRIDS build, in
+# sha256 over "graph6\nmetadata_comment\n" of every FAMILIES grid build, in
 # grid order.  The sharpness payload lists only failures, so a builder that
 # changed a graph while its claims still held would otherwise go unnoticed.
 GRID_BUILDS = 168
@@ -276,8 +277,8 @@ GRID_DIGEST = "a75680b32257e6ddcfc00504a7c2f23a5d07cd631cee953b2c1802afabcb3f43"
 def test_every_grid_build_is_frozen():
     digest = hashlib.sha256()
     builds = 0
-    for family, grid in SHARPNESS_GRIDS.items():
-        for params in grid:
+    for family, row in FAMILIES.items():
+        for params in row.grid:
             report = evaluate(family, params)
             text = f"{write_graph6(report.graph)}\n{metadata_comment(report)}\n"
             digest.update(text.encode("ascii"))

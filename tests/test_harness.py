@@ -19,8 +19,6 @@ from irregraph.graph import (
 )
 from irregraph.harness import (
     THEOREM_IDS,
-    CheckConfig,
-    DEFAULT_CONFIG,
     SweepSummary,
     TheoremReport,
     Verdict,
@@ -98,14 +96,17 @@ def test_report_structural_invariants():
         TheoremReport(good.graph, tuple(broken))
 
 
-def test_checkconfig_validation_and_bound():
+def test_t41_divisor_validation_and_bound():
+    # verify_range rejects the divisor before sweeping, even at order 0
     with pytest.raises(ValueError, match="divisor must be >= 1"):
-        CheckConfig(t41_divisor=0)
+        verify_range(0, t41_divisor=0)
+    with pytest.raises(ValueError, match="divisor >= 1"):
+        theorem_report(complete_graph(3), t41_divisor=0)
     # the T4.1 row takes its bound, divisor included, from irregraph.bounds
     by_id = lambda r: {v.theorem_id: v for v in r.verdicts}
     k3 = complete_graph(3)  # gamma_ir = 2 = max(ceil(3/2), 3-2)
     assert by_id(theorem_report(k3))["T4.1"].status == "pass"
-    assert by_id(theorem_report(k3, CheckConfig(t41_divisor=1)))["T4.1"] == Verdict(
+    assert by_id(theorem_report(k3, t41_divisor=1))["T4.1"] == Verdict(
         "T4.1", "fail", "gamma_ir=2 < max(ceil(3/1), n-Delta=1) = 3"
     )
 
@@ -131,17 +132,16 @@ def test_sweep_order_zero_checks_nothing():
 def test_engines_agree_through_order_five():
     # the class sweep against the labeled reference that checks every mask
     for n in range(1, 6):
-        class_counts, class_viol = _sweep_order(n, DEFAULT_CONFIG)
-        labeled_counts, labeled_viol = sweep_order_labeled(n, DEFAULT_CONFIG)
+        class_counts, class_viol = _sweep_order(n, 2)
+        labeled_counts, labeled_viol = sweep_order_labeled(n, 2)
         assert class_viol == labeled_viol == []
         assert class_counts == labeled_counts
 
 
 def test_engines_agree_on_violations():
-    cfg = CheckConfig(t41_divisor=1)
     for n in range(1, 5):
-        class_counts, class_viol = _sweep_order(n, cfg)
-        labeled_counts, labeled_viol = sweep_order_labeled(n, cfg)
+        class_counts, class_viol = _sweep_order(n, 1)
+        labeled_counts, labeled_viol = sweep_order_labeled(n, 1)
         assert class_viol == labeled_viol
         assert class_counts == labeled_counts
 
@@ -162,7 +162,7 @@ def test_not_applicable_counts_frozen():
 
 
 def test_negative_control_fires_and_sorts():
-    summary = verify_range(4, cfg=CheckConfig(t41_divisor=1))
+    summary = verify_range(4, t41_divisor=1)
     assert len(summary.violations) == 71
     names = [r.graph for r in summary.violations]
     assert names == sorted(names)
@@ -178,16 +178,15 @@ def test_negative_control_fires_and_sorts():
 def test_violations_reuse_class_verdicts():
     # a violating class reports its verdicts once for every labeled member;
     # recomputing each member's report from its graph6 string must agree
-    cfg = CheckConfig(t41_divisor=1)
-    summary = verify_range(5, cfg)
+    summary = verify_range(5, t41_divisor=1)
     assert len(summary.violations) == 1094
     for report in summary.violations:
-        assert report == theorem_report(parse_graph6(report.graph), cfg)
+        assert report == theorem_report(parse_graph6(report.graph), t41_divisor=1)
 
 
 def test_weakened_bound_cannot_fire():
     # ceil(n/3) <= ceil(n/2) <= gamma_ir, so divisor 3 proves nothing fails
-    summary = verify_range(4, cfg=CheckConfig(t41_divisor=3))
+    summary = verify_range(4, t41_divisor=3)
     assert summary.violations == ()
 
 
@@ -217,7 +216,7 @@ def test_sweep_json_is_serializable():
     assert parsed["schema"] == 1
     assert parsed["kind"] == "sweep"
     assert set(parsed["per_theorem"]) == set(THEOREM_IDS)
-    bad = verify_range(3, cfg=CheckConfig(t41_divisor=1))
+    bad = verify_range(3, t41_divisor=1)
     parsed = json.loads(json.dumps(bad.to_json()))
     assert parsed["violations"][0]["graph"] == "A_"
     assert any(
@@ -234,9 +233,8 @@ def _streamed(summary: SweepSummary) -> str:
 
 @pytest.mark.parametrize("divisor", [1, 2])
 def test_streamed_sweep_json_is_byte_identical(divisor):
-    cfg = CheckConfig(t41_divisor=divisor)
     for n in range(6):
-        summary = verify_range(n, cfg)
+        summary = verify_range(n, divisor)
         assert _streamed(summary) == json.dumps(summary.to_json(), indent=2) + "\n"
     # order 5 with the falsified T4.1: 1094 members of 47 classes, and
     # graph6 strings with a backslash, which JSON escapes

@@ -184,7 +184,7 @@ def test_size_guard():
 def test_full_report_rejects_wrong_cut_witness(monkeypatch):
     import irregraph.params as params_module
 
-    def shifted_side(g, size_guard=None):
+    def shifted_side(g):
         best = max_cut(g)
         return best._replace(witness=VertexSet(g.n, best.witness.mask ^ 1))
 
