@@ -1,8 +1,9 @@
 """Closed-form bounds on the irregular parameters, in exact integers.
 
-Each function evaluates one published inequality from graph statistics alone,
-and is the only place the package states it.  A ub_* function returns the
-largest integer the parameter may take, an lb_* function the smallest.
+Each function evaluates one published inequality from the plain integers it
+reads (n, m, delta, Delta, beta, span), and is the only place the package
+states it.  A ub_* function returns the largest integer the parameter may
+take, an lb_* function the smallest.
 
 The radical bounds are sharp, so only exact arithmetic can decide equality.
 Each has the form a <= (-b + sqrt(b^2 + 4c))/2, which for an integer a >= 0
@@ -13,65 +14,10 @@ and the bound equals a exactly when a(a + b) = c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from irregraph.graph import Graph, classify_degrees
-from irregraph.params import max_cut
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Graph statistics the bound formulas consume."""
-
-    n: int
-    m: int
-    delta: int
-    Delta: int
-    beta: int
-    span: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("bounds need at least one vertex")
-        if not 0 <= self.delta <= self.Delta <= self.n - 1:
-            raise ValueError("degree extremes out of range")
-        if not 0 <= self.beta <= self.m <= self.n * (self.n - 1) // 2:
-            raise ValueError("edge statistics out of range")
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "BoundInputs":
-        dc = classify_degrees(g)
-        return cls(
-            n=g.n,
-            m=g.m,
-            delta=dc.delta,
-            Delta=dc.Delta,
-            beta=max_cut(g).value,
-            span=dc.span,
-        )
-
-
-class RamseyTable:
-    """Known diagonal Ramsey numbers R(k,k); lookups outside the table fail."""
-
-    _KNOWN = {1: 1, 2: 2, 3: 6, 4: 18}
-
-    def __getitem__(self, k: int) -> int:
-        if k not in self._KNOWN:
-            raise KeyError(f"R({k},{k}) is not in the table of known values")
-        return self._KNOWN[k]
-
-    def __contains__(self, k: int) -> bool:
-        return k in self._KNOWN
-
-    @property
-    def known_k(self) -> tuple[int, ...]:
-        return tuple(sorted(self._KNOWN))
-
-
-DEFAULT_RAMSEY = RamseyTable()
+# the known diagonal Ramsey numbers R(k,k), which Thm 4.5 reads
+DEFAULT_RAMSEY = {1: 1, 2: 2, 3: 6, 4: 18}
 
 
 def _root_floor(b: int, c: int) -> int:
@@ -85,28 +31,35 @@ def product_cap(n: int) -> int:
     return (n // 2) * ((n + 1) // 2)
 
 
-def ub_alpha_ir_thm21(inp: BoundInputs) -> int:
+def ub_alpha_ir_thm21(n: int, m: int, delta: int, Delta: int) -> int:
     """min of Delta - delta + 1, floor((n - delta + 1)/2), and the radical
     (1 + sqrt(2n^2 - 2n - 4m + 1))/2.
 
     The radical term is a(a - 1) <= C(n,2) - m, the number of non-edges.
     """
-    n = inp.n
-    spread = inp.Delta - inp.delta + 1
-    half = (n - inp.delta + 1) // 2
-    radical = _root_floor(-1, n * (n - 1) // 2 - inp.m)
+    if n < 1 or not 0 <= delta <= Delta <= n - 1:
+        raise ValueError("need n >= 1 and 0 <= delta <= Delta <= n-1")
+    if not 0 <= m <= n * (n - 1) // 2:
+        raise ValueError("need 0 <= m <= C(n,2)")
+    spread = Delta - delta + 1
+    half = (n - delta + 1) // 2
+    radical = _root_floor(-1, n * (n - 1) // 2 - m)
     return min(spread, half, radical)
 
 
-def ub_alpha_ir_eq1(inp: BoundInputs) -> int:
+def ub_alpha_ir_eq1(m: int, delta: int) -> int:
     """(-2 delta + 1 + sqrt((2 delta - 1)^2 + 8m)) / 2, that is
     alpha_ir(alpha_ir + 2 delta - 1) <= 2m."""
-    return _root_floor(2 * inp.delta - 1, 2 * inp.m)
+    if m < 0 or delta < 0:
+        raise ValueError("need m >= 0 and delta >= 0")
+    return _root_floor(2 * delta - 1, 2 * m)
 
 
-def ub_alpha_ir_thm22(inp: BoundInputs) -> int:
-    """Same formula with the maximum cut in place of the edge count."""
-    return _root_floor(2 * inp.delta - 1, 2 * inp.beta)
+def ub_alpha_ir_thm22(beta: int, delta: int) -> int:
+    """Same formula with the maximum cut beta in place of the edge count."""
+    if beta < 0 or delta < 0:
+        raise ValueError("need beta >= 0 and delta >= 0")
+    return _root_floor(2 * delta - 1, 2 * beta)
 
 
 def ub_span_thm32(delta: int) -> int:
@@ -132,28 +85,21 @@ def lb_gamma_ir_thm42(n: int, beta: int) -> int:
     return n - _root_floor(1, 2 * beta)
 
 
-def lb_gamma_ir_cor43(n: int, avg_degree: Fraction) -> int:
-    """n - sqrt(d n), that is (n - gamma_ir)^2 <= d n; for a graph the
-    radicand d n equals 2m."""
-    if n < 1 or avg_degree < 0:
-        raise ValueError("need n >= 1 and d >= 0")
-    # floor(sqrt(x)) = isqrt(floor(x)) for every real x >= 0
-    return n - math.isqrt(math.floor(avg_degree * n))
+def lb_gamma_ir_cor43(n: int, m: int) -> int:
+    """n - sqrt(d n), that is (n - gamma_ir)^2 <= d n; for a graph with
+    average degree d the radicand d n equals 2m."""
+    if n < 1 or not 0 <= m <= n * (n - 1) // 2:
+        raise ValueError("need n >= 1 and 0 <= m <= C(n,2)")
+    return n - math.isqrt(2 * m)
 
 
 def ub_gamma_ir_thm45i(n: int, span: int, delta: int) -> Optional[int]:
     """Rule (i): n - k for the largest tabulated k with span >= R(k,k) and
     delta >= k; None when no k qualifies."""
-    ks = [k for k in DEFAULT_RAMSEY.known_k if span >= DEFAULT_RAMSEY[k] and delta >= k]
+    ks = [k for k, r in DEFAULT_RAMSEY.items() if span >= r and delta >= k]
     return n - max(ks) if ks else None
 
 
 def ub_gamma_ir_thm45ii(n: int, span: int, delta: int) -> Optional[int]:
     """Rule (ii): n - 3 when span >= 5 and delta >= 3; None otherwise."""
     return n - 3 if span >= 5 and delta >= 3 else None
-
-
-def ub_gamma_ir_thm45(n: int, span: int, delta: int) -> Optional[int]:
-    """The better of rules (i) and (ii); None when neither fires."""
-    rules = (ub_gamma_ir_thm45i(n, span, delta), ub_gamma_ir_thm45ii(n, span, delta))
-    return min((ub for ub in rules if ub is not None), default=None)

@@ -16,6 +16,7 @@ the line number in the message.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -220,17 +221,17 @@ def _cmd_sharpness(args, stdin, out, err) -> int:
 
 def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    stdin = sys.stdin if stdin is None else stdin
+    stdout = sys.stdout if stdout is None else stdout
+    stderr = sys.stderr if stderr is None else stderr
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse reports its own usage errors
+        # argparse prints help and usage errors to sys.stdout and sys.stderr
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    return args.handler(
-        args,
-        sys.stdin if stdin is None else stdin,
-        sys.stdout if stdout is None else stdout,
-        sys.stderr if stderr is None else stderr,
-    )
+    return args.handler(args, stdin, stdout, stderr)
 
 
 def entrypoint() -> None:

@@ -15,19 +15,20 @@ bulk or re-check a deliberately corrupted graph.
 
 Edge assignment conventions: when a construction says a vertex receives some
 number of neighbors on the other side without naming them, it takes the
-lowest indices (the prefix rule).  The families whose minimum-degree claims
-force a balanced assignment (alpha_sharp_bipartite and modstar, which share
-one builder, and alpha_sharp_clique) hand out neighbors through
-_round_robin instead.
+lowest indices (the prefix rule), which _prefix wires for staircase_gamma,
+ng_alpha, odd ng_gamma and every relation_extremal case.  The families whose
+minimum-degree claims force a balanced assignment (alpha_sharp_bipartite and
+modstar, which share one builder, and alpha_sharp_clique) hand out neighbors
+through _round_robin instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from irregraph.bounds import BoundInputs, product_cap, ub_alpha_ir_thm22
+from irregraph.bounds import product_cap, ub_alpha_ir_thm22
 from irregraph.graph import (
     Graph,
     VertexSet,
@@ -45,6 +46,7 @@ from irregraph.params import (
     gamma_ir,
     is_irregular_independent,
     is_regular_independent,
+    max_cut,
 )
 
 
@@ -93,47 +95,19 @@ def _checked(report: ConstructionReport) -> Graph:
     return report.graph
 
 
-# -- profiles and the round-robin wiring -----------------------------------------
-
-
-_PROFILE_MODES = ("asc", "asc0", "desc")
-
-
-@dataclass(frozen=True)
-class StaircaseProfile:
-    """Degree prescription for the v-side of a bipartite staircase.
-
-    v_i receives degree_of(i) u-neighbors: i (asc), i-1 (asc0), or k-i+1
-    (desc), for i in 1..t against k u-vertices.
-    """
-
-    k: int
-    t: int
-    mode: str = "asc"
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.t < 1:
-            raise ValueError("staircase needs k >= 1 and t >= 1")
-        if self.mode not in _PROFILE_MODES:
-            raise ValueError(f"mode must be one of {_PROFILE_MODES}")
-        degs = [self.degree_of(i) for i in (1, self.t)]
-        if min(degs) < 0 or max(degs) > self.k:
-            raise ValueError("profile degree leaves [0, k]")
-
-    def degree_of(self, i: int) -> int:
-        if not 1 <= i <= self.t:
-            raise ValueError("index outside [1, t]")
-        if self.mode == "asc":
-            return i
-        if self.mode == "asc0":
-            return i - 1
-        return self.k - i + 1
+# -- the prefix and round-robin wirings ------------------------------------------
 
 
 def _balanced(r: int, t: int) -> bool:
     """t(t-1) >= 2r(r-1): without it some w-vertex gets fewer than r
     neighbors, so delta < r."""
     return t * (t - 1) >= 2 * r * (r - 1)
+
+
+def _prefix(first: int, degrees: Iterable[int], block: int) -> list[tuple[int, int]]:
+    """Edges joining vertex first+i to the degrees[i] vertices block,
+    block+1, ... (the prefix rule)."""
+    return [(first + i, block + j) for i, d in enumerate(degrees) for j in range(d)]
 
 
 def _round_robin(k: int, degrees: Sequence[int]) -> list[tuple[int, int]]:
@@ -147,26 +121,6 @@ def _round_robin(k: int, degrees: Sequence[int]) -> list[tuple[int, int]]:
         # of the first i degrees: this is the paper's interval schedule
         pointer = (pointer + d) % k
     return edges
-
-
-def build_staircase(profile: StaircaseProfile) -> Graph:
-    """Bipartite graph: k u-vertices (indices 0..k-1), then t v-vertices,
-    v_i wired to the first degree_of(i) u's."""
-    k, t = profile.k, profile.t
-    g = from_edges(
-        k + t,
-        [(u, k + i - 1) for i in range(1, t + 1) for u in range(profile.degree_of(i))],
-    )
-    claims = [
-        Claim("u_side_internal_edges", 0, sum(1 for u, v in g.edges() if u < k and v < k)),
-        Claim("v_side_internal_edges", 0, sum(1 for u, v in g.edges() if u >= k and v >= k)),
-    ]
-    claims += [
-        Claim(f"v{i}_degree", profile.degree_of(i), g.degree(k + i - 1))
-        for i in range(1, t + 1)
-    ]
-    params = {"k": k, "t": t, "mode": profile.mode}
-    return _checked(ConstructionReport("staircase", params, g, tuple(claims)))
 
 
 # -- builders and claims, one pair per family -------------------------------------
@@ -192,8 +146,9 @@ def _claims_clique_union(g: Graph, r: int, t: int) -> list[Claim]:
 def _staircase_gamma(n: int) -> Graph:
     if n < 2:
         raise ValueError("needs n >= 2")
+    # k = ceil(n/2) u-vertices, then v_i (i = 1..n-k) wired to u_1..u_i
     k = (n + 1) // 2
-    return build_staircase(StaircaseProfile(k=k, t=n - k, mode="asc"))
+    return from_edges(n, _prefix(k, range(1, n - k + 1), 0))
 
 
 def _claims_staircase_gamma(g: Graph, n: int) -> list[Claim]:
@@ -243,14 +198,14 @@ def _claims_alpha_sharp_clique(g: Graph, r: int, t: int) -> list[Claim]:
 
 
 def _claims_modstar(g: Graph, r: int, t: int) -> list[Claim]:
-    inp = BoundInputs.from_graph(g)
+    delta, beta = classify_degrees(g).delta, max_cut(g).value
     # the Thm 2.2 bound is exactly ub when ub(ub + 2delta - 1) = 2beta
-    ub = ub_alpha_ir_thm22(inp)
-    radical = ub if ub * (ub + 2 * inp.delta - 1) == 2 * inp.beta else None
+    ub = ub_alpha_ir_thm22(beta, delta)
+    radical = ub if ub * (ub + 2 * delta - 1) == 2 * beta else None
     return [
-        Claim("delta", r, inp.delta),
+        Claim("delta", r, delta),
         Claim("m", t * (2 * r + t - 1) // 2, g.m),
-        Claim("beta_equals_m", g.m, inp.beta),
+        Claim("beta_equals_m", g.m, beta),
         Claim("alpha_ir", t, alpha_ir(g).value),
         Claim("cut_radical_bound", t, radical),
     ]
@@ -332,10 +287,9 @@ def _ng_alpha(n: int) -> Graph:
         raise ValueError("needs n >= 2")
     k = (n + 1) // 2
     l = n // 2
+    # a clique on the l v-vertices; u_i (i = 1..k) wired to v_1..v_{i-1}
     edges = [(k + a, k + b) for b in range(l) for a in range(b)]
-    for i in range(1, k + 1):
-        edges.extend((i - 1, k + j) for j in range(i - 1))
-    return from_edges(n, edges)
+    return from_edges(n, edges + _prefix(0, range(k), k))
 
 
 def _claims_ng_alpha(g: Graph, n: int) -> list[Claim]:
@@ -352,10 +306,7 @@ def _ng_gamma(n: int) -> Graph:
     if n % 2 == 1:
         k = (n - 1) // 2
         # u_1..u_k then v_1..v_{k+1}; u_i adjacent to v_1..v_i
-        edges = [
-            (i - 1, k + j - 1) for i in range(1, k + 1) for j in range(1, i + 1)
-        ]
-        return from_edges(n, edges)
+        return from_edges(n, _prefix(0, range(1, k + 1), k))
     if n == 4:
         return path_graph(4)
     if n == 6:
@@ -390,24 +341,25 @@ def _relation_extremal(n: int, case: str) -> Graph:
         raise ValueError("needs n >= 2")
     if case not in _RELATION_CASES:
         raise ValueError(f"case must be one of {_RELATION_CASES}")
+    # k u-vertices, then v_i (i = 1..n-k) wired to a prefix of the u's
+    star = []
     if case == "delta_pos":
         k = (n + 1) // 2
-        profile = StaircaseProfile(k=k, t=n - k, mode="desc")
+        degrees = range(k, 2 * k - n, -1)  # v_i takes k-i+1
     elif case == "delta_zero":
         k = n // 2  # ceil((n-1)/2)
-        profile = StaircaseProfile(k=k, t=n - k, mode="asc0")
+        degrees = range(n - k)  # v_i takes i-1
     elif n % 2 == 1:
         k = n // 2
-        profile = StaircaseProfile(k=k, t=n - k, mode="desc")
+        degrees = range(k, 2 * k - n, -1)
     else:
         # even complement case: ascending staircase on k = n/2 plus a star
         # inside the u-side, making u_1 universal in G and so isolated in
         # the complement; that isolated vertex is what forces the extra +1
         k = n // 2
-        edges = [(u, k + i - 1) for i in range(1, k + 1) for u in range(i)]
-        edges += [(0, u) for u in range(1, k)]
-        return from_edges(n, edges)
-    return build_staircase(profile)
+        degrees = range(1, k + 1)
+        star = [(0, u) for u in range(1, k)]
+    return from_edges(n, _prefix(k, degrees, 0) + star)
 
 
 def _claims_relation_extremal(g: Graph, n: int, case: str) -> list[Claim]:

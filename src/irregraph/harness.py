@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import factorial
 from typing import Callable, NamedTuple, Optional, Sequence, TextIO, Union
 
@@ -173,7 +172,7 @@ class _Ctx:
 
     __slots__ = (
         "g", "t41_divisor", "n", "m", "dc", "alpha", "alpha_ir", "alpha_reg",
-        "gamma_ir", "beta", "alpha_ir_c", "gamma_ir_c", "inp",
+        "gamma_ir", "beta", "alpha_ir_c", "gamma_ir_c",
     )
 
     def __init__(self, g: Graph, t41_divisor: int):
@@ -190,14 +189,6 @@ class _Ctx:
         gc = complement(g)
         self.alpha_ir_c = alpha_ir(gc).value
         self.gamma_ir_c = gamma_ir(gc).value
-        self.inp = bounds.BoundInputs(
-            n=self.n,
-            m=self.m,
-            delta=self.dc.delta,
-            Delta=self.dc.Delta,
-            beta=self.beta,
-            span=self.dc.span,
-        )
 
 
 class _Row(NamedTuple):
@@ -257,17 +248,17 @@ _ROWS = (
         "T2.1", "alpha_ir={v} outside [1, {hi}]",
         value=lambda c: c.alpha_ir,
         lo=lambda c: 1,
-        hi=lambda c: bounds.ub_alpha_ir_thm21(c.inp),
+        hi=lambda c: bounds.ub_alpha_ir_thm21(c.n, c.m, c.dc.delta, c.dc.Delta),
     ),
     _Row(
         "E1", "alpha_ir={v} > {hi} (delta={c.dc.delta}, m={c.m})",
         value=lambda c: c.alpha_ir,
-        hi=lambda c: bounds.ub_alpha_ir_eq1(c.inp),
+        hi=lambda c: bounds.ub_alpha_ir_eq1(c.m, c.dc.delta),
     ),
     _Row(
         "T2.2", "alpha_ir={v} > {hi} (delta={c.dc.delta}, beta={c.beta})",
         value=lambda c: c.alpha_ir,
-        hi=lambda c: bounds.ub_alpha_ir_thm22(c.inp),
+        hi=lambda c: bounds.ub_alpha_ir_thm22(c.beta, c.dc.delta),
     ),
     _Row(
         "T2.3i", "alpha_ir+alpha_reg={v} outside [2, {hi}]",
@@ -348,7 +339,7 @@ _ROWS = (
         # equality in gamma_ir >= n - sqrt(2m) holds exactly for empty graphs
         "C4.3", "gamma_ir={v} vs {lo}; equality: {lhs}, empty: {rhs}",
         value=lambda c: c.gamma_ir,
-        lo=lambda c: bounds.lb_gamma_ir_cor43(c.n, Fraction(2 * c.m, c.n)),
+        lo=lambda c: bounds.lb_gamma_ir_cor43(c.n, c.m),
         iff=lambda c, v, hi: ((c.n - v) ** 2 == 2 * c.m, c.m == 0),
     ),
     _Row(

@@ -13,11 +13,11 @@ alpha_ir = 1 graphs, outerplanar alpha_ir = 1 graphs, and graphs with
 gamma_ir in {n, n-1}.
 
 The classifiers match by degree counts and local structure, never by
-isomorphism search, and each matcher is exact: it fires only on graphs
-isomorphic to its family member.  Families overlap (C_4 is both a cycle and
-K_{2,2}), so classifiers report the first match in a fixed precedence order;
-callers comparing against parameter values should test None versus not-None
-rather than specific tags.
+isomorphism search or a Lemma 3.1 gate, and each matcher is exact: it fires
+only on graphs isomorphic to its family member.  Families overlap (C_4 is
+both a cycle and K_{2,2}), so classifiers report the first match in a fixed
+precedence order; callers comparing against parameter values should test
+None versus not-None rather than specific tags.
 """
 
 from __future__ import annotations
@@ -68,11 +68,11 @@ def _paths_embed(rows, branch_mask: int, pairs) -> bool:
     return connect(0, 0)
 
 
-def _has_complete_subdivision(g: Graph, k: int) -> bool:
-    """Subdivision of K_k present?  Branch vertices need degree >= k-1."""
+def _has_k5_subdivision(g: Graph) -> bool:
+    """Subdivision of K_5 present?  Branch vertices need degree >= 4."""
     rows = g.rows
-    cands = [v for v in range(g.n) if rows[v].bit_count() >= k - 1]
-    for combo in combinations(cands, k):
+    cands = [v for v in range(g.n) if rows[v].bit_count() >= 4]
+    for combo in combinations(cands, 5):
         branch_mask = 0
         for v in combo:
             branch_mask |= 1 << v
@@ -113,7 +113,7 @@ def is_planar(g: Graph) -> bool:
         return True
     if g.m > 3 * g.n - 6:
         return False
-    return not (_has_complete_subdivision(g, 5) or _has_k33_subdivision(g))
+    return not (_has_k5_subdivision(g) or _has_k33_subdivision(g))
 
 
 def is_outerplanar(g: Graph) -> bool:
@@ -212,14 +212,15 @@ def classify_planar_alpha1(g: Graph) -> Optional[FamilyTag]:
 
     Matches, in precedence order: regular planar graphs, the star K_{1,n-1},
     K_{2,n-2}, K_2 + E_{n-2}, K_2 + perfect matching, E_2 + perfect matching,
-    E_2 + C_{n-2}, the triangle windmill, and K_1 + (disjoint cycles).  The
-    degree-structure gate runs first, so anything with alpha_ir > 1 is None
-    without any matching work; planarity itself is only ever tested in the
-    regular branch, every other matcher being exact for a family whose
-    members are all planar.
+    E_2 + C_{n-2}, the triangle windmill, and K_1 + (disjoint cycles).  Each
+    matcher is exact on the degree counts and every family member has
+    alpha_ir = 1 (a regular graph always does), so no Lemma 3.1 test is
+    needed; planarity itself is only ever tested in the regular branch,
+    every other matcher being exact for a family whose members are all
+    planar.
     """
-    if not satisfies_lemma31(g):
-        return None
+    if g.n < 1:
+        raise ValueError("needs at least one vertex")
     n, degs = g.n, g.degrees()
     counts = Counter(degs)
     if len(counts) == 1:
@@ -287,11 +288,12 @@ def classify_outerplanar_alpha1(g: Graph) -> Optional[FamilyTag]:
 
     Precedence order: disjoint cycle unions (K_{2,2} among them), the empty
     graph, the perfect matching, the star, K_2 + E_2, and the triangle
-    windmill.  Every matcher is structural and exact, so no outerplanarity
-    test is needed.
+    windmill.  Every matcher is structural and exact for a family whose
+    members are all outerplanar with alpha_ir = 1, so neither an
+    outerplanarity nor a Lemma 3.1 test is needed.
     """
-    if not satisfies_lemma31(g):
-        return None
+    if g.n < 1:
+        raise ValueError("needs at least one vertex")
     n, degs = g.n, g.degrees()
     counts = Counter(degs)
     if counts.get(2, 0) == n:

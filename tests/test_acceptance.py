@@ -14,16 +14,13 @@ from functools import lru_cache
 from itertools import combinations
 
 from irregraph import (
-    BoundInputs,
     FAMILIES,
     Family,
-    StaircaseProfile,
     THEOREM_IDS,
     alpha_ir,
     build_clique_union,
     build_modstar,
     build_ng_gamma,
-    build_staircase,
     classify_gamma_extremal,
     classify_outerplanar_alpha1,
     classify_planar_alpha1,
@@ -127,10 +124,10 @@ def test_criterion_2_solver_oracle_equivalence():
 def _cut_radical_attained(g, t) -> bool:
     """alpha_ir = t equals the Thm 2.2 bound (1 - 2delta + sqrt((2delta-1)^2
     + 8beta))/2 exactly, that is t(t + 2delta - 1) = 2beta."""
-    inp = BoundInputs.from_graph(g)
+    rep = full_report(g)
     return (
-        alpha_ir(g).value == t == ub_alpha_ir_thm22(inp)
-        and t * (t + 2 * inp.delta - 1) == 2 * inp.beta
+        rep.alpha_ir == t == ub_alpha_ir_thm22(rep.beta, rep.delta)
+        and t * (t + 2 * rep.delta - 1) == 2 * rep.beta
     )
 
 
@@ -148,10 +145,7 @@ def test_criterion_3_sharpness_contracts():
         for p in FAMILIES["modstar"].grid
     )
     stair_ok = all(
-        gamma_ir(
-            build_staircase(StaircaseProfile(k=(n + 1) // 2, t=n // 2, mode="asc"))
-        ).value
-        == (n + 1) // 2
+        gamma_ir(FAMILIES["staircase_gamma"].build(n=n)).value == (n + 1) // 2
         for n in range(2, 15)
     )
     ng_ok = all(

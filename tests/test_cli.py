@@ -188,13 +188,23 @@ def test_verify_negative_control_exits_one():
     assert record["violations"][0]["graph"] == "A_"
 
 
-def test_verify_engine_and_worker_flags(capsys):
+def test_verify_engine_and_worker_flags():
     # one sweep engine, no thread pool: both options are unknown now
     for flag, value in (("--engine", "scalar"), ("--workers", "2")):
-        code, out, _ = run_cli("verify", "--n-max", "3", flag, value)
+        code, out, err = run_cli("verify", "--n-max", "3", flag, value)
         assert code == 2
         assert out == ""
-        assert flag in capsys.readouterr().err  # argparse's usage error
+        assert flag in err  # argparse's usage error
+
+
+def test_argparse_output_goes_to_the_given_streams(capsys):
+    code, out, err = run_cli("verify", "--bogus")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: irregraph") and "--bogus" in err
+    code, out, err = run_cli("--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: irregraph")
+    assert capsys.readouterr() == ("", "")  # nothing on the real streams
 
 
 def test_verify_serialises_each_violating_class_once(monkeypatch):
@@ -254,9 +264,10 @@ def test_usage_errors_and_help():
     assert run_cli("--help")[0] == 0
 
 
-def test_construct_flags_are_the_family_parameters(capsys):
-    assert run_cli("construct", "--help")[0] == 0
-    flags = set(re.findall(r"--[a-z_]+", capsys.readouterr().out)) - {"--help"}
+def test_construct_flags_are_the_family_parameters():
+    code, out, _ = run_cli("construct", "--help")
+    assert code == 0
+    flags = set(re.findall(r"--[a-z_]+", out)) - {"--help"}
     assert flags == {f"--{name}" for row in FAMILIES.values() for name in row.params}
 
 

@@ -16,7 +16,6 @@ from irregraph import (
     FAMILIES,
     Claim,
     ConstructionReport,
-    StaircaseProfile,
     alpha_ir,
     alpha_reg,
     build_alpha_sharp_bipartite,
@@ -27,7 +26,6 @@ from irregraph import (
     build_ng_gamma,
     build_product_extremal,
     build_relation_extremal,
-    build_staircase,
     build_sum_extremal,
     complement,
     evaluate,
@@ -50,18 +48,10 @@ def test_clique_union_values():
 
 
 def test_staircase_shapes():
-    p = StaircaseProfile(k=4, t=3, mode="asc")
-    g = build_staircase(p)
+    g = evaluate("staircase_gamma", {"n": 7}).graph
     assert g.n == 7
     assert [g.degree(v) for v in range(4, 7)] == [1, 2, 3]
     assert gamma_ir(g).value == 4
-
-
-def test_staircase_profile_validation():
-    with pytest.raises(ValueError):
-        StaircaseProfile(k=2, t=4, mode="asc")  # degree_of(4) = 4 > k
-    with pytest.raises(ValueError):
-        StaircaseProfile(k=3, t=2, mode="sideways")
 
 
 def test_alpha_sharp_bipartite_values():

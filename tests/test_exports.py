@@ -1,11 +1,18 @@
-"""The package exports every name its README and demos import from it."""
+"""The package exports every name its README and demos import from it, and
+every demo runs to completion."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _imported_names(source: str) -> set:
@@ -20,8 +27,18 @@ def _imported_names(source: str) -> set:
 def test_readme_and_demo_imports_resolve():
     readme = (ROOT / "README.md").read_text()
     sources = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
-    sources += [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
+    sources += [p.read_text() for p in DEMOS]
     names = set().union(*map(_imported_names, sources))
     assert {"full_report", "parse_graph6", "verify_range"} <= names
     package = importlib.import_module("irregraph")
     assert sorted(n for n in names if not hasattr(package, n)) == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
