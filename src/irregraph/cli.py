@@ -95,17 +95,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _input_lines(args, stdin: TextIO):
-    """Numbered input lines from inline arguments, a file, or stdin."""
+    """Numbered input lines from inline arguments, a file, or stdin.
+
+    A file is read as UTF-8 with undecodable bytes kept as surrogates, so a
+    non-ASCII byte fails the graph6 parse of its own numbered line, as it
+    does on stdin.  An unreadable file raises OSError.
+    """
     if args.graphs:
         return list(enumerate(args.graphs, 1))
     if args.input is not None:
-        with open(args.input, encoding="ascii") as handle:
+        with open(args.input, encoding="utf-8", errors="surrogateescape") as handle:
             return list(enumerate(handle.read().splitlines(), 1))
     return list(enumerate(stdin.read().splitlines(), 1))
 
 
 def _cmd_compute(args, stdin, out, err) -> int:
-    for lineno, raw in _input_lines(args, stdin):
+    try:
+        lines = _input_lines(args, stdin)
+    except OSError as exc:
+        print(f"compute: {exc}", file=err)
+        return 2
+    for lineno, raw in lines:
         line = raw.strip()
         if not line:
             continue
@@ -164,7 +174,12 @@ def _format_tag(tag) -> str:
 
 def _cmd_recognize(args, stdin, out, err) -> int:
     question = PROPERTIES[args.property]
-    for lineno, raw in _input_lines(args, stdin):
+    try:
+        lines = _input_lines(args, stdin)
+    except OSError as exc:
+        print(f"recognize: {exc}", file=err)
+        return 2
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

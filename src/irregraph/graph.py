@@ -148,18 +148,6 @@ class Graph:
         row = self.rows[v]
         return tuple(u for u in range(self.n) if row >> u & 1)
 
-    def induced(self, members: Iterable[int]) -> "Graph":
-        """Subgraph induced by the given vertices, relabeled 0..k-1."""
-        keep = sorted(set(members))
-        index = {v: i for i, v in enumerate(keep)}
-        rows = [0] * len(keep)
-        for v in keep:
-            row = self.rows[v]
-            for u in keep:
-                if row >> u & 1:
-                    rows[index[v]] |= 1 << index[u]
-        return Graph(len(keep), rows)
-
 
 # -- constructors ---------------------------------------------------------
 

@@ -10,22 +10,27 @@ the maximum cut beta.
 
 Every solver returns an Extremum: the optimal value together with a witness
 set attaining it.  Among optimal sets the witness is always the one with the
-numerically smallest vertex bitmask, which for fixed size is the
-lexicographically smallest sorted member tuple.  The naive_* oracles realize
-the same tie-break by scanning all 2^n subsets in ascending mask order and
-updating only on strict improvement; the optimized solvers match them bit for
-bit, which the test suite checks exhaustively at order 4 and on random graphs
-up to order 12.
+numerically smallest vertex bitmask.  Two masks compare at the highest vertex
+in which they differ, so this is not the lexicographically smallest sorted
+member tuple: on the 4-cycle with edges 01, 02, 13, 23 the maximum
+independent sets are {1, 2} (mask 6) and {0, 3} (mask 9), and the witness is
+{1, 2}.  The naive_* oracles realize the same tie-break by scanning all 2^n
+subsets in ascending mask order and updating only on strict improvement; the
+optimized solvers match them bit for bit, which the test suite checks
+exhaustively at order 4 and on random graphs up to order 12.
 
-Everything here enumerates subsets, so the intended range is small n.  The
-solvers whose cost is a hard 2^n (gamma_ir, gamma_reg, max_cut) refuse
-n > SIZE_GUARD = 26.  max_cut walks the sides in Gray-code order, so each
-side costs one popcount.  gamma_ir and gamma_reg visit the k-subsets of each
-size in ascending mask order and test each one in a single inline loop.  From order 12 on they split each subset into a high
-and a low half and skip, in bulk, the low halves on which the high vertices
-outside the subset already break the count condition.  gamma_ir also skips
-the sizes for which the degree sequence leaves no room for pairwise distinct
-counts.
+Everything here enumerates subsets, so the intended range is small n.  alpha,
+alpha_ir and alpha_reg share one branch-and-bound maximum independent set
+search that yields the smallest-mask witness directly; alpha_ir runs it with
+every degree class joined into a clique, alpha_reg inside each degree class.
+The solvers whose cost is a hard 2^n (gamma_ir, gamma_reg, max_cut) refuse
+n > SIZE_GUARD = 26.  max_cut walks the sides in Gray-code order, so each side
+costs one popcount.  gamma_ir and gamma_reg visit the k-subsets of each size
+in ascending mask order and test each one in a single inline loop.  From
+order 12 on they split each subset into a high and a low half and skip, in
+bulk, the low halves on which the high vertices outside the subset already
+break the count condition.  gamma_ir also skips the sizes for which the
+degree sequence leaves no room for pairwise distinct counts.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from irregraph.graph import Graph, VertexSet, classify_degrees
 
@@ -276,99 +281,71 @@ def _require_small(g: Graph, what: str) -> None:
         )
 
 
-def _alpha_value(rows, candidates: int) -> int:
-    """Branch and bound maximum independent set size within a candidate mask."""
-    best = 0
+def _max_independent(rows, cand: int) -> tuple[int, int]:
+    """Size and mask of the smallest-mask maximum independent set in cand.
 
-    def grow(cand: int, count: int) -> None:
-        nonlocal best
+    Vertex-ordered branch and bound (Carraghan and Pardalos, 1990, for
+    independent sets): branch on the highest candidate, leaving it out
+    first, so the leaves come in ascending mask order.  A branch is cut
+    when even taking every remaining candidate cannot beat the incumbent,
+    and the incumbent only changes on strict improvement, so the first
+    set of the final size reached is the smallest-mask one.
+    """
+    best = best_mask = 0
+
+    def grow(cand: int, chosen: int, count: int) -> None:
+        nonlocal best, best_mask
         if count + cand.bit_count() <= best:
             return
         if not cand:
-            best = count
+            best, best_mask = count, chosen
             return
-        low = cand & -cand
-        v = low.bit_length() - 1
-        grow(cand & ~(rows[v] | low), count + 1)
-        grow(cand ^ low, count)
+        top = 1 << (cand.bit_length() - 1)
+        grow(cand ^ top, chosen, count)
+        grow(cand & ~(rows[top.bit_length() - 1] | top), chosen | top, count + 1)
 
-    grow(candidates, 0)
-    return best
-
-
-def _witness_of_size(g: Graph, k: int, valid: Callable[[int], bool]) -> VertexSet:
-    for mask in _subset_masks_of_size(g.n, k):
-        if valid(mask):
-            return VertexSet(g.n, mask)
-    raise AssertionError("solver value has no witness; solver bug")
+    grow(cand, 0, 0)
+    return best, best_mask
 
 
 def alpha(g: Graph) -> Extremum:
     """Independence number with the smallest-mask maximum independent set."""
     if g.n < 1:
         raise ValueError("parameters need at least one vertex")
-    rows = g.rows
-    value = _alpha_value(rows, (1 << g.n) - 1)
-    return Extremum(
-        value, _witness_of_size(g, value, lambda m: _independent_mask(rows, m))
-    )
+    size, mask = _max_independent(g.rows, (1 << g.n) - 1)
+    return Extremum(size, VertexSet(g.n, mask))
 
 
 def alpha_ir(g: Graph) -> Extremum:
     """Irregular independence number.
 
-    Any irregular independent set picks at most one vertex per degree class,
-    so the search branches over classes instead of vertices, in decreasing
-    class-degree order, pruning a branch when even taking one vertex from
-    every remaining class cannot beat the incumbent.
+    An irregular independent set takes at most one vertex per degree class,
+    so it is an independent set of g once each degree class is made a
+    clique: the one search runs on rows[v] | class of deg v.
     """
     if g.n < 1:
         raise ValueError("parameters need at least one vertex")
-    rows, degs = g.rows, g.degrees()
     dc = classify_degrees(g)
-    class_masks = [dc.classes[d].mask for d in reversed(dc.distinct)]
-    nclasses = len(class_masks)
-    best = 0
-
-    def grow(i: int, chosen: int, count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        if i == nclasses or count + (nclasses - i) <= best:
-            return
-        rest = class_masks[i]
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            if not rows[v] & chosen:
-                grow(i + 1, chosen | low, count + 1)
-            rest &= rest - 1
-        grow(i + 1, chosen, count)
-
-    grow(0, 0, 0)
-    witness = _witness_of_size(
-        g,
-        best,
-        lambda m: _independent_mask(rows, m) and _degrees_distinct(degs, m),
-    )
-    return Extremum(best, witness)
+    rows = [row | dc.classes[d].mask for row, d in zip(g.rows, dc.degrees)]
+    size, mask = _max_independent(rows, (1 << g.n) - 1)
+    return Extremum(size, VertexSet(g.n, mask))
 
 
 def alpha_reg(g: Graph) -> Extremum:
-    """Regular independence number: the best degree class taken alone."""
+    """Regular independence number.
+
+    A regular independent set lies inside one degree class, so the search
+    runs on each class alone; the largest wins, and on a tie the smaller
+    mask.
+    """
     if g.n < 1:
         raise ValueError("parameters need at least one vertex")
-    rows, degs = g.rows, g.degrees()
-    dc = classify_degrees(g)
-    best = max(
-        _alpha_value(rows, dc.classes[d].mask) for d in dc.distinct
+    classes = classify_degrees(g).classes.values()
+    size, mask = max(
+        (_max_independent(g.rows, c.mask) for c in classes),
+        key=lambda found: (found[0], -found[1]),
     )
-    witness = _witness_of_size(
-        g,
-        best,
-        lambda m: _independent_mask(rows, m) and _degrees_equal(degs, m),
-    )
-    return Extremum(best, witness)
+    return Extremum(size, VertexSet(g.n, mask))
 
 
 def _distinct_counts_fit(degs, k: int) -> bool:

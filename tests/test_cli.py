@@ -82,6 +82,25 @@ def test_compute_reads_input_file(tmp_path):
     assert len(out.splitlines()) == 2
 
 
+def test_input_file_that_cannot_be_read_exits_two(tmp_path):
+    missing = str(tmp_path / "missing.g6")
+    for argv in (("compute",), ("recognize", "planar")):
+        code, out, err = run_cli(*argv, "--input", missing)
+        assert code == 2 and out == ""
+        assert err.startswith(f"{argv[0]}: ") and "missing.g6" in err
+        assert len(err.splitlines()) == 1
+
+
+def test_input_file_non_ascii_byte_names_its_line(tmp_path):
+    corpus = tmp_path / "graphs.g6"
+    corpus.write_bytes(b"Ch\n\xffCh\n")
+    for argv in (("compute",), ("recognize", "planar")):
+        code, out, err = run_cli(*argv, "--input", str(corpus))
+        assert code == 2 and out.startswith("Ch ")
+        assert err.startswith("line 2: bad header byte")
+        assert len(err.splitlines()) == 1
+
+
 def test_compute_rejects_bad_line_with_number():
     code, out, err = run_cli("compute", stdin_text="Ch\n??bad??\n")
     assert code == 2

@@ -1,5 +1,6 @@
-"""The package exports every name its README and demos import from it, and
-every demo runs to completion."""
+"""The package exports every name its README and demos import from it, the
+README states the sweep limit the harness enforces, and every demo runs to
+completion."""
 
 import ast
 import importlib
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from irregraph.harness import ENUMERATION_LIMIT
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -32,6 +35,15 @@ def test_readme_and_demo_imports_resolve():
     assert {"full_report", "parse_graph6", "verify_range"} <= names
     package = importlib.import_module("irregraph")
     assert sorted(n for n in names if not hasattr(package, n)) == []
+
+
+def test_readme_sweep_order_matches_enumeration_limit():
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    claimed = re.findall(r"every labeled graph up to order (\d+)", readme)
+    refused = re.findall(r"order (\d+) is refused", readme)
+    assert claimed and refused
+    assert {int(n) for n in claimed} == {ENUMERATION_LIMIT}
+    assert {int(n) for n in refused} == {ENUMERATION_LIMIT + 1}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

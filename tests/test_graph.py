@@ -94,14 +94,6 @@ def test_edge_mask_round_trip():
     assert from_edge_mask(5, g.edge_mask) == g
 
 
-def test_induced_subgraph_relabels():
-    g = cycle_graph(5)
-    h = g.induced([0, 1, 2, 4])
-    assert h.n == 4
-    # kept edges: 01, 12, 40 -> relabeled 01, 12, 03
-    assert sorted(h.edges()) == [(0, 1), (0, 3), (1, 2)]
-
-
 def test_vertex_set():
     s = VertexSet.from_members(5, [0, 3])
     assert s.mask == 0b01001
