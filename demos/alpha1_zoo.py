@@ -11,6 +11,7 @@ prints one sample per named family.
 from collections import Counter
 
 from irregraph import (
+    ENUMERATION_LIMIT,
     alpha_ir,
     classify_outerplanar_alpha1,
     classify_planar_alpha1,
@@ -57,4 +58,7 @@ if __name__ == "__main__":
         print(f"{name:<22} {count:>6}")
     print()
     print("Every planar alpha_ir = 1 graph lands in exactly one family above;")
-    print("the sweep checks this equivalence on every graph through order 7.")
+    print(
+        "the sweep checks this equivalence on every graph through order "
+        f"{ENUMERATION_LIMIT}."
+    )

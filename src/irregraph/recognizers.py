@@ -1,16 +1,16 @@
 """Membership tests for the characterized graph classes.
 
 Three kinds of recognition live here.  First, exact planarity and
-outerplanarity at small scale: a graph is planar iff it contains no
-subdivision of K_5 or of K_{3,3} as a subgraph, which an exhaustive
-branch-vertex and disjoint-path search decides directly, and a graph is
-outerplanar iff joining one universal vertex to it leaves it planar.  Second,
-the degree-structure condition equivalent to alpha_ir = 1: vertices of
-distinct degrees are pairwise adjacent and every degree class induces a
-regular subgraph of the forced degree.  Third, structural classifiers mapping
-a graph to the family it belongs to in the characterizations of planar
-alpha_ir = 1 graphs, outerplanar alpha_ir = 1 graphs, and graphs with
-gamma_ir in {n, n-1}.
+outerplanarity at any order: the path-addition test of Demoucron, Malgrange
+and Pertuiset (1964) embeds one path at a time, each through the fragment
+that fits the fewest faces, and fails exactly when some fragment fits none;
+a graph is outerplanar iff joining one universal vertex to it leaves it
+planar.  Second, the degree-structure condition equivalent to alpha_ir = 1:
+vertices of distinct degrees are pairwise adjacent and every degree class
+induces a regular subgraph of the forced degree.  Third, structural
+classifiers mapping a graph to the family it belongs to in the
+characterizations of planar alpha_ir = 1 graphs, outerplanar alpha_ir = 1
+graphs, and graphs with gamma_ir in {n, n-1}.
 
 The classifiers match by degree counts and local structure, never by
 isomorphism search or a Lemma 3.1 gate, and each matcher is exact: it fires
@@ -25,103 +25,122 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 from typing import Optional
 
 from irregraph.graph import Graph, classify_degrees, complete_graph, join
 
-PLANARITY_BUDGET = 16
-OUTERPLANARITY_BUDGET = PLANARITY_BUDGET - 1
+# -- planarity by path addition ------------------------------------------------
 
 
-# -- planarity by forbidden subdivisions --------------------------------------
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _paths_embed(rows, branch_mask: int, pairs) -> bool:
-    """Internally disjoint paths realizing all pairs, avoiding branch vertices.
-
-    Each pair (u, v) needs a path whose internal vertices are drawn from the
-    shared free pool; a direct edge counts.  Classic backtracking: route the
-    pairs one at a time, trying shorter paths first only in the sense that the
-    direct hop is attempted before any extension.
-    """
-
-    def connect(i: int, used: int) -> bool:
-        if i == len(pairs):
-            return True
-        u, v = pairs[i]
-        vbit = 1 << v
-
-        def extend(cur: int, taken: int) -> bool:
-            if rows[cur] & vbit and connect(i + 1, used | taken):
-                return True
-            cand = rows[cur] & ~(branch_mask | used | taken)
-            while cand:
-                low = cand & -cand
-                if extend(low.bit_length() - 1, taken | low):
-                    return True
-                cand &= cand - 1
-            return False
-
-        return extend(u, 0)
-
-    return connect(0, 0)
+def _touch(rows, mask: int) -> int:
+    """Every vertex adjacent to some vertex of mask."""
+    out = 0
+    for v in _bits(mask):
+        out |= rows[v]
+    return out
 
 
-def _has_k5_subdivision(g: Graph) -> bool:
-    """Subdivision of K_5 present?  Branch vertices need degree >= 4."""
-    rows = g.rows
-    cands = [v for v in range(g.n) if rows[v].bit_count() >= 4]
-    for combo in combinations(cands, 5):
-        branch_mask = 0
-        for v in combo:
-            branch_mask |= 1 << v
-        pairs = [(u, v) for i, u in enumerate(combo) for v in combo[i + 1 :]]
-        if _paths_embed(rows, branch_mask, pairs):
-            return True
-    return False
+def _component(rows, mask: int, seed: int) -> int:
+    """The vertices of mask reachable from the seed bits inside mask."""
+    reach = frontier = seed
+    while frontier:
+        frontier = _touch(rows, frontier) & mask & ~reach
+        reach |= frontier
+    return reach
 
 
-def _has_k33_subdivision(g: Graph) -> bool:
-    """Subdivision of K_{3,3} present?  Branch vertices need degree >= 3; the
-    first pick is pinned to one side to kill the side-swap symmetry."""
-    rows = g.rows
-    cands = [v for v in range(g.n) if rows[v].bit_count() >= 3]
-    for chosen in combinations(cands, 6):
-        first, rest = chosen[0], chosen[1:]
-        branch_mask = 0
-        for v in chosen:
-            branch_mask |= 1 << v
-        for others in combinations(rest, 2):
-            side_b = tuple(v for v in rest if v not in others)
-            pairs = [(u, v) for u in (first,) + others for v in side_b]
-            if _paths_embed(rows, branch_mask, pairs):
-                return True
-    return False
+def _path(rows, comp: int, att: int) -> list[int]:
+    """A path through comp from one attachment to another, by layered search."""
+    a = next(_bits(att))
+    others = att & ~(1 << a)
+    targets = _touch(rows, others)
+    layers, seen = [rows[a] & comp], 0
+    while not layers[-1] & targets:
+        seen |= layers[-1]
+        layers.append(_touch(rows, layers[-1]) & comp & ~seen)
+    x = next(_bits(layers.pop() & targets))
+    path = [next(_bits(rows[x] & others)), x]
+    while layers:
+        path.append(next(_bits(layers.pop() & rows[path[-1]])))
+    return path + [a]
 
 
 def is_planar(g: Graph) -> bool:
-    """Exact planarity for n <= 16.
+    """Exact planarity by Demoucron-Malgrange-Pertuiset path addition.
 
     Density prescreen first (planar graphs on n >= 3 vertices have at most
-    3n - 6 edges), then the subdivision search for the two minimal
-    obstructions.
+    3n - 6 edges), then each piece on the worklist grows a plane embedding
+    from an edge at its highest-degree vertex.  A fragment attached at one
+    vertex (a cut vertex) or at none goes on the worklist as a piece of its own.
     """
-    if g.n > PLANARITY_BUDGET:
-        raise ValueError(f"planarity search is budgeted to n <= {PLANARITY_BUDGET}")
-    if g.n <= 4:
+    n, rows = g.n, g.rows
+    if n <= 4:
         return True
-    if g.m > 3 * g.n - 6:
+    if g.m > 3 * n - 6:
         return False
-    return not (_has_k5_subdivision(g) or _has_k33_subdivision(g))
+    work = [(1 << n) - 1]
+    while work:
+        piece = work.pop()
+        u = max(_bits(piece), key=lambda x: (rows[x] & piece).bit_count())
+        if not rows[u] & piece:
+            continue
+        v = next(_bits(rows[u] & piece))
+        placed = 1 << u | 1 << v
+        plane = [0] * n
+        plane[u], plane[v] = 1 << v, 1 << u
+        faces = [(placed, [u, v])]  # (vertex mask, boundary walk)
+        while True:
+            # fragments as (attachments, body): each unembedded edge between
+            # embedded vertices, then each component of the unembedded ones
+            fragments = [
+                (1 << a | 1 << b, 0)
+                for a in _bits(placed)
+                for b in _bits(rows[a] & placed & ~plane[a])
+                if a < b
+            ]
+            free = piece & ~placed
+            while free:
+                comp = _component(rows, free, free & -free)
+                free &= ~comp
+                att = _touch(rows, comp) & placed
+                if att & (att - 1):
+                    fragments.append((att, comp))
+                else:
+                    work.append(comp | att)
+                    piece &= ~comp
+            if not fragments:
+                break
+            # the fragment that fits the fewest faces; fitting none is fatal
+            att, comp = min(
+                fragments, key=lambda f: sum(not f[0] & ~mask for mask, _ in faces)
+            )
+            homes = [i for i, (mask, _) in enumerate(faces) if not att & ~mask]
+            if not homes:
+                return False
+            path = _path(rows, comp, att) if comp else list(_bits(att))
+            # the path cuts its face in two
+            cycle = faces.pop(homes[0])[1]
+            i = cycle.index(path[0])
+            cycle = cycle[i:] + cycle[:i]
+            j = cycle.index(path[-1])
+            for half in cycle[: j + 1] + path[-2:0:-1], cycle[j:] + path[:-1]:
+                faces.append((sum(1 << x for x in half), half))
+            for x, y in zip(path, path[1:]):
+                plane[x] |= 1 << y
+                plane[y] |= 1 << x
+                placed |= 1 << x
+    return True
 
 
 def is_outerplanar(g: Graph) -> bool:
     """True iff adding one universal vertex keeps the graph planar."""
-    if g.n > OUTERPLANARITY_BUDGET:
-        raise ValueError(
-            f"outerplanarity search is budgeted to n <= {OUTERPLANARITY_BUDGET}"
-        )
     return is_planar(join(complete_graph(1), g))
 
 
@@ -191,22 +210,6 @@ def _class_pair_nonadjacent(g: Graph, degs, d: int) -> bool:
     return len(pair) == 2 and not g.has_edge(pair[0], pair[1])
 
 
-def _connected_within(rows, mask: int) -> bool:
-    if mask == 0:
-        return True
-    reach = mask & -mask
-    while True:
-        grown = reach
-        rest = reach
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            grown |= rows[v] & mask
-            rest &= rest - 1
-        if grown == reach:
-            return reach == mask
-        reach = grown
-
-
 def classify_planar_alpha1(g: Graph) -> Optional[FamilyTag]:
     """The planar alpha_ir = 1 family containing g, or None.
 
@@ -260,16 +263,9 @@ def classify_planar_alpha1(g: Graph) -> Optional[FamilyTag]:
         and _class_pair_nonadjacent(g, degs, n - 2)
     ):
         # the degree-4 part must induce one cycle, not a cycle union
-        cyc = 0
-        for v in range(n):
-            if degs[v] == 4:
-                cyc |= 1 << v
-        inner_ok = all(
-            (g.rows[v] & cyc).bit_count() == 2
-            for v in range(n)
-            if cyc >> v & 1
-        )
-        if inner_ok and _connected_within(g.rows, cyc):
+        cyc = sum(1 << v for v in range(n) if degs[v] == 4)
+        inner_ok = all((g.rows[v] & cyc).bit_count() == 2 for v in _bits(cyc))
+        if inner_ok and _component(g.rows, cyc, cyc & -cyc) == cyc:
             return FamilyTag(Family.E2_PLUS_CYCLE, {"n": n})
     if (
         n >= 5

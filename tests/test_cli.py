@@ -183,6 +183,14 @@ def test_recognize_text_and_json():
     assert json.loads(out)["value"] is None
 
 
+def test_recognize_planar_alpha1_beyond_order_16():
+    # networkx's dodecahedral graph, written by write_graph6
+    dodecahedron = "ShCHGD@?K?_@?@?C_GGG@??cG?G?GK_?C"
+    code, out, err = run_cli("recognize", "planar-alpha1", dodecahedron)
+    assert (code, err) == (0, "")
+    assert out == f"{dodecahedron} planar-alpha1=RegularPlanar(n=20,r=3)\n"
+
+
 def test_recognize_bad_input_exits_two():
     code, _, err = run_cli("recognize", "lemma31", stdin_text="!!!\n")
     assert code == 2

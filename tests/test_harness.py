@@ -34,8 +34,8 @@ from oracles import enumerate_labeled_graphs, sweep_order_labeled
 GRAPHS_THROUGH = {0: 1, 1: 2, 2: 4, 3: 12, 4: 76, 5: 1100, 6: 33868}
 
 # labeled planar and outerplanar graph counts per order
-PLANAR_COUNTS = {1: 1, 2: 2, 3: 8, 4: 64, 5: 1023, 6: 32071}
-OUTERPLANAR_COUNTS = {1: 1, 2: 2, 3: 8, 4: 63, 5: 893, 6: 19714}
+PLANAR_COUNTS = {1: 1, 2: 2, 3: 8, 4: 64, 5: 1023, 6: 32071, 7: 1823707}
+OUTERPLANAR_COUNTS = {1: 1, 2: 2, 3: 8, 4: 63, 5: 893, 6: 19714, 7: 597510}
 
 
 @st.composite
@@ -201,7 +201,7 @@ def test_verify_range_validation():
 
 
 def test_planarity_class_sums_match_known_counts():
-    for n in range(1, 7):
+    for n in range(1, 8):
         weights = [
             (g, factorial(n) // aut) for g, aut in isomorphism_classes(n)
         ]
