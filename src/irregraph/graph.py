@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 def pair_index(u: int, v: int) -> int:
@@ -265,14 +265,20 @@ class DegreeClassification:
     Delta: int
 
 
+def _degree_masks(degs: Sequence[int]) -> dict[int, int]:
+    """Each degree that occurs, mapped to the mask of its vertices."""
+    classes: dict[int, int] = {}
+    for v, d in enumerate(degs):
+        classes[d] = classes.get(d, 0) | (1 << v)
+    return classes
+
+
 def classify_degrees(g: Graph) -> DegreeClassification:
     """Group vertices by degree.  Undefined (raises) for n = 0."""
     if g.n == 0:
         raise ValueError("degree classification needs at least one vertex")
     degs = g.degrees()
-    classes: dict[int, int] = {}
-    for v, d in enumerate(degs):
-        classes[d] = classes.get(d, 0) | (1 << v)
+    classes = _degree_masks(degs)
     distinct = tuple(sorted(classes))
     return DegreeClassification(
         degrees=degs,
@@ -294,7 +300,9 @@ def _refined_cells(rows: Sequence[int]) -> list[list[int]]:
     Colours start as degrees.  Each round recolours every vertex by its own
     colour and the sorted colours of its neighbors, ranked in sorted order,
     until no cell splits.  Nothing depends on the labels, so isomorphic graphs
-    get corresponding cells in the same order.
+    get corresponding cells in the same order.  Each round only splits cells
+    and keeps their order, so the last cell lies inside the set of vertices
+    with the largest (degree, sorted neighbour degrees).
     """
     n = len(rows)
     colour = [row.bit_count() for row in rows]
@@ -322,14 +330,13 @@ def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _cell_orderings(rows: Sequence[int], cell: list[int]) -> tuple[list, int]:
-    """Orderings of one cell up to swaps of twins, and how many each stands for.
+def _cell_orderings(rows: Sequence[int], cell: list[int]) -> tuple[list, list]:
+    """Orderings of one cell up to swaps of twins, and the cell's twin classes.
 
     u and v are twins when N(u) - {v} = N(v) - {u}.  Swapping them is an
     automorphism, so it never changes an edge code.  Twinship is an
     equivalence, and only the orderings that keep each twin class in
-    ascending order are listed; each stands for the product of the class
-    factorials.
+    ascending order are listed.
     """
     classes: list[list[int]] = []
     for v in cell:
@@ -340,39 +347,58 @@ def _cell_orderings(rows: Sequence[int], cell: list[int]) -> tuple[list, int]:
                 break
         else:
             classes.append([v])
-    weight = 1
-    for twins in classes:
-        weight *= factorial(len(twins))
-    if weight == 1:
-        return list(permutations(cell)), 1
-    symbols = [s for s, twins in enumerate(classes) for _ in twins]
-    orderings = []
-    for arrangement in set(permutations(symbols)):
-        members = [iter(twins) for twins in classes]
-        orderings.append(tuple(next(members[s]) for s in arrangement))
-    return orderings, weight
+    if len(classes) == len(cell):  # no twins: the same list, built faster
+        return list(permutations(cell)), classes
+    return _interleavings(classes), classes
 
 
-def _canonical(rows: Sequence[int]) -> tuple[int, int]:
+def _interleavings(classes: list[list[int]]) -> list[tuple[int, ...]]:
+    """Every ordering of the union of classes that keeps each class in order."""
+    if len(classes) == 1:
+        return [tuple(classes[0])]
+    out = []
+    for i, (head, *tail) in enumerate(classes):
+        rest = classes[:i] + [tail] * bool(tail) + classes[i + 1:]
+        out.extend((head,) + order for order in _interleavings(rest))
+    return out
+
+
+class _Labelling(NamedTuple):
+    """The best orderings of a graph's vertices and what they give.
+
+    best lists every ordering, up to swaps of twins, whose edge code is the
+    key; each is a tuple of vertices by position.  twins holds the twin
+    classes with more than one member.
+    """
+
+    key: int
+    aut: int
+    best: list[tuple[int, ...]]
+    twins: list[list[int]]
+
+
+def _labelling(rows: Sequence[int], cells: list[list[int]]) -> _Labelling:
     n = len(rows)
     edges = [(u, v) for v in range(n) for u in range(v) if rows[v] >> u & 1]
     bits = _pair_bits(n)
-    best, ties = -1, 0
+    key, tied = -1, []
     position = [0] * n
-    per_cell = [_cell_orderings(rows, cell) for cell in _refined_cells(rows)]
+    per_cell = [_cell_orderings(rows, cell) for cell in cells]
     for parts in product(*(orderings for orderings, _ in per_cell)):
         for i, v in enumerate(chain.from_iterable(parts)):
             position[v] = i
         code = 0
         for u, v in edges:
             code |= bits[position[u]][position[v]]
-        if code > best:
-            best, ties = code, 1
-        elif code == best:
-            ties += 1
-    for _, weight in per_cell:
-        ties *= weight
-    return best, ties
+        if code > key:
+            key, tied = code, [parts]
+        elif code == key:
+            tied.append(parts)
+    twins = [t for _, classes in per_cell for t in classes if len(t) > 1]
+    aut = len(tied)
+    for t in twins:
+        aut *= factorial(len(t))
+    return _Labelling(key, aut, [tuple(chain.from_iterable(p)) for p in tied], twins)
 
 
 def canonical_form(g: Graph) -> tuple[int, int]:
@@ -388,36 +414,128 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     product of the cell factorials (n! for a single cell); intended for n up
     to about 8.
     """
-    return _canonical(g.rows)
+    lab = _labelling(g.rows, _refined_cells(g.rows))
+    return lab.key, lab.aut
+
+
+def _automorphisms(lab: _Labelling) -> list[list[int]]:
+    """Generators of Aut(g), each as the list of vertex images.
+
+    For two best orderings o and p, the map o[i] -> p[i] is an automorphism.
+    The maps from the first best ordering to each other one, with the
+    transpositions of adjacent members of each twin class, generate the
+    whole group.
+    """
+    first = lab.best[0]
+    gens = []
+    for other in lab.best[1:]:
+        image = [0] * len(first)
+        for a, b in zip(first, other):
+            image[a] = b
+        gens.append(image)
+    for twins in lab.twins:
+        for a, b in zip(twins, twins[1:]):
+            image = list(range(len(first)))
+            image[a], image[b] = b, a
+            gens.append(image)
+    return gens
+
+
+def _hood_orbits(n: int, gens: list[list[int]]) -> list[int]:
+    """The smallest vertex mask of each orbit of the group gens generate on
+    the 2^n subsets of n vertices, ascending."""
+    top = 1 << n
+    tables = []
+    for image in gens:
+        table = [0] * top
+        for mask in range(1, top):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] | 1 << image[low.bit_length() - 1]
+        tables.append(table)
+    seen = bytearray(top)
+    smallest = []
+    for mask in range(top):
+        if seen[mask]:
+            continue
+        smallest.append(mask)
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            for table in tables:
+                image = table[m]
+                if not seen[image]:
+                    seen[image] = 1
+                    stack.append(image)
+    return smallest
+
+
+def _accepted_labelling(rows: list[int]) -> Optional[_Labelling]:
+    """The labelling of rows if their last vertex is the canonical one to
+    delete, else None.
+
+    The canonical vertex is the one at the last position of the best
+    orderings; it lies in the last refinement cell, so among the vertices
+    with the largest (degree, sorted neighbour degrees), which is checked
+    first.  The last vertex qualifies when it is in that vertex's orbit: the
+    vertices at the last position over all best orderings, closed under
+    swaps of twins.  The listed orderings keep each twin class ascending,
+    so the last position always holds the largest member of its class; the
+    last vertex is the largest of its own, so it is in the closure exactly
+    when some listed best ordering ends with it.
+    """
+    n = len(rows)
+    last = n - 1
+    degs = [row.bit_count() for row in rows]
+    d = degs[last]
+    if max(degs) > d:
+        return None
+    mine = sorted(degs[u] for u in range(last) if rows[last] >> u & 1)
+    for v in range(last):
+        if degs[v] == d and sorted(
+            degs[u] for u in range(n) if rows[v] >> u & 1
+        ) > mine:
+            return None
+    cells = _refined_cells(rows)
+    if last not in cells[-1]:
+        return None
+    lab = _labelling(rows, cells)
+    return lab if any(order[-1] == last for order in lab.best) else None
 
 
 @lru_cache(maxsize=None)
 def isomorphism_classes(n: int) -> tuple[tuple[Graph, int], ...]:
     """One graph per isomorphism class of order n, with |Aut|, by ascending key.
 
-    Order n grows from order n-1 by adding vertex n-1 to each class
-    representative once for each of its 2^(n-1) neighbourhoods (McKay,
-    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Every
-    order-n graph minus its last vertex lies in some order-(n-1) class, so
-    every class is reached; the canonical key keeps one graph per class, the
-    one whose edge mask is the key.  The class of g has n!/|Aut(g)| labeled
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998): every order-n graph minus a vertex lies in an
+    order-(n-1) class, so adding vertex n-1 to each class representative
+    reaches every class.  Neighbourhoods in one orbit of the representative's
+    automorphism group give the same child, so only the smallest of each
+    orbit is tried.  A child is kept only when vertex n-1 is in the orbit of
+    its canonical vertex to delete (_accepted_labelling), which holds for
+    exactly one parent class and one neighbourhood orbit, so every class is
+    produced once, with no table of keys.  The representative is the graph
+    whose edge mask is the key; the class of g has n!/|Aut(g)| labeled
     members.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
     if n == 0:
         return ((empty_graph(0), 1),)
-    autos: dict[int, int] = {}
-    top = 1 << (n - 1)
-    for g, _ in isomorphism_classes(n - 1):
-        for hood in range(top):
-            rows = [
-                row | top if hood >> v & 1 else row for v, row in enumerate(g.rows)
-            ]
-            rows.append(hood)
-            key, aut = _canonical(rows)
-            autos.setdefault(key, aut)
-    return tuple((from_edge_mask(n, key), autos[key]) for key in sorted(autos))
+    found = []
+    new = 1 << (n - 1)
+    for parent, _ in isomorphism_classes(n - 1):
+        rows = parent.rows
+        gens = _automorphisms(_labelling(rows, _refined_cells(rows)))
+        for hood in _hood_orbits(n - 1, gens):
+            child = [row | new if hood >> v & 1 else row for v, row in enumerate(rows)]
+            child.append(hood)
+            lab = _accepted_labelling(child)
+            if lab is not None:
+                found.append((lab.key, lab.aut))
+    found.sort()
+    return tuple((from_edge_mask(n, key), aut) for key, aut in found)
 
 
 def labeled_copies(g: Graph) -> list[int]:

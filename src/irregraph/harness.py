@@ -448,12 +448,17 @@ def _evaluate(row: _Row, c: _Ctx) -> Verdict:
     )
 
 
+def _verdicts(g: Graph, t41_divisor: int) -> tuple[Verdict, ...]:
+    """The verdict of every row on one graph, in THEOREM_IDS order."""
+    c = _Ctx(g, t41_divisor)
+    return tuple(_evaluate(row, c) for row in _ROWS)
+
+
 def theorem_report(g: Graph, t41_divisor: int = 2) -> TheoremReport:
     """Evaluate every row of the table on one graph."""
     if g.n < 1:
         raise ValueError("checks need at least one vertex")
-    c = _Ctx(g, t41_divisor)
-    return TheoremReport(write_graph6(g), tuple(_evaluate(row, c) for row in _ROWS))
+    return TheoremReport(write_graph6(g), _verdicts(g, t41_divisor))
 
 
 # -- sweep driver -----------------------------------------------------------------
@@ -473,18 +478,20 @@ def _sweep_order(n: int, t41_divisor: int):
     """Per-theorem counts and the violating (edge mask, verdicts) pairs of
     order n, in ascending mask order.
 
-    One report per isomorphism class, weighted by its n!/|Aut| members; each
-    member of a violating class carries its class's verdicts.
+    One set of verdicts per isomorphism class, weighted by its n!/|Aut|
+    members; each member of a violating class carries its class's verdicts.
+    No graph6 text is built here: verify_range encodes only the members of
+    violating classes.
     """
     counts = _blank_counts()
     violating: list[tuple[int, tuple[Verdict, ...]]] = []
     for g, aut in isomorphism_classes(n):
         weight = factorial(n) // aut
-        report = theorem_report(g, t41_divisor)
-        for v in report.verdicts:
+        verdicts = _verdicts(g, t41_divisor)
+        for v in verdicts:
             counts[v.theorem_id][v.status] += weight
-        if report.failures:
-            violating.extend((mask, report.verdicts) for mask in labeled_copies(g))
+        if any(v.status == "fail" for v in verdicts):
+            violating.extend((mask, verdicts) for mask in labeled_copies(g))
     violating.sort(key=lambda pair: pair[0])
     return counts, violating
 
@@ -493,8 +500,7 @@ def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
     """Check every theorem on every labeled graph of order 1..n_max.
 
     The order-0 graph is counted but carries no checks.  The result is
-    deterministic.  Order 8 (268,435,456 labeled graphs, 12,346 classes)
-    takes about half a minute on one core, mostly generating the classes.
+    deterministic.
     """
     if not 0 <= n_max <= ENUMERATION_LIMIT:
         raise ValueError(f"sweep budget is 0 <= n_max <= {ENUMERATION_LIMIT}")

@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, NamedTuple
 
-from irregraph.graph import Graph, VertexSet, classify_degrees
+from irregraph.graph import Graph, VertexSet, _degree_masks, classify_degrees
 
 SIZE_GUARD = 26
 
@@ -325,8 +325,9 @@ def alpha_ir(g: Graph) -> Extremum:
     """
     if g.n < 1:
         raise ValueError("parameters need at least one vertex")
-    dc = classify_degrees(g)
-    rows = [row | dc.classes[d].mask for row, d in zip(g.rows, dc.degrees)]
+    degs = g.degrees()
+    classes = _degree_masks(degs)
+    rows = [row | classes[d] for row, d in zip(g.rows, degs)]
     size, mask = _max_independent(rows, (1 << g.n) - 1)
     return Extremum(size, VertexSet(g.n, mask))
 
@@ -340,9 +341,8 @@ def alpha_reg(g: Graph) -> Extremum:
     """
     if g.n < 1:
         raise ValueError("parameters need at least one vertex")
-    classes = classify_degrees(g).classes.values()
     size, mask = max(
-        (_max_independent(g.rows, c.mask) for c in classes),
+        (_max_independent(g.rows, c) for c in _degree_masks(g.degrees()).values()),
         key=lambda found: (found[0], -found[1]),
     )
     return Extremum(size, VertexSet(g.n, mask))

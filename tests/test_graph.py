@@ -34,7 +34,7 @@ from irregraph.graph import (
     windmill,
     write_graph6,
 )
-from oracles import is_isomorphic
+from oracles import classes_by_key_dict, is_isomorphic
 
 
 @st.composite
@@ -192,11 +192,17 @@ def test_isomorphism_closed_under_relabeling(pair):
 def test_class_counts_and_labeled_weights():
     # unlabeled graphs on n nodes (OEIS A000088), and the orbit-counting
     # identity: the classes' n!/|Aut| members are all 2^C(n,2) labeled graphs
-    expected = (1, 1, 2, 4, 11, 34, 156, 1044)
+    expected = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
     for n, want in enumerate(expected):
         classes = isomorphism_classes(n)
         assert len(classes) == want
         assert sum(factorial(n) // aut for _, aut in classes) == 1 << pair_count(n)
+
+
+def test_classes_match_key_dict_oracle():
+    for n in range(8):
+        got = [(g.edge_mask, aut) for g, aut in isomorphism_classes(n)]
+        assert got == list(classes_by_key_dict(n))
 
 
 def test_class_representatives_pairwise_non_isomorphic():
