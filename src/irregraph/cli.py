@@ -65,8 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compute = sub.add_parser("compute", help="exact parameters per graph")
     compute.set_defaults(handler=_cmd_compute)
-    compute.add_argument("graphs", nargs="*", metavar="GRAPH6")
-    compute.add_argument("--input", metavar="PATH")
+    source = compute.add_mutually_exclusive_group()
+    # a default makes the positional optional, which the group requires
+    source.add_argument("graphs", nargs="*", default=[], metavar="GRAPH6")
+    source.add_argument("--input", metavar="PATH")
     compute.add_argument("--format", choices=("text", "json"), default="text")
 
     construct = sub.add_parser("construct", help="build a named family member")
@@ -78,8 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     recognize = sub.add_parser("recognize", help="structural question per graph")
     recognize.set_defaults(handler=_cmd_recognize)
     recognize.add_argument("property", choices=sorted(PROPERTIES))
-    recognize.add_argument("graphs", nargs="*", metavar="GRAPH6")
-    recognize.add_argument("--input", metavar="PATH")
+    source = recognize.add_mutually_exclusive_group()
+    source.add_argument("graphs", nargs="*", default=[], metavar="GRAPH6")
+    source.add_argument("--input", metavar="PATH")
     recognize.add_argument("--format", choices=("text", "json"), default="text")
 
     verify = sub.add_parser("verify", help="sweep all graphs up to an order")

@@ -8,10 +8,10 @@ measured one.
 Each family is one row of FAMILIES: its parameter names and types, its
 builder, its claims and its sharpness grid.  The builder raises ValueError
 outside the family's parameter domain, and is the only place that domain is
-stated.  evaluate is the one path through a row.  build_*, the command line
-and the sharpness suite all call it; build_* raise ConstructionError on a
-failed claim, while evaluate reports it, so a sweep can collect failures in
-bulk or re-check a deliberately corrupted graph.
+stated.  evaluate is the one path through a row, and the command line and
+the sharpness suite both call it.  It reports a failed claim rather than
+raising, so a sweep can collect failures in bulk or re-check a deliberately
+corrupted graph.
 
 Edge assignment conventions: when a construction says a vertex receives some
 number of neighbors on the other side without naming them, it takes the
@@ -50,10 +50,6 @@ from irregraph.params import (
 )
 
 
-class ConstructionError(ValueError):
-    """A built graph failed one of its claimed parameter values."""
-
-
 @dataclass(frozen=True)
 class Claim:
     """A claimed integer value and the measured one.  A radical bound is
@@ -66,10 +62,6 @@ class Claim:
     @property
     def ok(self) -> bool:
         return self.actual == self.expected
-
-    def __str__(self) -> str:
-        mark = "ok" if self.ok else "FAIL"
-        return f"{self.label}: expected {self.expected}, got {self.actual} [{mark}]"
 
 
 @dataclass(frozen=True)
@@ -86,13 +78,6 @@ class ConstructionReport:
     @property
     def failures(self) -> tuple[Claim, ...]:
         return tuple(c for c in self.claims if not c.ok)
-
-
-def _checked(report: ConstructionReport) -> Graph:
-    if not report.ok:
-        lines = "; ".join(str(c) for c in report.failures)
-        raise ConstructionError(f"{report.family}{report.params}: {lines}")
-    return report.graph
 
 
 # -- the prefix and round-robin wirings ------------------------------------------
@@ -127,6 +112,7 @@ def _round_robin(k: int, degrees: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def _clique_union(r: int, t: int) -> Graph:
+    """Disjoint cliques of sizes r, r+1, ..., r+t-1; alpha_ir comes out t."""
     if r < 1 or t < 1:
         raise ValueError("needs r >= 1 and t >= 1")
     g = empty_graph(0)
@@ -156,8 +142,13 @@ def _claims_staircase_gamma(g: Graph, n: int) -> list[Claim]:
 
 
 def _modstar(r: int, t: int) -> Graph:
-    """v_i (i = 1..t) takes the r+i-1 w-indices s_{i-1}+1 .. s_i, reduced
-    mod k = r+t-1, where s_i = sum_{j<i} (r+j)."""
+    """Interval-schedule bipartite graph attaining both the maximum-cut
+    radical bound on alpha_ir (modstar) and the floor((n - delta + 1)/2)
+    ceiling (alpha_sharp_bipartite) exactly.
+
+    v_i (i = 1..t) takes the r+i-1 w-indices s_{i-1}+1 .. s_i, reduced
+    mod k = r+t-1, where s_i = sum_{j<i} (r+j).
+    """
     if r < 1 or t < 1:
         raise ValueError("needs r >= 1 and t >= 1")
     if not _balanced(r, t):
@@ -177,6 +168,8 @@ def _claims_alpha_sharp_bipartite(g: Graph, r: int, t: int) -> list[Claim]:
 
 
 def _alpha_sharp_clique(r: int, t: int) -> Graph:
+    """K_r plus t outside vertices wired so the quadratic-radical ceiling on
+    alpha_ir collapses to the integer t and is attained."""
     if not 1 <= t <= r:
         raise ValueError("needs r >= t >= 1")
     edges = [(u, v) for v in range(r) for u in range(v)]
@@ -236,6 +229,8 @@ def _product_extremal_parts(n: int) -> tuple[int, list[tuple[int, int, int]], in
 
 
 def _product_extremal(n: int) -> Graph:
+    """Split [n] into an irregular independent X and a regular independent Y
+    so that alpha_ir times alpha_reg reaches floor(n/2) ceil(n/2)."""
     if n < 4:
         raise ValueError("needs n >= 4")
     x_size, pairs, full_vertex = _product_extremal_parts(n)
@@ -267,6 +262,8 @@ def _claims_product_extremal(g: Graph, n: int) -> list[Claim]:
 
 
 def _sum_extremal(n: int, k: int) -> Graph:
+    """E_{k-2} with a clique on the other n-k+2 vertices; the two independence
+    numbers sum to exactly k."""
     if not 2 <= k <= n + 1:
         raise ValueError("needs 2 <= k <= n+1")
     return disjoint_union(empty_graph(k - 2), complete_graph(n - k + 2))
@@ -283,6 +280,8 @@ def _claims_sum_extremal(g: Graph, n: int, k: int) -> list[Claim]:
 
 
 def _ng_alpha(n: int) -> Graph:
+    """Clique of floor(n/2) v's plus ceil(n/2) u's on a prefix staircase; the
+    irregular independence numbers of the graph and its complement add to n."""
     if n < 2:
         raise ValueError("needs n >= 2")
     k = (n + 1) // 2
@@ -301,6 +300,8 @@ def _claims_ng_alpha(g: Graph, n: int) -> list[Claim]:
 
 
 def _ng_gamma(n: int) -> Graph:
+    """Graph whose irregular domination number equals ceil(n/2) in both the
+    graph and its complement, so the sum and product floors are attained."""
     if n < 3:
         raise ValueError("needs n >= 3")
     if n % 2 == 1:
@@ -337,6 +338,9 @@ _RELATION_CASES = ("delta_pos", "delta_zero", "complement")
 
 
 def _relation_extremal(n: int, case: str) -> Graph:
+    """Staircase attaining the sum/product ceilings tying alpha_ir to
+    gamma_ir: with minimum degree positive (delta_pos), with an isolated
+    vertex (delta_zero), or against the complement (complement)."""
     if n < 2:
         raise ValueError("needs n >= 2")
     if case not in _RELATION_CASES:
@@ -466,72 +470,6 @@ def evaluate(family: str, params: dict, graph: Optional[Graph] = None) -> Constr
     if graph is not None:
         g = graph
     return ConstructionReport(family, dict(params), g, tuple(row.claims(g, **params)))
-
-
-def _build(family: str, **params) -> Graph:
-    return _checked(evaluate(family, params))
-
-
-def build_clique_union(r: int, t: int) -> Graph:
-    """Disjoint cliques of sizes r, r+1, ..., r+t-1; alpha_ir comes out t."""
-    return _build("clique_union", r=r, t=t)
-
-
-def build_alpha_sharp_bipartite(r: int, t: int) -> Graph:
-    """Bipartite graph attaining the floor((n - delta + 1)/2) ceiling.
-
-    k = r+t-1 w-vertices; v_i receives r+i-1 w-neighbors round-robin.  The
-    balance precondition t(t-1) >= 2r(r-1) is what makes delta equal r.
-    This is the modstar graph, checked against a different bound.
-    """
-    return _build("alpha_sharp_bipartite", r=r, t=t)
-
-
-def build_alpha_sharp_clique(r: int, t: int) -> Graph:
-    """K_r plus t outside vertices wired so the quadratic-radical ceiling on
-    alpha_ir collapses to the integer t and is attained."""
-    return _build("alpha_sharp_clique", r=r, t=t)
-
-
-def build_modstar(r: int, t: int) -> Graph:
-    """Interval-schedule bipartite graph attaining the maximum-cut radical
-    bound on alpha_ir exactly; needs t(t-1) >= 2r(r-1)."""
-    return _build("modstar", r=r, t=t)
-
-
-def build_product_extremal(n: int) -> Graph:
-    """Split [n] into an irregular independent X and a regular independent Y
-    so that alpha_ir times alpha_reg reaches floor(n/2) ceil(n/2)."""
-    return _build("product_extremal", n=n)
-
-
-def build_sum_extremal(n: int, k: int) -> Graph:
-    """E_{k-2} with a clique on the other n-k+2 vertices; the two independence
-    numbers sum to exactly k, for any 2 <= k <= n+1."""
-    return _build("sum_extremal", n=n, k=k)
-
-
-def build_ng_alpha(n: int) -> Graph:
-    """Clique of floor(n/2) v's plus ceil(n/2) u's on a prefix staircase; the
-    irregular independence numbers of the graph and its complement add to n."""
-    return _build("ng_alpha", n=n)
-
-
-def build_ng_gamma(n: int) -> Graph:
-    """Graph whose irregular domination number equals ceil(n/2) in both the
-    graph and its complement, so the sum and product floors are attained.
-
-    Odd orders use the prefix staircase; n = 4 is the path, n = 6 a bespoke
-    six-edge graph, and even n >= 8 a staircase with one column rewired.
-    """
-    return _build("ng_gamma", n=n)
-
-
-def build_relation_extremal(n: int, case: str) -> Graph:
-    """Staircase attaining the sum/product ceilings tying alpha_ir to
-    gamma_ir: with minimum degree positive (delta_pos), with an isolated
-    vertex (delta_zero), or against the complement (complement)."""
-    return _build("relation_extremal", n=n, case=case)
 
 
 def metadata_comment(report: ConstructionReport) -> str:

@@ -586,8 +586,10 @@ def write_graph6(g: Graph) -> str:
 def parse_graph6(text: str | bytes) -> Graph:
     """Decode one short-form graph6 value; bit-exact inverse of write_graph6."""
     if isinstance(text, bytes):
-        text = text.decode("ascii", errors="strict")
-    text = text.strip()
+        # latin-1 maps every byte to the code point of its value, so a
+        # non-ASCII byte meets the range checks below
+        text = text.decode("latin-1")
+    text = text.strip(" \t\n\r\v\f")  # ASCII whitespace only
     if not text:
         raise Graph6Error("empty graph6 value")
     head = ord(text[0])

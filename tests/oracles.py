@@ -6,11 +6,14 @@ a sweep that checks every labeled graph instead of weighting class
 representatives by n!/|Aut|, isomorphism classes from a dict of canonical
 keys over every one-vertex extension instead of canonical augmentation, and
 an isomorphism test by backtracking instead of canonical keys.
+checked_member builds a construction family member and asserts that every
+claim measured on it holds.
 """
 
 from functools import lru_cache
 from typing import Iterator
 
+from irregraph.constructions import evaluate
 from irregraph.graph import Graph, canonical_form, from_edge_mask, pair_count
 from irregraph.harness import ENUMERATION_LIMIT, _blank_counts, theorem_report
 
@@ -113,3 +116,11 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
         return False
 
     return extend(0)
+
+
+def checked_member(family: str, **params) -> Graph:
+    """The graph evaluate builds for family and params, after asserting that
+    every claim measured on it holds."""
+    report = evaluate(family, params)
+    assert report.ok, report.failures
+    return report.graph

@@ -18,9 +18,6 @@ from irregraph import (
     Family,
     THEOREM_IDS,
     alpha_ir,
-    build_clique_union,
-    build_modstar,
-    build_ng_gamma,
     classify_gamma_extremal,
     classify_outerplanar_alpha1,
     classify_planar_alpha1,
@@ -42,6 +39,7 @@ from irregraph import (
     write_graph6,
 )
 from irregraph.bounds import DEFAULT_RAMSEY
+from oracles import checked_member
 
 LABELED_GRAPHS_THROUGH = {6: 33_868, 7: 2_131_020}
 
@@ -136,12 +134,12 @@ def test_criterion_3_sharpness_contracts():
     summary = sharpness_suite()
 
     spread_ok = all(
-        (rep := full_report(build_clique_union(**p))).alpha_ir
+        (rep := full_report(checked_member("clique_union", **p))).alpha_ir
         == rep.Delta - rep.delta + 1
         for p in FAMILIES["clique_union"].grid
     )
     radical_ok = all(
-        _cut_radical_attained(build_modstar(**p), p["t"])
+        _cut_radical_attained(checked_member("modstar", **p), p["t"])
         for p in FAMILIES["modstar"].grid
     )
     stair_ok = all(
@@ -151,7 +149,7 @@ def test_criterion_3_sharpness_contracts():
     ng_ok = all(
         gamma_ir(g).value + gamma_ir(complement(g)).value == 2 * ((n + 1) // 2)
         for n in range(3, 13)
-        for g in [build_ng_gamma(n)]
+        for g in [checked_member("ng_gamma", n=n)]
     )
 
     elapsed = time.perf_counter() - start

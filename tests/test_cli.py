@@ -12,9 +12,10 @@ import pytest
 
 from irregraph import constructions
 from irregraph.cli import main
-from irregraph.constructions import FAMILIES, build_clique_union
+from irregraph.constructions import FAMILIES
 from irregraph.graph import complete_graph, star_graph, write_graph6
 from irregraph.harness import THEOREM_IDS, Verdict
+from oracles import checked_member
 
 
 def run_cli(*argv, stdin_text=""):
@@ -91,6 +92,15 @@ def test_input_file_that_cannot_be_read_exits_two(tmp_path):
         assert len(err.splitlines()) == 1
 
 
+def test_inline_graphs_and_input_file_exclude_each_other(tmp_path):
+    missing = str(tmp_path / "missing.g6")
+    for argv in (("compute",), ("recognize", "planar")):
+        for tail in (("A_", "--input", missing), ("--input", missing, "A_")):
+            code, out, err = run_cli(*argv, *tail)
+            assert code == 2 and out == ""
+            assert err.startswith("usage: ")
+
+
 def test_input_file_non_ascii_byte_names_its_line(tmp_path):
     corpus = tmp_path / "graphs.g6"
     corpus.write_bytes(b"Ch\n\xffCh\n")
@@ -111,7 +121,7 @@ def test_construct_example_with_metadata():
     code, out, _ = run_cli("construct", "clique_union", "--r", "1", "--t", "3")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == write_graph6(build_clique_union(1, 3))
+    assert lines[0] == write_graph6(checked_member("clique_union", r=1, t=3))
     assert lines[1].startswith("# clique_union(r=1,t=3)")
     assert "alpha_ir=3" in lines[1]
 
@@ -326,7 +336,9 @@ def test_python_dash_m_runs_the_cli(module):
         capture_output=True, text=True, env=_cli_env(), check=False,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[0] == write_graph6(build_clique_union(1, 3))
+    assert done.stdout.splitlines()[0] == write_graph6(
+        checked_member("clique_union", r=1, t=3)
+    )
 
 
 def test_closed_stdout_exits_one_without_traceback():

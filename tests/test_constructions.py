@@ -1,10 +1,11 @@
-"""Construction builders: frozen example values, precondition errors, grid
+"""Construction families: frozen example values, precondition errors, grid
 sweeps, and graph6 round-trips.
 
-The builders already assert their own claims via the exact solvers, so a
-grid test passing means every claimed parameter value was recomputed and
-matched.  The frozen values below pin the examples down independently, so a
-silent change to a builder's output graph cannot hide behind its own checks.
+Members come from evaluate, and checked_member asserts that every claim the
+exact solvers measure on a member holds, so a grid test passing means every
+claimed parameter value was recomputed and matched.  The frozen values below
+pin the examples down independently, so a silent change to a builder's
+output graph cannot hide behind its own checks.
 """
 
 import hashlib
@@ -18,15 +19,6 @@ from irregraph import (
     ConstructionReport,
     alpha_ir,
     alpha_reg,
-    build_alpha_sharp_bipartite,
-    build_alpha_sharp_clique,
-    build_clique_union,
-    build_modstar,
-    build_ng_alpha,
-    build_ng_gamma,
-    build_product_extremal,
-    build_relation_extremal,
-    build_sum_extremal,
     complement,
     evaluate,
     from_edges,
@@ -37,13 +29,14 @@ from irregraph import (
     write_graph6,
 )
 from irregraph import constructions
-from irregraph.constructions import ConstructionError, _modstar
+from irregraph.constructions import _modstar
+from oracles import checked_member
 
 
 def test_clique_union_values():
-    assert alpha_ir(build_clique_union(1, 3)).value == 3
-    assert alpha_ir(build_clique_union(2, 2)).value == 2
-    g = build_clique_union(1, 3)
+    assert alpha_ir(checked_member("clique_union", r=1, t=3)).value == 3
+    assert alpha_ir(checked_member("clique_union", r=2, t=2)).value == 2
+    g = checked_member("clique_union", r=1, t=3)
     assert g.n == 1 + 2 + 3 and g.m == 0 + 1 + 3
 
 
@@ -55,43 +48,43 @@ def test_staircase_shapes():
 
 
 def test_alpha_sharp_bipartite_values():
-    g = build_alpha_sharp_bipartite(1, 2)
+    g = checked_member("alpha_sharp_bipartite", r=1, t=2)
     assert g.n == 4 and alpha_ir(g).value == 2
-    g = build_alpha_sharp_bipartite(2, 4)
+    g = checked_member("alpha_sharp_bipartite", r=2, t=4)
     assert g.n == 9 and min(g.degrees()) == 2 and alpha_ir(g).value == 4
 
 
 def test_alpha_sharp_bipartite_rejects_unbalanced():
     # t(t-1) < 2r(r-1) leaves some w short of degree r
     with pytest.raises(ValueError):
-        build_alpha_sharp_bipartite(2, 2)
+        evaluate("alpha_sharp_bipartite", {"r": 2, "t": 2})
 
 
 def test_alpha_sharp_clique_values():
-    g = build_alpha_sharp_clique(2, 2)
+    g = checked_member("alpha_sharp_clique", r=2, t=2)
     assert g.m == 4 and alpha_ir(g).value == 2
-    g = build_alpha_sharp_clique(3, 2)
+    g = checked_member("alpha_sharp_clique", r=3, t=2)
     assert g.m == 8 and alpha_ir(g).value == 2
     with pytest.raises(ValueError):
-        build_alpha_sharp_clique(2, 3)
+        evaluate("alpha_sharp_clique", {"r": 2, "t": 3})
 
 
 def test_modstar_values():
-    g = build_modstar(1, 2)
+    g = checked_member("modstar", r=1, t=2)
     assert max_cut(g).value == 3 and alpha_ir(g).value == 2
-    g = build_modstar(2, 4)
+    g = checked_member("modstar", r=2, t=4)
     assert g.n == 9 and g.m == 14 and alpha_ir(g).value == 4
     with pytest.raises(ValueError, match=re.escape("needs t(t-1) >= 2r(r-1)")):
-        build_modstar(3, 2)
+        evaluate("modstar", {"r": 3, "t": 2})
     with pytest.raises(ValueError, match="needs r >= 1 and t >= 1"):
-        build_modstar(0, 1)
+        evaluate("modstar", {"r": 0, "t": 1})
 
 
 def test_modstar_matches_round_robin_bipartite():
     # the two families share one builder
     for r, t in [(1, 1), (1, 4), (2, 4), (2, 6), (3, 5)]:
-        a = build_modstar(r, t)
-        b = build_alpha_sharp_bipartite(r, t)
+        a = checked_member("modstar", r=r, t=t)
+        b = checked_member("alpha_sharp_bipartite", r=r, t=t)
         assert a.rows == b.rows
 
 
@@ -115,42 +108,40 @@ def test_round_robin_is_the_interval_schedule():
 
 @pytest.mark.parametrize("n,product", [(4, 4), (5, 6), (6, 9), (7, 12), (8, 16), (9, 20)])
 def test_product_extremal_values(n, product):
-    g = build_product_extremal(n)
+    g = checked_member("product_extremal", n=n)
     assert alpha_ir(g).value * alpha_reg(g).value == product
 
 
 def test_sum_extremal_values():
     for n, k, total in [(5, 2, 2), (5, 6, 6), (6, 4, 4)]:
-        g = build_sum_extremal(n, k)
+        g = checked_member("sum_extremal", n=n, k=k)
         assert alpha_ir(g).value + alpha_reg(g).value == total
     with pytest.raises(ValueError):
-        build_sum_extremal(5, 7)
+        evaluate("sum_extremal", {"n": 5, "k": 7})
 
 
 def test_ng_alpha_values():
     for n, total, product in [(2, 2, 1), (5, 5, 6), (6, 6, 9)]:
-        g = build_ng_alpha(n)
+        g = checked_member("ng_alpha", n=n)
         a, ac = alpha_ir(g).value, alpha_ir(complement(g)).value
         assert a + ac == total and a * ac == product
 
 
 def test_ng_gamma_values():
     for n, total, product in [(4, 4, 4), (5, 6, 9), (8, 8, 16)]:
-        g = build_ng_gamma(n)
+        g = checked_member("ng_gamma", n=n)
         a, ac = gamma_ir(g).value, gamma_ir(complement(g)).value
         assert a + ac == total and a * ac == product
 
 
 def test_relation_extremal_values():
-    g = build_relation_extremal(6, "delta_pos")
+    g = checked_member("relation_extremal", n=6, case="delta_pos")
     assert alpha_ir(g).value + gamma_ir(g).value == 6
-    g = build_relation_extremal(5, "delta_zero")
+    g = checked_member("relation_extremal", n=5, case="delta_zero")
     assert alpha_ir(g).value + gamma_ir(g).value == 6
     assert alpha_ir(g).value * gamma_ir(g).value == 9
-    g = build_relation_extremal(2, "delta_pos")
+    g = checked_member("relation_extremal", n=2, case="delta_pos")
     assert alpha_ir(g).value + gamma_ir(g).value == 2
-    with pytest.raises(ValueError):
-        build_relation_extremal(5, "sideways")
     with pytest.raises(ValueError):
         evaluate("relation_extremal", {"n": 5, "case": "sideways"})
     with pytest.raises(ValueError):
@@ -160,19 +151,23 @@ def test_relation_extremal_values():
 @pytest.mark.parametrize("case", ["delta_pos", "delta_zero", "complement"])
 @pytest.mark.parametrize("n", range(2, 11))
 def test_relation_extremal_grid(n, case):
-    build_relation_extremal(n, case)
+    checked_member("relation_extremal", n=n, case=case)
 
 
 def test_grids_round_trip_graph6():
     graphs = []
     for r in range(1, 4):
         for t in range(1, 4):
-            graphs.append(build_clique_union(r, t))
+            graphs.append(checked_member("clique_union", r=r, t=t))
             if t * (t - 1) >= 2 * r * (r - 1):
-                graphs.append(build_modstar(r, t))
-    graphs += [build_ng_gamma(n) for n in range(3, 11)]
-    graphs += [build_product_extremal(n) for n in range(4, 11)]
-    graphs += [build_sum_extremal(n, k) for n in range(2, 7) for k in range(2, n + 2)]
+                graphs.append(checked_member("modstar", r=r, t=t))
+    graphs += [checked_member("ng_gamma", n=n) for n in range(3, 11)]
+    graphs += [checked_member("product_extremal", n=n) for n in range(4, 11)]
+    graphs += [
+        checked_member("sum_extremal", n=n, k=k)
+        for n in range(2, 7)
+        for k in range(2, n + 2)
+    ]
     for g in graphs:
         assert parse_graph6(write_graph6(g)).rows == g.rows
 
@@ -221,35 +216,32 @@ def test_metadata_comment_format():
 
 
 def test_builder_raises_construction_error(monkeypatch):
-    # ConstructionError is a ValueError carrying the failed claims
-    assert issubclass(ConstructionError, ValueError)
+    # a solver answering one too many is reported as a failed claim
     real = constructions.alpha_ir
     monkeypatch.setattr(
         constructions, "alpha_ir", lambda g: real(g)._replace(value=real(g).value + 1)
     )
-    with pytest.raises(ConstructionError, match="alpha_ir: expected 3, got 4"):
-        build_clique_union(1, 3)
-    assert not evaluate("clique_union", {"r": 1, "t": 3}).ok
+    report = evaluate("clique_union", {"r": 1, "t": 3})
+    assert not report.ok
+    assert [(c.label, c.expected, c.actual) for c in report.failures] == [
+        ("alpha_ir", 3, 4)
+    ]
 
 
 @pytest.mark.parametrize(
-    "build,args,family,params,condition",
+    "family,params,condition",
     [
-        (build_clique_union, (0, 1), "clique_union", {"r": 0, "t": 1}, "r >= 1 and t >= 1"),
-        (build_alpha_sharp_bipartite, (2, 2), "alpha_sharp_bipartite", {"r": 2, "t": 2},
-         "t(t-1) >= 2r(r-1)"),
-        (build_alpha_sharp_clique, (2, 3), "alpha_sharp_clique", {"r": 2, "t": 3}, "r >= t >= 1"),
-        (build_sum_extremal, (5, 7), "sum_extremal", {"n": 5, "k": 7}, "2 <= k <= n+1"),
-        (build_ng_alpha, (1,), "ng_alpha", {"n": 1}, "n >= 2"),
-        (build_ng_gamma, (2,), "ng_gamma", {"n": 2}, "n >= 3"),
-        (build_product_extremal, (3,), "product_extremal", {"n": 3}, "n >= 4"),
-        (build_relation_extremal, (1, "delta_pos"), "relation_extremal",
-         {"n": 1, "case": "delta_pos"}, "n >= 2"),
+        ("clique_union", {"r": 0, "t": 1}, "r >= 1 and t >= 1"),
+        ("alpha_sharp_bipartite", {"r": 2, "t": 2}, "t(t-1) >= 2r(r-1)"),
+        ("alpha_sharp_clique", {"r": 2, "t": 3}, "r >= t >= 1"),
+        ("sum_extremal", {"n": 5, "k": 7}, "2 <= k <= n+1"),
+        ("ng_alpha", {"n": 1}, "n >= 2"),
+        ("ng_gamma", {"n": 2}, "n >= 3"),
+        ("product_extremal", {"n": 3}, "n >= 4"),
+        ("relation_extremal", {"n": 1, "case": "delta_pos"}, "n >= 2"),
     ],
 )
-def test_one_domain_check_for_build_and_evaluate(build, args, family, params, condition):
-    with pytest.raises(ValueError, match=re.escape(condition)):
-        build(*args)
+def test_one_domain_check_for_build_and_evaluate(family, params, condition):
     with pytest.raises(ValueError, match=re.escape(condition)):
         evaluate(family, params)
     # a supplied graph does not skip the domain check

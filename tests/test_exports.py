@@ -1,6 +1,6 @@
-"""The package exports every name its README and demos import from it, the
-README states the sweep limit the harness enforces, and every demo runs to
-completion."""
+"""The package exports every name its README and demos import from it and
+every name the README calls inline, the README states the sweep limit the
+harness enforces, and every demo runs to completion."""
 
 import ast
 import importlib
@@ -33,8 +33,11 @@ def test_readme_and_demo_imports_resolve():
     sources += [p.read_text() for p in DEMOS]
     names = set().union(*map(_imported_names, sources))
     assert {"full_report", "parse_graph6", "verify_range"} <= names
+    # inline calls in the prose, such as `sharpness_suite()`
+    called = set(re.findall(r"`([A-Za-z_]\w*)\(", readme))
+    assert {"evaluate", "sharpness_suite"} <= called
     package = importlib.import_module("irregraph")
-    assert sorted(n for n in names if not hasattr(package, n)) == []
+    assert sorted(n for n in names | called if not hasattr(package, n)) == []
 
 
 def test_readme_sweep_order_matches_enumeration_limit():

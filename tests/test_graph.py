@@ -288,6 +288,9 @@ def test_graph6_accepts_bytes_and_whitespace():
         "C",  # truncated body
         "Chh",  # trailing garbage
         "A" + chr(200),  # body byte out of range
+        b"C\xffh",  # non-ASCII body byte
+        b"\xff",  # non-ASCII header byte
+        b"\xa0Ch",  # non-ASCII whitespace is not stripped
     ],
 )
 def test_graph6_rejects_malformed(bad):

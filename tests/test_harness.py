@@ -191,7 +191,7 @@ def test_weakened_bound_cannot_fire():
 
 
 def test_verify_range_validation():
-    # order 8 is accepted (about half a minute), order 9 is not
+    # order 8 is accepted (about 10 seconds), order 9 is not
     with pytest.raises(ValueError, match="n_max <= 8"):
         verify_range(9)
     with pytest.raises(ValueError):
