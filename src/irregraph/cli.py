@@ -23,7 +23,7 @@ import sys
 from typing import TextIO
 
 from irregraph.constructions import FAMILIES, evaluate, metadata_comment
-from irregraph.graph import Graph6Error, parse_graph6, write_graph6
+from irregraph.graph import ASCII_WHITESPACE, Graph6Error, parse_graph6, write_graph6
 from irregraph.harness import sharpness_suite, verify_range
 from irregraph.params import full_report
 from irregraph.recognizers import (
@@ -56,7 +56,8 @@ _CONSTRUCT_PARAMS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="irregraph",
         description="exact irregular independence and domination toolkit",
@@ -94,7 +95,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sharp.set_defaults(handler=_cmd_sharpness)
     sharp.add_argument("--families", nargs="+", metavar="FAMILY")
     sharp.add_argument("--corrupt-sample", action="store_true")
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """Parse argv; GRAPH6 arguments may also follow an option.
+
+    argparse fills the nargs="*" GRAPH6 positional, with nothing, once it
+    passes the positionals before it, so later graph6 strings are left over.
+    """
+    parser, commands = _build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if not rest:
+        return args
+    if "graphs" not in args or any(arg.startswith("-") for arg in rest):
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    if args.input is not None:
+        commands[args.command].error(
+            "argument GRAPH6: not allowed with argument --input"
+        )
+    args.graphs = [*args.graphs, *rest]
+    return args
 
 
 def _input_lines(args, stdin: TextIO):
@@ -119,7 +140,7 @@ def _cmd_compute(args, stdin, out, err) -> int:
         print(f"compute: {exc}", file=err)
         return 2
     for lineno, raw in lines:
-        line = raw.strip()
+        line = raw.strip(ASCII_WHITESPACE)
         if not line:
             continue
         if line.startswith("#"):
@@ -183,7 +204,7 @@ def _cmd_recognize(args, stdin, out, err) -> int:
         print(f"recognize: {exc}", file=err)
         return 2
     for lineno, raw in lines:
-        line = raw.strip()
+        line = raw.strip(ASCII_WHITESPACE)
         if not line or line.startswith("#"):
             continue
         try:
@@ -245,7 +266,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     try:
         # argparse prints help and usage errors to sys.stdout and sys.stderr
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            args = _build_parser().parse_args(argv)
+            args = _parse(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

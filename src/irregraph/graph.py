@@ -538,13 +538,11 @@ def isomorphism_classes(n: int) -> tuple[tuple[Graph, int], ...]:
     return tuple((from_edge_mask(n, key), aut) for key, aut in found)
 
 
-def labeled_copies(g: Graph) -> list[int]:
-    """Edge masks of the distinct relabelings of g, ascending."""
+def labeled_copies(g: Graph) -> set[int]:
+    """Edge masks of the distinct relabelings of g."""
     edges = list(g.edges())
     bits = _pair_bits(g.n)
-    return sorted({
-        sum(bits[p[u]][p[v]] for u, v in edges) for p in permutations(range(g.n))
-    })
+    return {sum(bits[p[u]][p[v]] for u, v in edges) for p in permutations(range(g.n))}
 
 
 # -- graph6 codec ---------------------------------------------------------
@@ -583,13 +581,17 @@ def write_graph6(g: Graph) -> str:
     return graph6_from_edge_mask(g.n, g.edge_mask)
 
 
+# the only blanks parse_graph6 strips; a Unicode space fails the parse
+ASCII_WHITESPACE = " \t\n\r\v\f"
+
+
 def parse_graph6(text: str | bytes) -> Graph:
     """Decode one short-form graph6 value; bit-exact inverse of write_graph6."""
     if isinstance(text, bytes):
         # latin-1 maps every byte to the code point of its value, so a
         # non-ASCII byte meets the range checks below
         text = text.decode("latin-1")
-    text = text.strip(" \t\n\r\v\f")  # ASCII whitespace only
+    text = text.strip(ASCII_WHITESPACE)
     if not text:
         raise Graph6Error("empty graph6 value")
     head = ord(text[0])

@@ -2,8 +2,8 @@
 
 Each of the 28 published facts the package checks is one row of a table,
 evaluated over exact solver output by one evaluator.  An inequality row
-names an integer value and its integer bounds, which come from
-irregraph.bounds, where each published inequality is stated once; a
+names an integer value and its integer bounds, taken from irregraph.bounds
+or, in T3.2i and the sum and product rows, written inline; a
 characterization row names the two sides of an "if and only if"; a few rows
 carry both.  Each row has a witness template that the evaluator fills in
 only when the row fails, with the instantiated inequality, so a failure can
@@ -11,14 +11,16 @@ be re-checked by hand from the graph6 string alone.  A sweep covers every
 labeled graph up to a given order (all 2^C(n,2) edge masks, nothing
 sampled).
 
-Every check is invariant under relabeling, so the sweep evaluates one
-representative per isomorphism class and counts its verdicts n!/|Aut| times,
-once for each labeled member.  A class with a failing check is expanded back
-into its labeled members, each reported under its own graph6 string with the
-class's verdicts: every witness string is built from isomorphism invariants
-(parameter values, degree classes, family tags), so a member's verdicts equal
-its representative's.  The tests hold the class sweep to a labeled sweep that
-checks every edge mask, verdicts included.
+Every check is invariant under relabeling, so verify_range loops once over
+the isomorphism classes of each order and counts each class's verdicts
+n!/|Aut| times, once for each labeled member; those weights must add up to
+2^C(n,2), which checks the class generator on every run.  A class with a
+failing check is expanded back into its labeled members, each reported under
+its own graph6 string with the class's verdicts: every witness string is
+built from isomorphism invariants (parameter values, degree classes, family
+tags), so a member's verdicts equal its representative's.  The tests hold
+the class sweep to a labeled sweep that checks every edge mask, verdicts
+included.
 
 verify_range and theorem_report take t41_divisor, the 2 in the published
 ceil(n/2) domination lower bound (T4.1).  Setting it to 1 claims
@@ -468,39 +470,12 @@ def _blank_counts() -> dict:
     return {tid: {"pass": 0, "fail": 0, "not_applicable": 0} for tid in THEOREM_IDS}
 
 
-def _merge_counts(into: dict, part: dict) -> None:
-    for tid, cell in part.items():
-        for key, val in cell.items():
-            into[tid][key] += val
-
-
-def _sweep_order(n: int, t41_divisor: int):
-    """Per-theorem counts and the violating (edge mask, verdicts) pairs of
-    order n, in ascending mask order.
-
-    One set of verdicts per isomorphism class, weighted by its n!/|Aut|
-    members; each member of a violating class carries its class's verdicts.
-    No graph6 text is built here: verify_range encodes only the members of
-    violating classes.
-    """
-    counts = _blank_counts()
-    violating: list[tuple[int, tuple[Verdict, ...]]] = []
-    for g, aut in isomorphism_classes(n):
-        weight = factorial(n) // aut
-        verdicts = _verdicts(g, t41_divisor)
-        for v in verdicts:
-            counts[v.theorem_id][v.status] += weight
-        if any(v.status == "fail" for v in verdicts):
-            violating.extend((mask, verdicts) for mask in labeled_copies(g))
-    violating.sort(key=lambda pair: pair[0])
-    return counts, violating
-
-
 def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
     """Check every theorem on every labeled graph of order 1..n_max.
 
-    The order-0 graph is counted but carries no checks.  The result is
-    deterministic.
+    Violations are sorted by graph6.  AssertionError means the class weights
+    of some order do not add up to 2^C(n,2).  The order-0 graph is counted
+    but carries no checks.  The result is deterministic.
     """
     if not 0 <= n_max <= ENUMERATION_LIMIT:
         raise ValueError(f"sweep budget is 0 <= n_max <= {ENUMERATION_LIMIT}")
@@ -511,15 +486,21 @@ def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
     graphs_checked = 1  # the single order-0 graph
     violations: list[TheoremReport] = []
     for n in range(1, n_max + 1):
-        graphs_checked += 1 << pair_count(n)
-        part_counts, violating = _sweep_order(n, t41_divisor)
-        _merge_counts(counts, part_counts)
-        # verdicts are isomorphism-invariant, so each labeled member of a
-        # violating class is reported with its class's verdicts tuple
-        violations.extend(
-            TheoremReport(graph6_from_edge_mask(n, mask), verdicts)
-            for mask, verdicts in violating
-        )
+        members = 0
+        for g, aut in isomorphism_classes(n):
+            weight = factorial(n) // aut
+            members += weight
+            verdicts = _verdicts(g, t41_divisor)
+            for v in verdicts:
+                counts[v.theorem_id][v.status] += weight
+            if any(v.status == "fail" for v in verdicts):
+                violations.extend(
+                    TheoremReport(graph6_from_edge_mask(n, mask), verdicts)
+                    for mask in labeled_copies(g)
+                )
+        if members != 1 << pair_count(n):
+            raise AssertionError(f"order {n}: class weights add up to {members}")
+        graphs_checked += members
     violations.sort(key=lambda r: r.graph)
     wall = int((time.monotonic() - start) * 1000)
     return SweepSummary(n_max, graphs_checked, counts, tuple(violations), wall)

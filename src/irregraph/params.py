@@ -40,6 +40,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, NamedTuple
 
+from irregraph.bounds import lb_gamma_ir_thm41
 from irregraph.graph import Graph, VertexSet, _degree_masks, classify_degrees
 
 SIZE_GUARD = 26
@@ -464,8 +465,8 @@ def _equal_nonzero(outside, everything: int) -> int:
 def gamma_ir(g: Graph) -> Extremum:
     """Irregular domination number.
 
-    Candidate sizes run upward from max(ceil(n/2), n - Delta), which is a
-    proven lower bound, so the first size admitting a valid set is optimal.
+    Candidate sizes run upward from the Thm 4.1 lower bound, so the first
+    size admitting a valid set is optimal.
     Sizes whose degree intervals cannot hold n - k distinct counts are
     skipped as well.  Within a size the masks come in ascending order, less
     those on which two high vertices outside the mask share a count or one
@@ -478,7 +479,7 @@ def gamma_ir(g: Graph) -> Extremum:
     rows, n, degs = g.rows, g.n, g.degrees()
     vertices = [(1 << v, rows[v]) for v in range(n)]
     scan = _SplitScan(rows)
-    for k in range(max((n + 1) // 2, n - max(degs)), n + 1):
+    for k in range(lb_gamma_ir_thm41(n, max(degs)), n + 1):
         if not _distinct_counts_fit(degs, k):
             continue
         for mask in scan.masks(k, _distinct_nonzero):

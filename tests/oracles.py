@@ -27,7 +27,9 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
 
 
 def sweep_order_labeled(n: int, t41_divisor: int):
-    """Labeled reference for harness._sweep_order: one report per edge mask."""
+    """Labeled reference for one order of harness.verify_range: per-theorem
+    counts and the (edge mask, verdicts) pairs of the violating graphs, one
+    report per edge mask."""
     counts = _blank_counts()
     violating = []
     for g in enumerate_labeled_graphs(n):

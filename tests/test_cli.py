@@ -101,6 +101,40 @@ def test_inline_graphs_and_input_file_exclude_each_other(tmp_path):
             assert err.startswith("usage: ")
 
 
+def test_graphs_after_an_option_are_parsed(tmp_path):
+    for late, early in (
+        (
+            ("recognize", "planar", "--format", "json", "A_"),
+            ("recognize", "--format", "json", "planar", "A_"),
+        ),
+        (
+            ("compute", "A_", "--format", "json", "B?"),
+            ("compute", "--format", "json", "A_", "B?"),
+        ),
+    ):
+        code, out, err = run_cli(*late)
+        assert (code, err) == (0, "") and out
+        assert run_cli(*early) == (code, out, err)
+    corpus = tmp_path / "graphs.g6"
+    corpus.write_text("Ch\n")
+    code, out, err = run_cli("recognize", "planar", "--input", str(corpus), "A_")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        "irregraph recognize: error: argument GRAPH6: not allowed with argument --input"
+    )
+
+
+def test_unicode_space_around_a_line_is_kept(tmp_path):
+    # compute and recognize strip the ASCII blanks parse_graph6 strips, and
+    # no others, so a no-break space fails the parse
+    corpus = tmp_path / "graphs.g6"
+    corpus.write_bytes("\u00a0Ch\n".encode())
+    for argv in (("compute",), ("recognize", "planar")):
+        for tail, stdin_text in (((), "\u00a0Ch\n"), (("--input", str(corpus)), "")):
+            code, out, err = run_cli(*argv, *tail, stdin_text=stdin_text)
+            assert (code, out, err) == (2, "", "line 1: bad header byte 160\n")
+
+
 def test_input_file_non_ascii_byte_names_its_line(tmp_path):
     corpus = tmp_path / "graphs.g6"
     corpus.write_bytes(b"Ch\n\xffCh\n")

@@ -8,10 +8,12 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from irregraph import harness
 from irregraph.graph import (
     complete_graph,
     empty_graph,
     from_edge_mask,
+    graph6_from_edge_mask,
     isomorphism_classes,
     pair_count,
     parse_graph6,
@@ -22,7 +24,7 @@ from irregraph.harness import (
     SweepSummary,
     TheoremReport,
     Verdict,
-    _sweep_order,
+    _blank_counts,
     sharpness_suite,
     theorem_report,
     verify_range,
@@ -129,21 +131,51 @@ def test_sweep_order_zero_checks_nothing():
     )
 
 
+def _labeled_sweep(n_max: int, t41_divisor: int):
+    """Counts and sorted (graph6, verdicts) violations of the labeled
+    reference, summed over orders 1..n_max."""
+    counts = _blank_counts()
+    violations = []
+    for n in range(1, n_max + 1):
+        part, violating = sweep_order_labeled(n, t41_divisor)
+        for tid, cell in part.items():
+            for status, count in cell.items():
+                counts[tid][status] += count
+        violations += [
+            (graph6_from_edge_mask(n, mask), verdicts) for mask, verdicts in violating
+        ]
+    return counts, sorted(violations, key=lambda pair: pair[0])
+
+
 def test_engines_agree_through_order_five():
     # the class sweep against the labeled reference that checks every mask
-    for n in range(1, 6):
-        class_counts, class_viol = _sweep_order(n, 2)
-        labeled_counts, labeled_viol = sweep_order_labeled(n, 2)
-        assert class_viol == labeled_viol == []
-        assert class_counts == labeled_counts
+    summary = verify_range(5, 2)
+    counts, violations = _labeled_sweep(5, 2)
+    assert summary.per_theorem == counts
+    assert summary.violations == () and violations == []
 
 
 def test_engines_agree_on_violations():
-    for n in range(1, 5):
-        class_counts, class_viol = _sweep_order(n, 1)
-        labeled_counts, labeled_viol = sweep_order_labeled(n, 1)
-        assert class_viol == labeled_viol
-        assert class_counts == labeled_counts
+    summary = verify_range(4, 1)
+    counts, violations = _labeled_sweep(4, 1)
+    assert summary.per_theorem == counts
+    assert [(r.graph, r.verdicts) for r in summary.violations] == violations
+
+
+def test_wrong_class_weight_is_caught(monkeypatch):
+    # |Aut| of the path on three vertices is 2; claiming 1 counts it 6 times
+    real = harness.isomorphism_classes
+
+    def wrong(n):
+        classes = real(n)
+        if n != 3:
+            return classes
+        return tuple((g, 1 if g.m == 2 else aut) for g, aut in classes)
+
+    monkeypatch.setattr(harness, "isomorphism_classes", wrong)
+    verify_range(2)
+    with pytest.raises(AssertionError, match="order 3: class weights add up to 11"):
+        verify_range(3)
 
 
 def test_not_applicable_counts_frozen():
