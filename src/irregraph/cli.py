@@ -123,14 +123,18 @@ def _input_lines(args, stdin: TextIO):
 
     A file is read as UTF-8 with undecodable bytes kept as surrogates, so a
     non-ASCII byte fails the graph6 parse of its own numbered line, as it
-    does on stdin.  An unreadable file raises OSError.
+    does on stdin.  Lines end at "\n" only, less one trailing "\r"; other
+    line breaks, such as "\v" or U+2028, stay inside their line.  An
+    unreadable file raises OSError.
     """
     if args.graphs:
         return list(enumerate(args.graphs, 1))
     if args.input is not None:
         with open(args.input, encoding="utf-8", errors="surrogateescape") as handle:
-            return list(enumerate(handle.read().splitlines(), 1))
-    return list(enumerate(stdin.read().splitlines(), 1))
+            text = handle.read()
+    else:
+        text = stdin.read()
+    return [(i, line.removesuffix("\r")) for i, line in enumerate(text.split("\n"), 1)]
 
 
 def _cmd_compute(args, stdin, out, err) -> int:

@@ -521,14 +521,30 @@ def isomorphism_classes(n: int) -> tuple[tuple[Graph, int], ...]:
     """
     if n < 0:
         raise ValueError("order must be non-negative")
+    return _classes(n, pair_count(n))
+
+
+def _classes(n: int, cap: int) -> tuple[tuple[Graph, int], ...]:
+    """The classes of isomorphism_classes(n) with at most cap edges.
+
+    A child has its parent's edges plus one per member of its
+    neighbourhood, so the neighbourhoods that would pass cap are skipped.
+    Every class with at most cap edges is still reached once: its canonical
+    parent has no more edges than it does.
+    """
     if n == 0:
         return ((empty_graph(0), 1),)
     found = []
     new = 1 << (n - 1)
     for parent, _ in isomorphism_classes(n - 1):
+        room = cap - parent.m
+        if room < 0:
+            continue
         rows = parent.rows
         gens = _automorphisms(_labelling(rows, _refined_cells(rows)))
         for hood in _hood_orbits(n - 1, gens):
+            if hood.bit_count() > room:
+                continue
             child = [row | new if hood >> v & 1 else row for v, row in enumerate(rows)]
             child.append(hood)
             lab = _accepted_labelling(child)

@@ -4,13 +4,17 @@ Each is a slower, independent way to reach what the package computes:
 every labeled graph by edge mask instead of one graph per isomorphism class,
 a sweep that checks every labeled graph instead of weighting class
 representatives by n!/|Aut|, isomorphism classes from a dict of canonical
-keys over every one-vertex extension instead of canonical augmentation, and
-an isomorphism test by backtracking instead of canonical keys.
+keys over every one-vertex extension instead of canonical augmentation, the
+number of classes with each edge count by Polya counting instead of
+generating them, and an isomorphism test by backtracking instead of
+canonical keys.
 checked_member builds a construction family member and asserts that every
 claim measured on it holds.
 """
 
+from collections import Counter
 from functools import lru_cache
+from math import factorial, gcd, lcm
 from typing import Iterator
 
 from irregraph.constructions import evaluate
@@ -65,6 +69,54 @@ def classes_by_key_dict(n: int) -> tuple[tuple[int, int], ...]:
             rows.append(hood)
             autos.setdefault(*canonical_form(Graph(n, rows)))
     return tuple(sorted(autos.items()))
+
+
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts of at most largest, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def polya_graph_counts(n: int) -> list[int]:
+    """Entry m is the number of isomorphism classes of order n with m edges.
+
+    Polya counting (Harary and Palmer, Graphical Enumeration, 1973, ch. 4):
+    the count is the average over the permutations of the n vertices of the
+    number of edge sets the induced permutation of pairs fixes, and an edge
+    set is fixed exactly when it is a union of cycles of pairs.  Two distinct
+    vertex cycles of lengths a and b permute the a*b pairs across them in
+    gcd(a, b) cycles of length lcm(a, b); the C(a,2) pairs inside a cycle of
+    length a form (a-1)/2 cycles of length a when a is odd, and (a-2)/2 of
+    length a plus one of length a/2 when a is even.  Each cycle of pairs of
+    length L contributes a factor 1 + x^L.
+    All permutations of one cycle type give the same product, so the sum runs
+    over the partitions of n, each weighted by its number of permutations.
+    """
+    pairs = pair_count(n)
+    total = [0] * (pairs + 1)
+    for parts in _partitions(n, n):
+        perms = factorial(n)
+        for a, count in Counter(parts).items():
+            perms //= a**count * factorial(count)
+        lengths = []
+        for i, a in enumerate(parts):
+            lengths += [a] * ((a - 1) // 2)
+            if a % 2 == 0:
+                lengths.append(a // 2)
+            for b in parts[i + 1:]:
+                lengths += [lcm(a, b)] * gcd(a, b)
+        poly = [1] + [0] * pairs
+        for length in lengths:
+            for m in range(pairs, length - 1, -1):
+                poly[m] += poly[m - length]
+        for m, fixed in enumerate(poly):
+            total[m] += perms * fixed
+    assert all(t % factorial(n) == 0 for t in total)
+    return [t // factorial(n) for t in total]
 
 
 def _invariant(g: Graph) -> tuple:

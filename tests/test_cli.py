@@ -145,6 +145,28 @@ def test_input_file_non_ascii_byte_names_its_line(tmp_path):
         assert len(err.splitlines()) == 1
 
 
+def test_only_newline_ends_a_line(tmp_path):
+    # a vertical tab is no line break, so "Ch\vBW" is one bad line 1 and
+    # the bad graph after it is never reached
+    corpus = tmp_path / "graphs.g6"
+    corpus.write_bytes(b"Ch\x0bBW\n??bad\n")
+    for argv in (("compute",), ("recognize", "planar")):
+        for tail, stdin_text in (((), "Ch\x0bBW\n??bad\n"), (("--input", str(corpus)), "")):
+            code, out, err = run_cli(*argv, *tail, stdin_text=stdin_text)
+            assert (code, out) == (2, "")
+            assert err == "line 1: expected 1 body bytes for n=4, got 4\n"
+
+
+def test_crlf_lines_parse(tmp_path):
+    corpus = tmp_path / "graphs.g6"
+    corpus.write_bytes(b"Ch\r\nBW\r\n")
+    for argv in (("compute",), ("recognize", "planar")):
+        expected = run_cli(*argv, "Ch", "BW")
+        assert expected[0] == 0
+        assert run_cli(*argv, stdin_text="Ch\r\nBW\r\n") == expected
+        assert run_cli(*argv, "--input", str(corpus)) == expected
+
+
 def test_compute_rejects_bad_line_with_number():
     code, out, err = run_cli("compute", stdin_text="Ch\n??bad??\n")
     assert code == 2

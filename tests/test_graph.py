@@ -2,6 +2,7 @@
 graph6 codec."""
 
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -11,6 +12,7 @@ from irregraph.graph import (
     Graph,
     Graph6Error,
     VertexSet,
+    _classes,
     canonical_form,
     classify_degrees,
     complement,
@@ -34,7 +36,7 @@ from irregraph.graph import (
     windmill,
     write_graph6,
 )
-from oracles import classes_by_key_dict, is_isomorphic
+from oracles import classes_by_key_dict, is_isomorphic, polya_graph_counts
 
 
 @st.composite
@@ -203,6 +205,23 @@ def test_classes_match_key_dict_oracle():
     for n in range(8):
         got = [(g.edge_mask, aut) for g, aut in isomorphism_classes(n)]
         assert got == list(classes_by_key_dict(n))
+
+
+def test_capped_classes_match_polya_counts():
+    # the lower half by edge count, as the sweep's last order reads it
+    for n in range(8):
+        cap = pair_count(n) // 2
+        by_m = Counter(g.m for g, _ in _classes(n, cap))
+        assert [by_m[m] for m in range(cap + 1)] == polya_graph_counts(n)[: cap + 1]
+        assert max(by_m) <= cap
+
+
+def test_capped_classes_are_a_part_of_the_full_list():
+    for n in range(8):
+        full = isomorphism_classes(n)
+        caps = range(pair_count(n) + 1) if n <= 6 else (pair_count(n) // 2,)
+        for cap in caps:
+            assert _classes(n, cap) == tuple((g, a) for g, a in full if g.m <= cap)
 
 
 def test_class_representatives_pairwise_non_isomorphic():

@@ -163,19 +163,22 @@ def test_engines_agree_on_violations():
 
 
 def test_wrong_class_weight_is_caught(monkeypatch):
-    # |Aut| of the path on three vertices is 2; claiming 1 counts it 6 times
+    # |Aut| of K2+K1 is 2; claiming 1 counts it, and its complement P3, 6
+    # times each.  The sweep reads isomorphism_classes below its last order.
     real = harness.isomorphism_classes
 
     def wrong(n):
         classes = real(n)
         if n != 3:
             return classes
-        return tuple((g, 1 if g.m == 2 else aut) for g, aut in classes)
+        return tuple((g, 1 if g.m == 1 else aut) for g, aut in classes)
 
     monkeypatch.setattr(harness, "isomorphism_classes", wrong)
-    verify_range(2)
-    with pytest.raises(AssertionError, match="order 3: class weights add up to 11"):
-        verify_range(3)
+    verify_range(3)
+    with pytest.raises(
+        AssertionError, match="order 3, m=1: class weights add up to 6, not 3"
+    ):
+        verify_range(4)
 
 
 def test_not_applicable_counts_frozen():
