@@ -554,11 +554,48 @@ def _classes(n: int, cap: int) -> tuple[tuple[Graph, int], ...]:
     return tuple((from_edge_mask(n, key), aut) for key, aut in found)
 
 
+@lru_cache(maxsize=None)
+def _adjacent_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
+    """For each i < n-1, the masks that move an edge mask's bits when
+    vertices i and i+1 swap: (low, next, keep).
+
+    Pairs {k, i} with k < i sit i positions below pairs {k, i+1}, and pairs
+    {i, k} with k > i+1 one position below pairs {i+1, k}; low marks the
+    first group, next the second, and keep every pair that stays put.
+    """
+    full = (1 << pair_count(n)) - 1
+    swaps = []
+    for i in range(n - 1):
+        low = sum(1 << pair_index(k, i) for k in range(i))
+        nxt = sum(1 << pair_index(i, k) for k in range(i + 2, n))
+        swaps.append((low, nxt, full & ~(low | low << i | nxt | nxt << 1)))
+    return tuple(swaps)
+
+
 def labeled_copies(g: Graph) -> set[int]:
-    """Edge masks of the distinct relabelings of g."""
-    edges = list(g.edges())
-    bits = _pair_bits(g.n)
-    return {sum(bits[p[u]][p[v]] for u, v in edges) for p in permutations(range(g.n))}
+    """Edge masks of the distinct relabelings of g: its orbit under S_n.
+
+    The orbit is walked up the chain S_1 < S_2 < ... < S_n, where S_k
+    permutes vertices 0..k-1.  Once O holds the orbit under S_k, the
+    permutations c_j = s_j s_{j+1} ... s_{k-1} (s_i swaps vertices i and
+    i+1) send vertex k to j, one per coset of S_k in S_{k+1}, so the union
+    of c_j(O) over j <= k is the orbit under S_{k+1}.  c_j(O) is s_j applied
+    to c_{j+1}(O), and one s_i on an edge mask exchanges two pairs of bit
+    groups (_adjacent_swaps).  The work is about one swap per member,
+    n!/|Aut(g)| of them, instead of n! relabelings.
+    """
+    swaps = _adjacent_swaps(g.n)
+    orbit = {g.edge_mask}
+    for k in range(1, g.n):
+        coset = orbit
+        for i in range(k - 1, -1, -1):
+            low, nxt, keep = swaps[i]
+            coset = {
+                x & keep | (x & low) << i | x >> i & low | (x & nxt) << 1 | x >> 1 & nxt
+                for x in coset
+            }
+            orbit |= coset
+    return orbit
 
 
 # -- graph6 codec ---------------------------------------------------------

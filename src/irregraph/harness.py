@@ -29,8 +29,13 @@ A class with a failing check is expanded back into its labeled members (the
 complemented edge masks for a complement side), each reported under its own
 graph6 string with the class's verdicts: every witness string is built from
 isomorphism invariants (parameter values, degree classes, family tags), so
-a member's verdicts equal its representative's.  The tests hold the class
-sweep to a labeled sweep that checks every edge mask, verdicts included.
+a member's verdicts equal its representative's.  The members are the orbit
+of the representative's edge mask, walked one coset of each S_k in S_(k+1)
+at a time (graph.labeled_copies), so a class costs about n!/|Aut| swaps
+rather than n! relabelings.  All members share one verdicts tuple, which
+TheoremReport checks once per violating side instead of once per member.
+The tests hold the class sweep to a labeled sweep that checks every edge
+mask, verdicts included.
 
 verify_range and theorem_report take t41_divisor, the 2 in the published
 ceil(n/2) domination lower bound (T4.1).  Setting it to 1 claims
@@ -45,7 +50,7 @@ import json
 import time
 from dataclasses import dataclass, replace
 from math import comb, factorial
-from typing import Callable, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TextIO, Union
 
 from irregraph import bounds
 from irregraph.constructions import FAMILIES, evaluate as evaluate_construction
@@ -94,12 +99,23 @@ class TheoremReport:
     verdicts: tuple[Verdict, ...]
 
     def __post_init__(self) -> None:
-        ids = [v.theorem_id for v in self.verdicts]
-        if ids != list(THEOREM_IDS):
-            raise ValueError("verdicts must cover every theorem id exactly once")
-        for v in self.verdicts:
-            if v.status == "fail" and v.witness is None:
-                raise ValueError("a failing verdict must carry a witness")
+        _check_verdicts(self.verdicts)
+
+    @classmethod
+    def _sharing(
+        cls, verdicts: tuple[Verdict, ...], graphs: Iterable[str]
+    ) -> list["TheoremReport"]:
+        """One report per graph, all holding verdicts, which is checked
+        once here instead of once per report."""
+        _check_verdicts(verdicts)
+        reports = []
+        for graph in graphs:
+            report = object.__new__(cls)
+            # what the frozen dataclass's __init__ does, less __post_init__
+            object.__setattr__(report, "graph", graph)
+            object.__setattr__(report, "verdicts", verdicts)
+            reports.append(report)
+        return reports
 
     @property
     def failures(self) -> tuple[Verdict, ...]:
@@ -107,6 +123,14 @@ class TheoremReport:
 
     def to_json(self) -> dict:
         return {"graph": self.graph, "verdicts": [v.to_json() for v in self.verdicts]}
+
+
+def _check_verdicts(verdicts: tuple[Verdict, ...]) -> None:
+    if [v.theorem_id for v in verdicts] != list(THEOREM_IDS):
+        raise ValueError("verdicts must cover every theorem id exactly once")
+    for v in verdicts:
+        if v.status == "fail" and v.witness is None:
+            raise ValueError("a failing verdict must carry a witness")
 
 
 @dataclass(frozen=True)
@@ -140,29 +164,41 @@ class SweepSummary:
         """Write json.dumps(self.to_json(), indent=2) and a newline to out.
 
         The text is written piece by piece, one violation at a time.  The
-        members of a violating class share one verdicts tuple, so the text
-        around the graph is built once per tuple and reused; only the graph6
-        string differs between members.
+        text around the graph is built once per distinct verdicts value and
+        reused; only the graph6 string differs between the reports that
+        share it.  Hashing a verdicts tuple costs more than building a
+        report's line, so the members of a violating class, which share one
+        tuple object, find its text by id after the first lookup by value.
         """
         head, tail = _dumps_around(self._payload(_HOLE))
         out.write(head)
         if self.violations:
-            around: dict[int, tuple[str, str]] = {}  # id of a verdicts tuple
+            by_value: dict[tuple[Verdict, ...], tuple[str, str]] = {}
+            by_id: dict[int, tuple[str, str]] = {}  # self keeps every tuple alive
             sep = "[\n"
             for report in self.violations:
-                key = id(report.verdicts)  # self keeps every tuple alive
-                if key not in around:
-                    # an item of the top-level list sits two levels deep
-                    around[key] = _dumps_around(
-                        replace(report, graph=_HOLE).to_json(), "    "
-                    )
-                before, after = around[key]
-                out.write(f"{sep}{before}{json.dumps(report.graph)}{after}")
+                around = by_id.get(id(report.verdicts))
+                if around is None:
+                    around = by_value.get(report.verdicts)
+                    if around is None:
+                        # an item of the top-level list sits two levels deep
+                        around = by_value[report.verdicts] = _dumps_around(
+                            replace(report, graph=_HOLE).to_json(), "    "
+                        )
+                    by_id[id(report.verdicts)] = around
+                before, after = around
+                out.write(f"{sep}{before}{_quoted_graph6(report.graph)}{after}")
                 sep = ",\n"
             out.write("\n  ]")
         else:
             out.write("[]")
         out.write(f"{tail}\n")
+
+
+def _quoted_graph6(text: str) -> str:
+    """json.dumps(text) for a graph6 string: its bytes are 63..126, and of
+    those JSON escapes only the backslash."""
+    return '"' + text.replace("\\", "\\\\") + '"'
 
 
 # A value no payload holds: json.dumps writes it as "\u0000".
@@ -551,8 +587,11 @@ def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
                     counts[v.theorem_id][v.status] += weight
                 if any(v.status == "fail" for v in verdicts):
                     violations.extend(
-                        TheoremReport(graph6_from_edge_mask(n, mask ^ flip), verdicts)
-                        for mask in labeled_copies(g)
+                        TheoremReport._sharing(
+                            verdicts,
+                            (graph6_from_edge_mask(n, mask ^ flip)
+                             for mask in labeled_copies(g)),
+                        )
                     )
         for m, total in enumerate(by_m):
             if total != comb(pairs, m):

@@ -6,19 +6,27 @@ a sweep that checks every labeled graph instead of weighting class
 representatives by n!/|Aut|, isomorphism classes from a dict of canonical
 keys over every one-vertex extension instead of canonical augmentation, the
 number of classes with each edge count by Polya counting instead of
-generating them, and an isomorphism test by backtracking instead of
-canonical keys.
+generating them, the labeled members of a class by trying all n!
+relabelings instead of walking its orbit, and an isomorphism test by
+backtracking instead of canonical keys.
 checked_member builds a construction family member and asserts that every
 claim measured on it holds.
 """
 
 from collections import Counter
 from functools import lru_cache
+from itertools import permutations
 from math import factorial, gcd, lcm
 from typing import Iterator
 
 from irregraph.constructions import evaluate
-from irregraph.graph import Graph, canonical_form, from_edge_mask, pair_count
+from irregraph.graph import (
+    Graph,
+    canonical_form,
+    from_edge_mask,
+    pair_count,
+    pair_index,
+)
 from irregraph.harness import ENUMERATION_LIMIT, _blank_counts, theorem_report
 
 
@@ -69,6 +77,15 @@ def classes_by_key_dict(n: int) -> tuple[tuple[int, int], ...]:
             rows.append(hood)
             autos.setdefault(*canonical_form(Graph(n, rows)))
     return tuple(sorted(autos.items()))
+
+
+def labeled_copies_by_relabelling(g: Graph) -> set[int]:
+    """Edge masks of the distinct relabelings of g, from all n! of them."""
+    edges = list(g.edges())
+    return {
+        sum(1 << pair_index(p[u], p[v]) for u, v in edges)
+        for p in permutations(range(g.n))
+    }
 
 
 def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:

@@ -36,7 +36,12 @@ from irregraph.graph import (
     windmill,
     write_graph6,
 )
-from oracles import classes_by_key_dict, is_isomorphic, polya_graph_counts
+from oracles import (
+    classes_by_key_dict,
+    is_isomorphic,
+    labeled_copies_by_relabelling,
+    polya_graph_counts,
+)
 
 
 @st.composite
@@ -245,7 +250,7 @@ def test_automorphism_counts():
 
 
 def test_labeled_copies_partition_every_order():
-    for n in range(1, 5):
+    for n in range(1, 7):
         seen = []
         for g, aut in isomorphism_classes(n):
             copies = labeled_copies(g)
@@ -253,6 +258,23 @@ def test_labeled_copies_partition_every_order():
             assert g.edge_mask in copies
             seen.extend(copies)
         assert sorted(seen) == list(range(1 << pair_count(n)))
+
+
+def test_labeled_copies_match_every_relabelling():
+    # the orbit walk against all n! relabelings, on every class of order <= 6
+    assert labeled_copies(empty_graph(0)) == {0}
+    for n in range(1, 7):
+        for g, _ in isomorphism_classes(n):
+            assert labeled_copies(g) == labeled_copies_by_relabelling(g)
+
+
+@given(permuted_pairs(max_n=8))
+def test_labeled_copies_is_the_orbit(pair):
+    g, h = pair
+    copies = labeled_copies(g)
+    assert h.edge_mask in copies
+    assert copies == labeled_copies(h)
+    assert len(copies) == factorial(g.n) // canonical_form(g)[1]
 
 
 @given(permuted_pairs(max_n=8))

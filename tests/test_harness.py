@@ -219,6 +219,22 @@ def test_violations_reuse_class_verdicts():
         assert report == theorem_report(parse_graph6(report.graph), t41_divisor=1)
 
 
+def test_each_violating_verdict_list_is_still_checked(monkeypatch):
+    # the members of a violating class skip TheoremReport's own check, which
+    # runs once on their shared verdicts; it must still refuse a bad list
+    evaluate = harness._evaluate
+
+    def without_witness(row, c):
+        verdict = evaluate(row, c)
+        if verdict.status == "fail":
+            return Verdict(verdict.theorem_id, "fail")
+        return verdict
+
+    monkeypatch.setattr(harness, "_evaluate", without_witness)
+    with pytest.raises(ValueError, match="^a failing verdict must carry a witness$"):
+        verify_range(3, 1)
+
+
 def test_weakened_bound_cannot_fire():
     # ceil(n/3) <= ceil(n/2) <= gamma_ir, so divisor 3 proves nothing fails
     summary = verify_range(4, t41_divisor=3)
@@ -226,7 +242,7 @@ def test_weakened_bound_cannot_fire():
 
 
 def test_verify_range_validation():
-    # order 8 is accepted (about 10 seconds), order 9 is not
+    # order 8 is accepted (about 6 seconds), order 9 is not
     with pytest.raises(ValueError, match="n_max <= 8"):
         verify_range(9)
     with pytest.raises(ValueError):
@@ -277,6 +293,20 @@ def test_streamed_sweep_json_is_byte_identical(divisor):
         assert len(summary.violations) == 1094
         assert len({id(r.verdicts) for r in summary.violations}) == 47
         assert sum("\\" in r.graph for r in summary.violations) == 17
+
+
+def test_graph6_quoting_matches_json_dumps():
+    # every graph6 byte, header (n + 63 for n = 1..62) or body (63..126)
+    for code in range(63, 127):
+        assert harness._quoted_graph6(chr(code)) == json.dumps(chr(code))
+    texts = [
+        graph6_from_edge_mask(n, mask)
+        for n in range(1, 6)
+        for mask in range(1 << pair_count(n))
+    ]
+    assert any("\\" in text for text in texts)
+    for text in texts:
+        assert harness._quoted_graph6(text) == json.dumps(text)
 
 
 def test_streamed_sweep_json_without_shared_verdicts():
