@@ -8,7 +8,7 @@ take, an lb_* function the smallest.
 The radical bounds are sharp, so only exact arithmetic can decide equality.
 Each has the form a <= (-b + sqrt(b^2 + 4c))/2, which for an integer a >= 0
 squares to a(a + b) <= c; the largest such a is (isqrt(b^2 + 4c) - b) // 2,
-and the bound equals a exactly when a(a + b) = c.
+and the bound equals a exactly when a(a + b) = c, which exact_root decides.
 """
 
 from __future__ import annotations
@@ -23,6 +23,15 @@ DEFAULT_RAMSEY = {1: 1, 2: 2, 3: 6, 4: 18}
 def _root_floor(b: int, c: int) -> int:
     """Largest integer a >= 0 with a(a + b) <= c, for b >= -1 and c >= 0."""
     return (math.isqrt(b * b + 4 * c) - b) // 2
+
+
+def exact_root(b: int, c: int) -> Optional[int]:
+    """The largest a >= 0 with a(a + b) = c, which is the radical bound when
+    that is an integer; None when it is not."""
+    if b < -1 or c < 0:
+        raise ValueError("need b >= -1 and c >= 0")
+    a = _root_floor(b, c)
+    return a if a * (a + b) == c else None
 
 
 def product_cap(n: int) -> int:

@@ -24,11 +24,10 @@ through _round_robin instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from irregraph.bounds import product_cap, ub_alpha_ir_thm22
+from irregraph.bounds import exact_root, product_cap
 from irregraph.graph import (
     Graph,
     VertexSet,
@@ -178,23 +177,18 @@ def _alpha_sharp_clique(r: int, t: int) -> Graph:
 
 
 def _claims_alpha_sharp_clique(g: Graph, r: int, t: int) -> list[Claim]:
-    n, m = g.n, g.m
-    radicand = 2 * n * n - 2 * n - 4 * m + 1
-    # the Thm 2.1 radical (1 + sqrt(radicand))/2 is exactly t when
-    # radicand = (2t - 1)^2
-    root = math.isqrt(radicand)
-    radical = (1 + root) // 2 if root * root == radicand else None
+    # the Thm 2.1 radical: a(a - 1) <= C(n,2) - m, the number of non-edges
+    non_edges = g.n * (g.n - 1) // 2 - g.m
     return [
         Claim("alpha_ir", t, alpha_ir(g).value),
-        Claim("radical_bound", t, radical),
+        Claim("radical_bound", t, exact_root(-1, non_edges)),
     ]
 
 
 def _claims_modstar(g: Graph, r: int, t: int) -> list[Claim]:
     delta, beta = classify_degrees(g).delta, max_cut(g).value
-    # the Thm 2.2 bound is exactly ub when ub(ub + 2delta - 1) = 2beta
-    ub = ub_alpha_ir_thm22(beta, delta)
-    radical = ub if ub * (ub + 2 * delta - 1) == 2 * beta else None
+    # the Thm 2.2 bound: a(a + 2 delta - 1) <= 2 beta
+    radical = exact_root(2 * delta - 1, 2 * beta)
     return [
         Claim("delta", r, delta),
         Claim("m", t * (2 * r + t - 1) // 2, g.m),

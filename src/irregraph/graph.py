@@ -5,9 +5,9 @@ exactly when {u, v} is an edge.  Vertices are the integers 0..n-1.  All
 operations return new graphs; nothing here mutates shared state.
 
 The module also provides the degree classification used throughout (degree
-classes N_i, their sizes, the span), canonical keys with automorphism counts,
-one representative per isomorphism class of small order, and a bit-exact
-graph6 codec restricted to the short form (1 <= n <= 62).
+classes N_i, their sizes, the span, built once per graph), canonical keys
+with automorphism counts, one representative per isomorphism class of small
+order, and a bit-exact graph6 codec restricted to the short form (1 <= n <= 62).
 
 Edge-mask convention: the C(n,2) vertex pairs are numbered in column-major
 upper-triangle order, pair (u, v) with u < v at position v*(v-1)/2 + u.  This
@@ -78,7 +78,8 @@ class VertexSet:
 class Graph:
     """Simple undirected graph; immutable after construction."""
 
-    __slots__ = ("n", "rows")
+    # _degree_classes is derived from rows and filled by classify_degrees
+    __slots__ = ("n", "rows", "_degree_classes")
 
     def __init__(self, n: int, rows: Sequence[int]):
         if n < 0:
@@ -96,6 +97,7 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "_degree_classes", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -252,43 +254,36 @@ def windmill(k: int, r: int) -> Graph:
 # -- degree classification ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeClassification:
-    """Degree analytics: classes N_i, their sizes, and the span."""
+    """Degree analytics: the degree of each vertex, the classes N_i as vertex
+    masks by ascending degree i, their sizes n_i, and the span."""
 
     degrees: tuple[int, ...]
-    distinct: tuple[int, ...]
-    classes: dict[int, VertexSet]
+    masks: dict[int, int]
     sizes: dict[int, int]
     span: int
     delta: int
     Delta: int
 
 
-def _degree_masks(degs: Sequence[int]) -> dict[int, int]:
-    """Each degree that occurs, mapped to the mask of its vertices."""
-    classes: dict[int, int] = {}
-    for v, d in enumerate(degs):
-        classes[d] = classes.get(d, 0) | (1 << v)
-    return classes
-
-
 def classify_degrees(g: Graph) -> DegreeClassification:
-    """Group vertices by degree.  Undefined (raises) for n = 0."""
-    if g.n == 0:
-        raise ValueError("degree classification needs at least one vertex")
-    degs = g.degrees()
-    classes = _degree_masks(degs)
-    distinct = tuple(sorted(classes))
-    return DegreeClassification(
-        degrees=degs,
-        distinct=distinct,
-        classes={d: VertexSet(g.n, classes[d]) for d in distinct},
-        sizes={d: classes[d].bit_count() for d in distinct},
-        span=len(distinct),
-        delta=distinct[0],
-        Delta=distinct[-1],
-    )
+    """Group vertices by degree.  Undefined (raises) for n = 0.
+
+    The one place the package groups vertices by degree.  The first call on
+    a Graph keeps the result in it, and later calls return that object.
+    """
+    if g._degree_classes is None:
+        if g.n == 0:
+            raise ValueError("degree classification needs at least one vertex")
+        degs = g.degrees()
+        masks = dict.fromkeys(sorted(set(degs)), 0)
+        for v, d in enumerate(degs):
+            masks[d] |= 1 << v
+        sizes = {d: mask.bit_count() for d, mask in masks.items()}
+        dc = DegreeClassification(degs, masks, sizes, len(masks), min(degs), max(degs))
+        object.__setattr__(g, "_degree_classes", dc)
+    return g._degree_classes
 
 
 # -- canonical form and isomorphism classes -------------------------------

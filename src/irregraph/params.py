@@ -41,7 +41,7 @@ from itertools import chain
 from typing import Callable, NamedTuple
 
 from irregraph.bounds import lb_gamma_ir_thm41
-from irregraph.graph import Graph, VertexSet, _degree_masks, classify_degrees
+from irregraph.graph import Graph, VertexSet, classify_degrees
 
 SIZE_GUARD = 26
 
@@ -150,17 +150,19 @@ def is_independent(g: Graph, a: VertexSet) -> bool:
 
 
 def is_irregular_independent(g: Graph, a: VertexSet) -> bool:
-    """Independent with pairwise distinct degrees in g."""
+    """Independent with pairwise distinct degrees in g; the empty set,
+    the only subset of the empty graph, always is."""
     _check_subset(g, a)
-    degs = g.degrees()
-    return _independent_mask(g.rows, a.mask) and _degrees_distinct(degs, a.mask)
+    return not a.mask or _independent_mask(g.rows, a.mask) and _degrees_distinct(
+        classify_degrees(g).degrees, a.mask
+    )
 
 
 def is_regular_independent(g: Graph, a: VertexSet) -> bool:
-    """Independent with all member degrees equal."""
+    """Independent with all member degrees equal; the empty set always is."""
     _check_subset(g, a)
-    return _independent_mask(g.rows, a.mask) and _degrees_equal(
-        g.degrees(), a.mask
+    return not a.mask or _independent_mask(g.rows, a.mask) and _degrees_equal(
+        classify_degrees(g).degrees, a.mask
     )
 
 
@@ -322,13 +324,13 @@ def alpha_ir(g: Graph) -> Extremum:
 
     An irregular independent set takes at most one vertex per degree class,
     so it is an independent set of g once each degree class is made a
-    clique: the one search runs on rows[v] | class of deg v.
+    clique: the one search runs on rows[v] | class of deg v, the class
+    masks coming from classify_degrees.
     """
     if g.n < 1:
         raise ValueError("parameters need at least one vertex")
-    degs = g.degrees()
-    classes = _degree_masks(degs)
-    rows = [row | classes[d] for row, d in zip(g.rows, degs)]
+    dc = classify_degrees(g)
+    rows = [row | dc.masks[d] for row, d in zip(g.rows, dc.degrees)]
     size, mask = _max_independent(rows, (1 << g.n) - 1)
     return Extremum(size, VertexSet(g.n, mask))
 
@@ -343,7 +345,7 @@ def alpha_reg(g: Graph) -> Extremum:
     if g.n < 1:
         raise ValueError("parameters need at least one vertex")
     size, mask = max(
-        (_max_independent(g.rows, c) for c in _degree_masks(g.degrees()).values()),
+        (_max_independent(g.rows, c) for c in classify_degrees(g).masks.values()),
         key=lambda found: (found[0], -found[1]),
     )
     return Extremum(size, VertexSet(g.n, mask))
@@ -476,10 +478,11 @@ def gamma_ir(g: Graph) -> Extremum:
     if g.n < 1:
         raise ValueError("parameters need at least one vertex")
     _require_small(g, "gamma_ir")
-    rows, n, degs = g.rows, g.n, g.degrees()
+    rows, n, dc = g.rows, g.n, classify_degrees(g)
+    degs = dc.degrees
     vertices = [(1 << v, rows[v]) for v in range(n)]
     scan = _SplitScan(rows)
-    for k in range(lb_gamma_ir_thm41(n, max(degs)), n + 1):
+    for k in range(lb_gamma_ir_thm41(n, dc.Delta), n + 1):
         if not _distinct_counts_fit(degs, k):
             continue
         for mask in scan.masks(k, _distinct_nonzero):
@@ -547,10 +550,10 @@ def max_cut(g: Graph) -> Extremum:
     if g.n < 1:
         raise ValueError("parameters need at least one vertex")
     _require_small(g, "max_cut")
-    rows, n = g.rows, g.n
+    rows, n, degs = g.rows, g.n, classify_degrees(g).degrees
     free = n - 1  # vertices that may join the side
     low = min(_GRAY_BLOCK, free)
-    moves = [(1 << v, rows[v], g.degree(v)) for v in range(free)]
+    moves = [(1 << v, rows[v], degs[v]) for v in range(free)]
     # Step i = block * 2^low + r moves vertex ctz(r) when r > 0.  The head
     # step r = 0 moves vertex low + ctz(block), and nothing in block 0.
     inner = [moves[(r & -r).bit_length() - 1] for r in range(1, 1 << low)]

@@ -5,15 +5,16 @@ outerplanarity at any order: the path-addition test of Demoucron, Malgrange
 and Pertuiset (1964) embeds one path at a time, each through the fragment
 that fits the fewest faces, and fails exactly when some fragment fits none;
 a graph is outerplanar iff joining one universal vertex to it leaves it
-planar.  Second, the degree-structure condition equivalent to alpha_ir = 1:
-vertices of distinct degrees are pairwise adjacent and every degree class
-induces a regular subgraph of the forced degree.  Third, structural
+planar.  Second, the degree-structure condition equivalent to alpha_ir = 1
+(Lemma 3.1): vertices of distinct degrees are pairwise adjacent, tested as
+one mask test per vertex against its degree class.  Third, structural
 classifiers mapping a graph to the family it belongs to in the
 characterizations of planar alpha_ir = 1 graphs, outerplanar alpha_ir = 1
-graphs, and graphs with gamma_ir in {n, n-1}.
+graphs, and graphs with gamma_ir in {n, n-1}.  The degree classes come from
+graph.classify_degrees, built once per graph.
 
-The classifiers match by degree counts and local structure, never by
-isomorphism search or a Lemma 3.1 gate, and each matcher is exact: it fires
+The classifiers match by exact degree class sizes and local structure, never
+by isomorphism search or a Lemma 3.1 gate, and each matcher is exact: it fires
 only on graphs isomorphic to its family member.  Families overlap (C_4 is
 both a cycle and K_{2,2}), so classifiers report the first match in a fixed
 precedence order; callers comparing against parameter values should test
@@ -22,12 +23,17 @@ None versus not-None rather than specific tags.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from irregraph.graph import Graph, complete_graph, join
+from irregraph.graph import (
+    DegreeClassification,
+    Graph,
+    classify_degrees,
+    complete_graph,
+    join,
+)
 
 # -- planarity by path addition ------------------------------------------------
 
@@ -155,16 +161,14 @@ def satisfies_lemma31(g: Graph) -> bool:
     Condition (ii), that the class of degree k, of size n_k, induces a
     (k + n_k - n)-regular subgraph, follows from (i): a vertex of degree k
     is adjacent to all n - n_k vertices outside its class.  Only (i) is
-    tested.
+    tested, as one mask test per vertex: its neighbours and its own degree
+    class together cover every vertex.
     """
     if g.n < 1:
         raise ValueError("needs at least one vertex")
-    rows, degs = g.rows, g.degrees()
-    for v in range(g.n):
-        for u in range(v):
-            if degs[u] != degs[v] and not rows[v] >> u & 1:
-                return False
-    return True
+    dc = classify_degrees(g)
+    full = (1 << g.n) - 1
+    return all(row | dc.masks[d] == full for row, d in zip(g.rows, dc.degrees))
 
 
 # -- family classifiers ---------------------------------------------------------
@@ -194,10 +198,10 @@ class FamilyTag:
     params: dict = field(default_factory=dict)
 
 
-def _class_pair_nonadjacent(g: Graph, degs, d: int) -> bool:
-    """The two vertices of degree d exist and are not adjacent."""
-    pair = [v for v in range(g.n) if degs[v] == d]
-    return len(pair) == 2 and not g.has_edge(pair[0], pair[1])
+def _class_pair_nonadjacent(g: Graph, dc: DegreeClassification, d: int) -> bool:
+    """The class of degree d, a pair wherever this is called, has no edge."""
+    pair = dc.masks[d]
+    return not _touch(g.rows, pair) & pair
 
 
 def classify_planar_alpha1(g: Graph) -> Optional[FamilyTag]:
@@ -206,7 +210,7 @@ def classify_planar_alpha1(g: Graph) -> Optional[FamilyTag]:
     Matches, in precedence order: regular planar graphs, the star K_{1,n-1},
     K_{2,n-2}, K_2 + E_{n-2}, K_2 + perfect matching, E_2 + perfect matching,
     E_2 + C_{n-2}, the triangle windmill, and K_1 + (disjoint cycles).  Each
-    matcher is exact on the degree counts and every family member has
+    matcher is exact on the degree class sizes and every family member has
     alpha_ir = 1 (a regular graph always does), so no Lemma 3.1 test is
     needed; planarity itself is only ever tested in the regular branch,
     every other matcher being exact for a family whose members are all
@@ -214,57 +218,44 @@ def classify_planar_alpha1(g: Graph) -> Optional[FamilyTag]:
     """
     if g.n < 1:
         raise ValueError("needs at least one vertex")
-    n, degs = g.n, g.degrees()
-    counts = Counter(degs)
-    if len(counts) == 1:
+    n, dc = g.n, classify_degrees(g)
+    sizes = dc.sizes
+    if dc.span == 1:
         if is_planar(g):
-            return FamilyTag(Family.REGULAR_PLANAR, {"n": n, "r": degs[0]})
+            return FamilyTag(Family.REGULAR_PLANAR, {"n": n, "r": dc.delta})
         return None
-    if counts.get(n - 1, 0) == 1 and counts.get(1, 0) == n - 1:
+    if sizes == {1: n - 1, n - 1: 1}:
         return FamilyTag(Family.STAR, {"n": n})
     if (
         n >= 5
-        and counts.get(n - 2, 0) == 2
-        and counts.get(2, 0) == n - 2
-        and _class_pair_nonadjacent(g, degs, n - 2)
+        and sizes == {2: n - 2, n - 2: 2}
+        and _class_pair_nonadjacent(g, dc, n - 2)
     ):
         return FamilyTag(Family.COMPLETE_BIPARTITE, {"n": n})
-    if n >= 4 and counts.get(n - 1, 0) == 2 and counts.get(2, 0) == n - 2:
+    if n >= 4 and sizes == {2: n - 2, n - 1: 2}:
         return FamilyTag(Family.K2_PLUS_EMPTY, {"n": n})
-    if (
-        n >= 6
-        and n % 2 == 0
-        and counts.get(n - 1, 0) == 2
-        and counts.get(3, 0) == n - 2
-    ):
+    if n >= 6 and n % 2 == 0 and sizes == {3: n - 2, n - 1: 2}:
         return FamilyTag(Family.K2_PLUS_MATCHING, {"n": n})
     if (
         n >= 6
         and n % 2 == 0
-        and counts.get(n - 2, 0) == 2
-        and counts.get(3, 0) == n - 2
-        and _class_pair_nonadjacent(g, degs, n - 2)
+        and sizes == {3: n - 2, n - 2: 2}
+        and _class_pair_nonadjacent(g, dc, n - 2)
     ):
         return FamilyTag(Family.E2_PLUS_MATCHING, {"n": n})
     if (
         n >= 5
-        and counts.get(n - 2, 0) == 2
-        and counts.get(4, 0) == n - 2
-        and _class_pair_nonadjacent(g, degs, n - 2)
+        and sizes == {4: n - 2, n - 2: 2}
+        and _class_pair_nonadjacent(g, dc, n - 2)
     ):
         # the degree-4 part must induce one cycle, not a cycle union
-        cyc = sum(1 << v for v in range(n) if degs[v] == 4)
+        cyc = dc.masks[4]
         inner_ok = all((g.rows[v] & cyc).bit_count() == 2 for v in _bits(cyc))
         if inner_ok and _component(g.rows, cyc, cyc & -cyc) == cyc:
             return FamilyTag(Family.E2_PLUS_CYCLE, {"n": n})
-    if (
-        n >= 5
-        and n % 2 == 1
-        and counts.get(n - 1, 0) == 1
-        and counts.get(2, 0) == n - 1
-    ):
+    if n >= 5 and n % 2 == 1 and sizes == {2: n - 1, n - 1: 1}:
         return FamilyTag(Family.WINDMILL, {"n": n, "r": (n - 1) // 2})
-    if n >= 5 and counts.get(n - 1, 0) == 1 and counts.get(3, 0) == n - 1:
+    if n >= 5 and sizes == {3: n - 1, n - 1: 1}:
         return FamilyTag(Family.K1_PLUS_CYCLE_UNION, {"n": n})
     return None
 
@@ -280,24 +271,18 @@ def classify_outerplanar_alpha1(g: Graph) -> Optional[FamilyTag]:
     """
     if g.n < 1:
         raise ValueError("needs at least one vertex")
-    n, degs = g.n, g.degrees()
-    counts = Counter(degs)
-    if counts.get(2, 0) == n:
+    n, sizes = g.n, classify_degrees(g).sizes
+    if sizes == {2: n}:
         return FamilyTag(Family.CYCLE_UNION, {"n": n})
-    if g.m == 0:
+    if sizes == {0: n}:
         return FamilyTag(Family.EMPTY, {"n": n})
-    if counts.get(1, 0) == n:
+    if sizes == {1: n}:
         return FamilyTag(Family.PERFECT_MATCHING, {"n": n})
-    if counts.get(n - 1, 0) == 1 and counts.get(1, 0) == n - 1:
+    if sizes == {1: n - 1, n - 1: 1}:
         return FamilyTag(Family.STAR, {"n": n})
-    if n == 4 and counts.get(3, 0) == 2 and counts.get(2, 0) == 2:
+    if n == 4 and sizes == {2: 2, 3: 2}:
         return FamilyTag(Family.K2_PLUS_E2, {})
-    if (
-        n >= 5
-        and n % 2 == 1
-        and counts.get(n - 1, 0) == 1
-        and counts.get(2, 0) == n - 1
-    ):
+    if n >= 5 and n % 2 == 1 and sizes == {2: n - 1, n - 1: 1}:
         return FamilyTag(Family.WINDMILL, {"n": n, "r": (n - 1) // 2})
     return None
 
@@ -307,20 +292,18 @@ def classify_gamma_extremal(g: Graph) -> Optional[FamilyTag]:
 
     gamma_ir = n - 1 holds exactly for t isolated vertices plus either a star
     K_{1,r} or an r-regular graph with r >= 1; both shapes are read off the
-    degree sequence.
+    degree classes.
     """
     if g.n < 1:
         raise ValueError("needs at least one vertex")
-    n, degs = g.n, g.degrees()
-    if g.m == 0:
+    n, dc = g.n, classify_degrees(g)
+    r = dc.Delta
+    if r == 0:
         return FamilyTag(Family.EMPTY, {"n": n})
-    t = sum(1 for d in degs if d == 0)
-    live = [d for d in degs if d > 0]
-    n_live = len(live)
-    r = max(live)
+    t = dc.sizes.get(0, 0)
     # a star: one hub of degree r touching every other live vertex
-    if n_live == r + 1 and sum(live) == 2 * r:
+    if n - t == r + 1 and g.m == r:
         return FamilyTag(Family.ISOLATED_PLUS_STAR, {"t": t, "r": r})
-    if min(live) == r:
+    if dc.sizes.keys() <= {0, r}:
         return FamilyTag(Family.ISOLATED_PLUS_REGULAR, {"t": t, "r": r})
     return None

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from irregraph.bounds import (
     DEFAULT_RAMSEY,
+    exact_root,
     lb_gamma_ir_cor43,
     lb_gamma_ir_thm41,
     lb_gamma_ir_thm42,
@@ -230,3 +231,16 @@ def test_gamma_ir_radical_bounds_tight():
 def test_product_cap_is_largest_product():
     for n in range(2 * TIGHT_N):
         assert product_cap(n) == max(x * (n - x) for x in range(n + 1)), n
+
+
+def test_exact_root_against_brute_force():
+    top = 4 * TIGHT_N * TIGHT_N
+    for b in range(-1, 2 * TIGHT_N):
+        largest = {}  # c -> largest a >= 0 with a(a + b) = c
+        for a in range(top + 2):  # beyond, a(a + b) >= a(a - 1) > top
+            largest[a * (a + b)] = a
+        for c in range(top):
+            assert exact_root(b, c) == largest.get(c), (b, c)
+    for b, c in ((-2, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            exact_root(b, c)

@@ -148,13 +148,27 @@ def test_windmill_shape():
 def test_classify_degrees():
     g = star_graph(5)
     dc = classify_degrees(g)
-    assert dc.distinct == (1, 4)
+    assert dc.degrees == (4, 1, 1, 1, 1)
+    assert list(dc.masks) == [1, 4]  # ascending, though vertex 0 has degree 4
+    assert dc.masks == {1: 0b11110, 4: 0b00001}
     assert dc.span == 2
     assert (dc.delta, dc.Delta) == (1, 4)
     assert dc.sizes == {1: 4, 4: 1}
-    assert dc.classes[4].members == (0,)
     with pytest.raises(ValueError):
         classify_degrees(empty_graph(0))
+
+
+def test_classification_is_kept_in_the_graph():
+    g = path_graph(5)
+    dc = classify_degrees(g)
+    assert classify_degrees(g) is dc
+    fresh = path_graph(5)
+    assert g == fresh and hash(g) == hash(fresh)
+    assert {fresh: "p5"}[g] == "p5"
+    for name in ("x", "_degree_classes"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+    assert classify_degrees(g) is dc
 
 
 def test_classify_degrees_regular():

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from irregraph import harness
 from irregraph.graph import (
+    Graph,
+    complement,
     complete_graph,
     empty_graph,
     from_edge_mask,
@@ -29,6 +31,7 @@ from irregraph.harness import (
     theorem_report,
     verify_range,
 )
+from irregraph.params import full_report
 from irregraph.recognizers import is_outerplanar, is_planar
 from oracles import enumerate_labeled_graphs, sweep_order_labeled
 
@@ -379,3 +382,28 @@ def test_sharpness_restriction_and_corruption():
 @given(graphs())
 def test_every_check_passes_on_arbitrary_graphs(g):
     assert theorem_report(g).failures == ()
+
+
+@pytest.mark.parametrize("g6", ["D~{", "DN{", "D?{", "Gsu~mW"])
+def test_degrees_are_classified_once_per_graph(monkeypatch, g6):
+    """Every layer reads graph.classify_degrees, which counts the degrees
+    once per Graph object: a report needs the graph and its complement."""
+    counted = []
+    true_degrees = Graph.degrees
+
+    def degrees(self):
+        counted.append(self)
+        return true_degrees(self)
+
+    monkeypatch.setattr(Graph, "degrees", degrees)
+    for check in (theorem_report, harness._pair_verdicts):
+        g = parse_graph6(g6)
+        counted.clear()
+        check(g, 2)
+        assert len(counted) == 2, check
+        assert any(h is g for h in counted), check
+        assert complement(g) in counted, check
+    g = parse_graph6(g6)
+    counted.clear()
+    full_report(g)
+    assert len(counted) == 1 and counted[0] is g

@@ -1,5 +1,6 @@
 """Planarity, outerplanarity, the alpha_ir = 1 structure, and classifiers."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from irregraph.graph import (
     empty_graph,
     from_edge_mask,
     from_edges,
+    isomorphism_classes,
     parse_graph6,
     join,
     matching_graph,
@@ -21,6 +23,7 @@ from irregraph.graph import (
     path_graph,
     star_graph,
     windmill,
+    write_graph6,
 )
 from irregraph.params import alpha_ir, gamma_ir
 from irregraph.recognizers import (
@@ -310,3 +313,34 @@ def test_classify_gamma_extremal_equivalence_exhaustive_n5():
                 Family.ISOLATED_PLUS_REGULAR,
             )
             assert is_second == (value == n - 1)
+
+
+# -- every answer on every class of order 1-7, frozen -------------------------------
+
+RECOGNIZERS = (
+    satisfies_lemma31,
+    is_planar,
+    is_outerplanar,
+    classify_planar_alpha1,
+    classify_outerplanar_alpha1,
+    classify_gamma_extremal,
+)
+# sha256 over "graph6 name value!r\n" of each recognizer on each class
+# representative of order 1-7, in generation order.  The equivalence tests
+# above compare only None with not-None; this pins each family and its params.
+CLASSES_1_TO_7 = 1252
+RECOGNIZER_DIGEST = "95ce560541c23e54e4736d95d824e64c310d35283a2a86e2e61968fb786a6204"
+
+
+def test_every_recognizer_answer_is_frozen():
+    digest = hashlib.sha256()
+    classes = 0
+    for n in range(1, 8):
+        for g, _ in isomorphism_classes(n):
+            classes += 1
+            g6 = write_graph6(g)
+            for question in RECOGNIZERS:
+                line = f"{g6} {question.__name__} {question(g)!r}\n"
+                digest.update(line.encode("ascii"))
+    assert classes == CLASSES_1_TO_7
+    assert digest.hexdigest() == RECOGNIZER_DIGEST
