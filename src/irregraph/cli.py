@@ -5,8 +5,9 @@ of each input graph, construct builds a named family member and emits its
 graph6 with a metadata comment, recognize answers one structural question
 per graph, verify sweeps every labeled graph up to a given order, and
 sharpness re-verifies the attained-equality grids.  Input is one graph6
-string per line; compute passes '#' comment lines through unchanged, so
-construct output pipes straight back in.  Each subparser names its handler,
+string per line, and one line loop serves compute and recognize; compute
+passes '#' comment lines through unchanged, so construct output pipes
+straight back in, and recognize skips them.  Each subparser names its handler,
 which receives the parsed arguments as they are; construct has one flag per
 parameter name in FAMILIES.
 
@@ -137,42 +138,51 @@ def _input_lines(args, stdin: TextIO):
     return [(i, line.removesuffix("\r")) for i, line in enumerate(text.split("\n"), 1)]
 
 
-def _cmd_compute(args, stdin, out, err) -> int:
+def _each_graph(
+    args, stdin, out, err, solve, kind, fields, text, copy_comments
+) -> int:
+    """Print solve()'s answer on each input graph, in args.format.
+
+    A JSON line holds the schema, kind, graph and fields(answer), a text
+    line the graph6 string and text(answer).  Blank lines are skipped, and
+    '#' lines are copied to out only if copy_comments is true.  A line that
+    fails to parse, or on which solve() raises ValueError, exits 2 with its
+    line number; an unreadable input file exits 2 with the command's name.
+    """
     try:
         lines = _input_lines(args, stdin)
     except OSError as exc:
-        print(f"compute: {exc}", file=err)
+        print(f"{args.command}: {exc}", file=err)
         return 2
     for lineno, raw in lines:
         line = raw.strip(ASCII_WHITESPACE)
         if not line:
             continue
         if line.startswith("#"):
-            print(raw.rstrip("\n"), file=out)
+            if copy_comments:
+                print(raw.rstrip("\n"), file=out)
             continue
         try:
-            report = full_report(parse_graph6(line))
+            answer = solve(parse_graph6(line))
         except (Graph6Error, ValueError) as exc:
             print(f"line {lineno}: {exc}", file=err)
             return 2
         if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "schema": 1,
-                        "kind": "parameters",
-                        "graph": line,
-                        **report.to_json(),
-                    }
-                ),
-                file=out,
-            )
+            payload = {"schema": 1, "kind": kind, "graph": line, **fields(answer)}
+            print(json.dumps(payload), file=out)
         else:
-            cells = " ".join(
-                f"{name}={getattr(report, name)}" for name in _REPORT_FIELDS
-            )
-            print(f"{line} {cells}", file=out)
+            print(f"{line} {text(answer)}", file=out)
     return 0
+
+
+def _cmd_compute(args, stdin, out, err) -> int:
+    def text(report) -> str:
+        return " ".join(f"{name}={getattr(report, name)}" for name in _REPORT_FIELDS)
+
+    return _each_graph(
+        args, stdin, out, err, full_report, "parameters",
+        lambda report: report.to_json(), text, copy_comments=True,
+    )
 
 
 def _cmd_construct(args, stdin, out, err) -> int:
@@ -201,45 +211,20 @@ def _format_tag(tag) -> str:
 
 
 def _cmd_recognize(args, stdin, out, err) -> int:
-    question = PROPERTIES[args.property]
-    try:
-        lines = _input_lines(args, stdin)
-    except OSError as exc:
-        print(f"recognize: {exc}", file=err)
-        return 2
-    for lineno, raw in lines:
-        line = raw.strip(ASCII_WHITESPACE)
-        if not line or line.startswith("#"):
-            continue
-        try:
-            answer = question(parse_graph6(line))
-        except (Graph6Error, ValueError) as exc:
-            print(f"line {lineno}: {exc}", file=err)
-            return 2
-        if args.format == "json":
-            if answer is None or isinstance(answer, bool):
-                value = answer
-            else:
-                value = {"family": answer.family.value, "params": answer.params}
-            print(
-                json.dumps(
-                    {
-                        "schema": 1,
-                        "kind": "recognition",
-                        "graph": line,
-                        "property": args.property,
-                        "value": value,
-                    }
-                ),
-                file=out,
-            )
-        else:
-            if isinstance(answer, bool):
-                text = "true" if answer else "false"
-            else:
-                text = _format_tag(answer)
-            print(f"{line} {args.property}={text}", file=out)
-    return 0
+    def fields(answer) -> dict:
+        if answer is not None and not isinstance(answer, bool):
+            answer = {"family": answer.family.value, "params": answer.params}
+        return {"property": args.property, "value": answer}
+
+    def text(answer) -> str:
+        if isinstance(answer, bool):
+            return f"{args.property}={'true' if answer else 'false'}"
+        return f"{args.property}={_format_tag(answer)}"
+
+    return _each_graph(
+        args, stdin, out, err, PROPERTIES[args.property], "recognition",
+        fields, text, copy_comments=False,
+    )
 
 
 def _cmd_verify(args, stdin, out, err) -> int:

@@ -25,17 +25,18 @@ search that yields the smallest-mask witness directly; alpha_ir runs it with
 every degree class joined into a clique, alpha_reg inside each degree class.
 The solvers whose cost is a hard 2^n (gamma_ir, gamma_reg, max_cut) refuse
 n > SIZE_GUARD = 26.  max_cut walks the sides in Gray-code order, so each side
-costs one popcount.  gamma_ir and gamma_reg visit the k-subsets of each size
-in ascending mask order and test each one in a single inline loop.  From
-order 12 on they split each subset into a high and a low half and skip, in
-bulk, the low halves on which the high vertices outside the subset already
-break the count condition.  gamma_ir also skips the sizes for which the
+costs one popcount.  gamma_ir and gamma_reg share one minimum dominating set
+scan that differs only in its count condition: it visits the k-subsets of
+each size in ascending mask order, and from order 12 on it splits each
+subset into a high and a low half and skips, in bulk, the low halves on
+which the high vertices outside the subset already break the condition.
+gamma_ir also starts at the Thm 4.1 bound and skips the sizes for which the
 degree sequence leaves no room for pairwise distinct counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, NamedTuple
@@ -276,10 +277,13 @@ def naive_max_cut(g: Graph) -> Extremum:
 # -- optimized solvers ---------------------------------------------------------
 
 
-def _require_small(g: Graph, what: str) -> None:
-    if g.n > SIZE_GUARD:
+def _guard(g: Graph, enumerator: str = "") -> None:
+    """Refuse the order-0 graph, and n > SIZE_GUARD for a named enumerator."""
+    if g.n < 1:
+        raise ValueError("parameters need at least one vertex")
+    if enumerator and g.n > SIZE_GUARD:
         raise ValueError(
-            f"{what} enumerates 2^n subsets; n={g.n} exceeds the size guard "
+            f"{enumerator} enumerates 2^n subsets; n={g.n} exceeds the size guard "
             f"({SIZE_GUARD})"
         )
 
@@ -313,8 +317,7 @@ def _max_independent(rows, cand: int) -> tuple[int, int]:
 
 def alpha(g: Graph) -> Extremum:
     """Independence number with the smallest-mask maximum independent set."""
-    if g.n < 1:
-        raise ValueError("parameters need at least one vertex")
+    _guard(g)
     size, mask = _max_independent(g.rows, (1 << g.n) - 1)
     return Extremum(size, VertexSet(g.n, mask))
 
@@ -327,8 +330,7 @@ def alpha_ir(g: Graph) -> Extremum:
     clique: the one search runs on rows[v] | class of deg v, the class
     masks coming from classify_degrees.
     """
-    if g.n < 1:
-        raise ValueError("parameters need at least one vertex")
+    _guard(g)
     dc = classify_degrees(g)
     rows = [row | dc.masks[d] for row, d in zip(g.rows, dc.degrees)]
     size, mask = _max_independent(rows, (1 << g.n) - 1)
@@ -342,8 +344,7 @@ def alpha_reg(g: Graph) -> Extremum:
     runs on each class alone; the largest wins, and on a tie the smaller
     mask.
     """
-    if g.n < 1:
-        raise ValueError("parameters need at least one vertex")
+    _guard(g)
     size, mask = max(
         (_max_independent(g.rows, c) for c in classify_degrees(g).masks.values()),
         key=lambda found: (found[0], -found[1]),
@@ -464,69 +465,64 @@ def _equal_nonzero(outside, everything: int) -> int:
     return keep
 
 
+def _min_dominating(
+    g: Graph, sizes, keep: Callable[[list, int], int], distinct: bool
+) -> Extremum:
+    """The smallest-mask dominating set of the first size that has one.
+
+    distinct=True asks for pairwise distinct counts |N(v) cap D| over v
+    outside D, False for all counts equal.  Within a size the masks come in
+    ascending order, less those keep() drops (_SplitScan), and the first
+    valid one is returned.  The full vertex set is vacuously valid, so a
+    size sequence that reaches n always ends the search.
+    """
+    rows, n = g.rows, g.n
+    vertices = [(1 << v, rows[v]) for v in range(n)]
+    scan = _SplitScan(rows)
+    for k in sizes:
+        for mask in scan.masks(k, keep):
+            # bit c of barred rules count c out for the next outside vertex;
+            # bit 0 starts set because an undominated vertex never fits.
+            # Distinct counts bar each count once seen, equal counts bar
+            # every count but the first.
+            barred = 1
+            for bit, row in vertices:
+                if not mask & bit:
+                    count_bit = 1 << (row & mask).bit_count()
+                    if barred & count_bit:
+                        break
+                    barred = barred | count_bit if distinct else ~count_bit
+            else:
+                return Extremum(k, VertexSet(n, mask))
+    raise AssertionError("V(G) must be a valid set; solver bug")
+
+
 def gamma_ir(g: Graph) -> Extremum:
     """Irregular domination number.
 
     Candidate sizes run upward from the Thm 4.1 lower bound, so the first
-    size admitting a valid set is optimal.
-    Sizes whose degree intervals cannot hold n - k distinct counts are
-    skipped as well.  Within a size the masks come in ascending order, less
-    those on which two high vertices outside the mask share a count or one
-    has none (_SplitScan), and the first valid one is returned.  The full
-    vertex set is vacuously valid, so the search always terminates.
+    size admitting a valid set is optimal.  Sizes whose degree intervals
+    cannot hold n - k distinct counts are skipped as well, and the scan
+    drops the masks on which two high vertices outside the mask share a
+    count or one has none.
     """
-    if g.n < 1:
-        raise ValueError("parameters need at least one vertex")
-    _require_small(g, "gamma_ir")
-    rows, n, dc = g.rows, g.n, classify_degrees(g)
-    degs = dc.degrees
-    vertices = [(1 << v, rows[v]) for v in range(n)]
-    scan = _SplitScan(rows)
-    for k in range(lb_gamma_ir_thm41(n, dc.Delta), n + 1):
-        if not _distinct_counts_fit(degs, k):
-            continue
-        for mask in scan.masks(k, _distinct_nonzero):
-            # bit c of seen marks count c as taken; bit 0 starts set because
-            # a count of 0 (an undominated vertex) is never allowed
-            seen = 1
-            for bit, row in vertices:
-                if not mask & bit:
-                    count_bit = 1 << (row & mask).bit_count()
-                    if seen & count_bit:
-                        break
-                    seen |= count_bit
-            else:
-                return Extremum(k, VertexSet(n, mask))
-    raise AssertionError("V(G) must be irregular dominating; solver bug")
+    _guard(g, "gamma_ir")
+    n, dc = g.n, classify_degrees(g)
+    sizes = (
+        k for k in range(lb_gamma_ir_thm41(n, dc.Delta), n + 1)
+        if _distinct_counts_fit(dc.degrees, k)
+    )
+    return _min_dominating(g, sizes, _distinct_nonzero, distinct=True)
 
 
 def gamma_reg(g: Graph) -> Extremum:
     """Regular (fair) domination number.
 
-    Sizes are tried upward from 1.  Within a size the masks come in
-    ascending order, less those on which the high vertices outside the mask
-    do not share one nonzero count (_SplitScan), and the first valid one is
-    returned.
+    Sizes are tried upward from 1, and the scan drops the masks on which the
+    high vertices outside the mask do not share one nonzero count.
     """
-    if g.n < 1:
-        raise ValueError("parameters need at least one vertex")
-    _require_small(g, "gamma_reg")
-    rows, n = g.rows, g.n
-    vertices = [(1 << v, rows[v]) for v in range(n)]
-    scan = _SplitScan(rows)
-    for k in range(1, n + 1):
-        for mask in scan.masks(k, _equal_nonzero):
-            first = -1  # the count every outside vertex must have
-            for bit, row in vertices:
-                if not mask & bit:
-                    count = (row & mask).bit_count()
-                    if count != first:
-                        if first >= 0 or not count:
-                            break
-                        first = count
-            else:
-                return Extremum(k, VertexSet(n, mask))
-    raise AssertionError("V(G) must be regular dominating; solver bug")
+    _guard(g, "gamma_reg")
+    return _min_dominating(g, range(1, g.n + 1), _equal_nonzero, distinct=False)
 
 
 # The max-cut walk runs in blocks of 2^_GRAY_BLOCK steps.  The moves inside a
@@ -547,9 +543,7 @@ def max_cut(g: Graph) -> Extremum:
     when its cut is larger, or equal with a smaller mask; the witness is
     therefore the smallest-mask side among the optima.
     """
-    if g.n < 1:
-        raise ValueError("parameters need at least one vertex")
-    _require_small(g, "max_cut")
+    _guard(g, "max_cut")
     rows, n, degs = g.rows, g.n, classify_degrees(g).degrees
     free = n - 1  # vertices that may join the side
     low = min(_GRAY_BLOCK, free)
@@ -607,26 +601,13 @@ class ParameterReport:
             raise AssertionError("beta exceeds edge count")
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "alpha": self.alpha,
-            "alpha_ir": self.alpha_ir,
-            "alpha_reg": self.alpha_reg,
-            "gamma_ir": self.gamma_ir,
-            "gamma_reg": self.gamma_reg,
-            "beta": self.beta,
-            "delta": self.delta,
-            "Delta": self.Delta,
-            "span": self.span,
-            "avg_degree": [
-                self.avg_degree.numerator,
-                self.avg_degree.denominator,
-            ],
-            "witnesses": {
-                key: list(ws.members) for key, ws in self.witnesses.items()
-            },
+        """Every field in field order; the fraction and the sets as lists."""
+        blob = {f.name: getattr(self, f.name) for f in fields(self)}
+        blob["avg_degree"] = [self.avg_degree.numerator, self.avg_degree.denominator]
+        blob["witnesses"] = {
+            key: list(ws.members) for key, ws in self.witnesses.items()
         }
+        return blob
 
 
 _WITNESS_CHECKS = {
@@ -640,8 +621,7 @@ _WITNESS_CHECKS = {
 
 def full_report(g: Graph) -> ParameterReport:
     """Compute every parameter exactly and re-validate each witness."""
-    if g.n < 1:
-        raise ValueError("parameters need at least one vertex")
+    _guard(g)
     dc = classify_degrees(g)
     results = {
         "alpha": alpha(g),
@@ -664,12 +644,7 @@ def full_report(g: Graph) -> ParameterReport:
     return ParameterReport(
         n=g.n,
         m=g.m,
-        alpha=results["alpha"].value,
-        alpha_ir=results["alpha_ir"].value,
-        alpha_reg=results["alpha_reg"].value,
-        gamma_ir=results["gamma_ir"].value,
-        gamma_reg=results["gamma_reg"].value,
-        beta=results["beta"].value,
+        **{key: ext.value for key, ext in results.items()},
         delta=dc.delta,
         Delta=dc.Delta,
         span=dc.span,

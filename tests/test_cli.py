@@ -73,6 +73,14 @@ def test_compute_reads_stdin_and_passes_comments():
     lines = out.splitlines()
     assert lines[0] == "# corpus header"
     assert lines[1].startswith("Ch ")
+    # recognize reads the same lines but drops the comment
+    code, out, _ = run_cli("recognize", "planar", stdin_text="# corpus header\n\nCh\n")
+    assert (code, out) == (0, "Ch planar=true\n")
+    for argv in (("compute",), ("recognize", "planar")):
+        code, out, err = run_cli(*argv, stdin_text="# corpus header\n\n??bad??\n")
+        assert code == 2
+        assert out == ("# corpus header\n" if argv == ("compute",) else "")
+        assert err.startswith("line 3: ")
 
 
 def test_compute_reads_input_file(tmp_path):

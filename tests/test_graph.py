@@ -228,7 +228,7 @@ def test_classes_match_key_dict_oracle():
 
 def test_capped_classes_match_polya_counts():
     # the lower half by edge count, as the sweep's last order reads it
-    for n in range(8):
+    for n in range(9):
         cap = pair_count(n) // 2
         by_m = Counter(g.m for g, _ in _classes(n, cap))
         assert [by_m[m] for m in range(cap + 1)] == polya_graph_counts(n)[: cap + 1]

@@ -1,5 +1,6 @@
 """Exact parameter solvers against frozen values and the naive oracles."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,9 +16,11 @@ from irregraph.graph import (
     empty_graph,
     from_edge_mask,
     from_edges,
+    isomorphism_classes,
     pair_count,
     path_graph,
     star_graph,
+    write_graph6,
 )
 from irregraph.params import (
     alpha,
@@ -177,12 +180,20 @@ def test_single_vertex():
 
 def test_size_guard():
     big = empty_graph(27)
-    with pytest.raises(ValueError):
-        gamma_ir(big)
-    with pytest.raises(ValueError):
-        max_cut(big)
-    with pytest.raises(ValueError):
-        alpha(empty_graph(0))
+    for solver in (gamma_ir, gamma_reg, max_cut):
+        with pytest.raises(ValueError) as raised:
+            solver(big)
+        assert str(raised.value) == (
+            f"{solver.__name__} enumerates 2^n subsets; n=27 exceeds the size "
+            "guard (26)"
+        )
+    for solver in (alpha, alpha_ir, alpha_reg, gamma_ir, gamma_reg, max_cut,
+                   full_report):
+        with pytest.raises(ValueError) as raised:
+            solver(empty_graph(0))
+        assert str(raised.value) == "parameters need at least one vertex", (
+            solver.__name__
+        )
 
 
 def test_full_report_rejects_wrong_cut_witness(monkeypatch):
@@ -259,6 +270,34 @@ def test_split_scan_matches_oracles_at_small_orders(monkeypatch):
     for g in graphs:
         assert gamma_ir(g) == naive_gamma_ir(g), (g.n, g.edge_mask)
         assert gamma_reg(g) == naive_gamma_reg(g), (g.n, g.edge_mask)
+
+
+# sha256 over "graph6 gamma_ir witness-mask gamma_reg witness-mask\n".  The
+# classes of order 1-7 and their complements take the plain ascending scan;
+# the G(n, p) draws at n = 12-16 take the split scan, up to the n = 16 that
+# compute runs, past the n = 12 that the oracle comparisons above reach.
+DOMINATION_DIGESTS = {
+    "classes": "0ce2deaa8c87ba39becf341f8b3b11f62ad5926a9ad34515b71791e6ad6227fc",
+    "gnp": "0d067bdc3f6e13c05eab33d057d9e387443241aeb2b4fd58e38ad2ae5b7310af",
+}
+
+
+def test_every_domination_answer_is_frozen():
+    rng = random.Random(19)
+    sets = {
+        "classes": [h for n in range(1, 8) for g, _ in isomorphism_classes(n)
+                    for h in (g, complement(g))],
+        "gnp": [gnp(n, p, rng) for n in range(12, 17) for p in (0.2, 0.5, 0.8)
+                for _ in range(4)],
+    }
+    for name, graphs in sets.items():
+        digest = hashlib.sha256()
+        for g in graphs:
+            ir, reg = gamma_ir(g), gamma_reg(g)
+            line = (f"{write_graph6(g)} {ir.value} {ir.witness.mask} "
+                    f"{reg.value} {reg.witness.mask}\n")
+            digest.update(line.encode("ascii"))
+        assert digest.hexdigest() == DOMINATION_DIGESTS[name], name
 
 
 def test_witnesses_on_tie_heavy_graphs():
