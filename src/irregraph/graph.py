@@ -4,10 +4,12 @@ A graph on n vertices is stored as a tuple of n integers; bit u of row v is 1
 exactly when {u, v} is an edge.  Vertices are the integers 0..n-1.  All
 operations return new graphs; nothing here mutates shared state.
 
-The module also provides the degree classification used throughout (degree
-classes N_i, their sizes, the span, built once per graph), canonical keys
-with automorphism counts, one representative per isomorphism class of small
-order, and a bit-exact graph6 codec restricted to the short form (1 <= n <= 62).
+The module also provides the walk over the set bits of a vertex mask
+(_bits, lowest vertex first, and _touch, the union of the rows it visits),
+the degree classification used throughout (degree classes N_i, their sizes,
+the span, built once per graph), canonical keys with automorphism counts,
+one representative per isomorphism class of small order, and a bit-exact
+graph6 codec restricted to the short form (1 <= n <= 62).
 
 Edge-mask convention: the C(n,2) vertex pairs are numbered in column-major
 upper-triangle order, pair (u, v) with u < v at position v*(v-1)/2 + u.  This
@@ -37,6 +39,22 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The vertices of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _touch(rows, mask: int) -> int:
+    """Every vertex adjacent to some vertex of mask."""
+    out = 0
+    for v in _bits(mask):
+        out |= rows[v]
+    return out
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """Subset of the vertices of an n-vertex graph, stored as a bitmask."""
@@ -63,7 +81,7 @@ class VertexSet:
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.mask >> v & 1)
+        return tuple(_bits(self.mask))
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and bool(self.mask >> v & 1)
@@ -131,12 +149,9 @@ class Graph:
         return sum(row.bit_count() for row in self.rows) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for v in range(self.n):
-            row = self.rows[v] & ((1 << v) - 1)
-            while row:
-                u = (row & -row).bit_length() - 1
+        for v, row in enumerate(self.rows):
+            for u in _bits(row & ((1 << v) - 1)):
                 yield (u, v)
-                row &= row - 1
 
     @property
     def edge_mask(self) -> int:
@@ -147,8 +162,7 @@ class Graph:
         return mask
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        row = self.rows[v]
-        return tuple(u for u in range(self.n) if row >> u & 1)
+        return tuple(_bits(self.rows[v]))
 
 
 # -- constructors ---------------------------------------------------------
@@ -268,14 +282,14 @@ class DegreeClassification:
 
 
 def classify_degrees(g: Graph) -> DegreeClassification:
-    """Group vertices by degree.  Undefined (raises) for n = 0.
+    """Group vertices by degree.  Raises ValueError for n = 0.
 
     The one place the package groups vertices by degree.  The first call on
     a Graph keeps the result in it, and later calls return that object.
     """
     if g._degree_classes is None:
         if g.n == 0:
-            raise ValueError("degree classification needs at least one vertex")
+            raise ValueError("needs at least one vertex")
         degs = g.degrees()
         masks = dict.fromkeys(sorted(set(degs)), 0)
         for v, d in enumerate(degs):
@@ -603,10 +617,11 @@ class Graph6Error(ValueError):
 # graph6 writes the first pair of each 6-pair group as the group's most
 # significant bit, where the edge mask holds it as the least significant one.
 # Entry x is the body byte of the group whose mask bits are x: 63 plus x with
-# its 6 bits reversed.
+# its 6 bits reversed.  _GRAPH6_GROUPS maps each body byte back to its x.
 _GRAPH6_BYTES = tuple(
     chr(63 + int(format(x, "06b")[::-1], 2)) for x in range(64)
 )
+_GRAPH6_GROUPS = {byte: x for x, byte in enumerate(_GRAPH6_BYTES)}
 
 
 def graph6_from_edge_mask(n: int, mask: int) -> str:
@@ -657,15 +672,10 @@ def parse_graph6(text: str | bytes) -> Graph:
         )
     mask = 0
     for i, ch in enumerate(body):
-        code = ord(ch)
-        if not 63 <= code <= 126:
-            raise Graph6Error(f"bad body byte {code}")
-        group = code - 63
-        for k in range(6):
-            p = 6 * i + k
-            bit = group >> (5 - k) & 1
-            if p < nbits:
-                mask |= bit << p
-            elif bit:
-                raise Graph6Error("nonzero padding bits")
+        group = _GRAPH6_GROUPS.get(ch)
+        if group is None:
+            raise Graph6Error(f"bad body byte {ord(ch)}")
+        mask |= group << 6 * i
+    if mask >> nbits:  # the bits past the last pair pad the last byte
+        raise Graph6Error("nonzero padding bits")
     return from_edge_mask(n, mask)

@@ -3,13 +3,13 @@
 Each of the 28 published facts the package checks is one row of a table,
 evaluated over exact solver output by one evaluator.  An inequality row
 names an integer value and its integer bounds, taken from irregraph.bounds
-or, in T3.2i and the sum and product rows, written inline; a
-characterization row names the two sides of an "if and only if"; a few rows
-carry both.  Each row has a witness template that the evaluator fills in
-only when the row fails, with the instantiated inequality, so a failure can
-be re-checked by hand from the graph6 string alone.  A sweep covers every
-labeled graph up to a given order (all 2^C(n,2) edge masks, nothing
-sampled).
+or, in T3.2i and the sum and product rows, written inline, a bound being
+None where the fact's hypothesis fails; a characterization row names the
+two sides of an "if and only if"; a few rows carry both.  Each row has a
+witness template that the evaluator fills in only when the row fails, with
+the instantiated inequality, so a failure can be re-checked by hand from the
+graph6 string alone.  A sweep covers every labeled graph up to a given
+order (all 2^C(n,2) edge masks, nothing sampled).
 
 Every check is invariant under relabeling, so verify_range checks one
 representative per isomorphism class and counts its verdicts n!/|Aut|
@@ -261,8 +261,9 @@ class _Row(NamedTuple):
 
     The row holds when lo(c) <= value(c) <= hi(c), a missing end being open,
     and, if it has an iff, when the two sides iff(c, value, hi) returns are
-    equal.  It is not applicable when applies(c) is false, or when a bound
-    is None: that is how irregraph.bounds says the fact's hypothesis fails.
+    equal.  It is not applicable exactly when a bound is None where the
+    fact's hypothesis fails, as irregraph.bounds signals it; the bounds are
+    read first, so such a row computes nothing else.
 
     witness is a str.format template over the fields c, v (the value), lo,
     hi, lhs and rhs (the sides of the iff), or a callable taking them as
@@ -278,7 +279,6 @@ class _Row(NamedTuple):
     lo: Optional[Callable[[_Ctx], Optional[int]]] = None
     hi: Optional[Callable[[_Ctx], Optional[int]]] = None
     iff: Optional[Callable[[_Ctx, object, Optional[int]], tuple]] = None
-    applies: Optional[Callable[[_Ctx], bool]] = None
 
 
 def _family(tag) -> Optional[str]:
@@ -341,8 +341,7 @@ _ROWS = (
         "T2.3iii", "alpha_ir*alpha_reg={v} outside [1, {hi}]",
         value=lambda c: c.alpha_ir * c.alpha_reg,
         lo=lambda c: 1,
-        hi=lambda c: bounds.product_cap(c.n),
-        applies=lambda c: c.n >= 4,
+        hi=lambda c: bounds.product_cap(c.n) if c.n >= 4 else None,
     ),
     _Row(
         "T2.3b", "sum={v} attains n+1: {lhs}, empty: {rhs}",
@@ -352,8 +351,7 @@ _ROWS = (
     _Row(
         "C2.4", "alpha_ir*alpha_reg={v} > {hi}",
         value=lambda c: c.alpha_ir * c.alpha_reg,
-        hi=lambda c: min(c.alpha**2, bounds.product_cap(c.n)),
-        applies=lambda c: c.n >= 4,
+        hi=lambda c: min(c.alpha**2, bounds.product_cap(c.n)) if c.n >= 4 else None,
     ),
     _Row(
         "L3.1", "degree-class structure holds: {lhs}, alpha_ir=1: {rhs}",
@@ -363,14 +361,12 @@ _ROWS = (
         # n_k >= n - k for every degree class k
         "T3.2i", _thin_class,
         value=lambda c: min(k + nk for k, nk in c.dc.sizes.items()),
-        lo=lambda c: c.n,
-        applies=lambda c: c.alpha_ir == 1,
+        lo=lambda c: c.n if c.alpha_ir == 1 else None,
     ),
     _Row(
         "T3.2ii", "span={v} > {hi} (delta={c.dc.delta})",
         value=lambda c: c.dc.span,
-        hi=lambda c: bounds.ub_span_thm32(c.dc.delta),
-        applies=lambda c: c.alpha_ir == 1,
+        hi=lambda c: bounds.ub_span_thm32(c.dc.delta) if c.alpha_ir == 1 else None,
     ),
     _Row(
         "T3.3", "planar with alpha_ir=1: {lhs}, family: {v}",
@@ -454,15 +450,13 @@ _ROWS = (
         "T6.1i", "alpha_ir+alpha_ir(comp)={v} outside [2, {hi}]",
         value=lambda c: c.alpha_ir + c.alpha_ir_c,
         lo=lambda c: 2,
-        hi=lambda c: c.n,
-        applies=lambda c: c.n >= 2,
+        hi=lambda c: c.n if c.n >= 2 else None,
     ),
     _Row(
         "T6.1ii", "alpha_ir*alpha_ir(comp)={v} outside [1, {hi}]",
         value=lambda c: c.alpha_ir * c.alpha_ir_c,
         lo=lambda c: 1,
-        hi=lambda c: bounds.product_cap(c.n),
-        applies=lambda c: c.n >= 2,
+        hi=lambda c: bounds.product_cap(c.n) if c.n >= 2 else None,
     ),
     _Row(
         # the top is attained exactly by the empty and the complete graph
@@ -471,9 +465,8 @@ _ROWS = (
         "attains top: {lhs}, empty-or-complete: {rhs}",
         value=lambda c: c.gamma_ir + c.gamma_ir_c,
         lo=lambda c: 2 * ((c.n + 1) // 2),
-        hi=lambda c: 2 * c.n - 1,
+        hi=lambda c: 2 * c.n - 1 if c.n >= 2 else None,
         iff=lambda c, v, hi: (v == hi, _extreme_edges(c)),
-        applies=lambda c: c.n >= 2,
     ),
     _Row(
         "T6.2ii",
@@ -481,9 +474,8 @@ _ROWS = (
         "attains top: {lhs}, empty-or-complete: {rhs}",
         value=lambda c: c.gamma_ir * c.gamma_ir_c,
         lo=lambda c: ((c.n + 1) // 2) ** 2,
-        hi=lambda c: c.n * (c.n - 1),
+        hi=lambda c: c.n * (c.n - 1) if c.n >= 2 else None,
         iff=lambda c, v, hi: (v == hi, _extreme_edges(c)),
-        applies=lambda c: c.n >= 2,
     ),
 )
 
@@ -492,13 +484,11 @@ THEOREM_IDS = tuple(row.tid for row in _ROWS)
 
 def _evaluate(row: _Row, c: _Ctx) -> Verdict:
     """The verdict of one row on one graph."""
-    if row.applies is not None and not row.applies(c):
-        return Verdict(row.tid, "not_applicable")
-    v = row.value(c) if row.value else None
     lo = row.lo(c) if row.lo else None
     hi = row.hi(c) if row.hi else None
     if (row.lo and lo is None) or (row.hi and hi is None):
         return Verdict(row.tid, "not_applicable")
+    v = row.value(c) if row.value else None
     ok = (lo is None or lo <= v) and (hi is None or v <= hi)
     lhs = rhs = None
     if row.iff:

@@ -15,9 +15,9 @@ in which they differ, so this is not the lexicographically smallest sorted
 member tuple: on the 4-cycle with edges 01, 02, 13, 23 the maximum
 independent sets are {1, 2} (mask 6) and {0, 3} (mask 9), and the witness is
 {1, 2}.  The naive_* oracles realize the same tie-break by scanning all 2^n
-subsets in ascending mask order and updating only on strict improvement; the
-optimized solvers match them bit for bit, which the test suite checks
-exhaustively at order 4 and on random graphs up to order 12.
+subsets and taking the smallest (size, mask) key, with the size negated for a
+maximum; the optimized solvers match them bit for bit, which the test suite
+checks exhaustively at order 4 and on random graphs up to order 12.
 
 Everything here enumerates subsets, so the intended range is small n.  alpha,
 alpha_ir and alpha_reg share one branch-and-bound maximum independent set
@@ -42,7 +42,7 @@ from itertools import chain
 from typing import Callable, NamedTuple
 
 from irregraph.bounds import lb_gamma_ir_thm41
-from irregraph.graph import Graph, VertexSet, classify_degrees
+from irregraph.graph import Graph, VertexSet, _touch, classify_degrees
 
 SIZE_GUARD = 26
 
@@ -88,28 +88,18 @@ def _independent_mask(rows, mask: int) -> bool:
     return True
 
 
-def _degrees_distinct(degs, mask: int) -> bool:
-    seen = 0
+def _degrees_fit(degs, mask: int, distinct: bool) -> bool:
+    """Whether the degrees over mask are pairwise distinct (distinct=True)
+    or all equal (False)."""
+    # bit d of barred rules degree d out for the next member: distinct
+    # degrees bar each degree once seen, equal degrees every one but the first
+    barred = 0
     rest = mask
     while rest:
-        v = (rest & -rest).bit_length() - 1
-        bit = 1 << degs[v]
-        if seen & bit:
+        bit = 1 << degs[(rest & -rest).bit_length() - 1]
+        if barred & bit:
             return False
-        seen |= bit
-        rest &= rest - 1
-    return True
-
-
-def _degrees_equal(degs, mask: int) -> bool:
-    rest = mask
-    first = -1
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        if first < 0:
-            first = degs[v]
-        elif degs[v] != first:
-            return False
+        barred = barred | bit if distinct else ~bit
         rest &= rest - 1
     return True
 
@@ -150,34 +140,29 @@ def is_independent(g: Graph, a: VertexSet) -> bool:
     return _independent_mask(g.rows, a.mask)
 
 
-def is_irregular_independent(g: Graph, a: VertexSet) -> bool:
-    """Independent with pairwise distinct degrees in g; the empty set,
-    the only subset of the empty graph, always is."""
+def _fitting_independent(g: Graph, a: VertexSet, distinct: bool) -> bool:
+    """Independent with degrees that _degrees_fit; the empty set, the only
+    subset of the empty graph, always is."""
     _check_subset(g, a)
-    return not a.mask or _independent_mask(g.rows, a.mask) and _degrees_distinct(
-        classify_degrees(g).degrees, a.mask
+    return not a.mask or _independent_mask(g.rows, a.mask) and _degrees_fit(
+        classify_degrees(g).degrees, a.mask, distinct
     )
+
+
+def is_irregular_independent(g: Graph, a: VertexSet) -> bool:
+    """Independent with pairwise distinct degrees in g."""
+    return _fitting_independent(g, a, distinct=True)
 
 
 def is_regular_independent(g: Graph, a: VertexSet) -> bool:
-    """Independent with all member degrees equal; the empty set always is."""
-    _check_subset(g, a)
-    return not a.mask or _independent_mask(g.rows, a.mask) and _degrees_equal(
-        classify_degrees(g).degrees, a.mask
-    )
+    """Independent with all member degrees equal."""
+    return _fitting_independent(g, a, distinct=False)
 
 
 def is_dominating(g: Graph, d: VertexSet) -> bool:
+    """D and its neighbours cover every vertex."""
     _check_subset(g, d)
-    rows, n, mask = g.rows, g.n, d.mask
-    outside = ((1 << n) - 1) ^ mask
-    rest = outside
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        if not rows[v] & mask:
-            return False
-        rest &= rest - 1
-    return True
+    return d.mask | _touch(g.rows, d.mask) == (1 << g.n) - 1
 
 
 def is_irregular_dominating(g: Graph, d: VertexSet) -> bool:
@@ -194,84 +179,78 @@ def is_regular_dominating(g: Graph, d: VertexSet) -> bool:
 
 # -- naive oracles ------------------------------------------------------------
 
-# Each oracle scans every subset mask in ascending order.  They exist as the
-# ground truth the optimized solvers are validated against and stay dumb on
-# purpose; do not optimize them.
+# Each oracle scans every subset mask and takes the smallest (size, mask)
+# key, its size negated for a maximum, so the witness is the smallest mask of
+# the optimal size.  They exist as the ground truth the optimized solvers are
+# validated against and stay dumb on purpose; do not optimize them.
 
 
-def _naive_max(g: Graph, valid: Callable[[int], bool]) -> Extremum:
-    best_size, best_mask = -1, 0
-    for mask in range(1 << g.n):
-        if valid(mask):
-            size = mask.bit_count()
-            if size > best_size:
-                best_size, best_mask = size, mask
-    return Extremum(best_size, VertexSet(g.n, best_mask))
-
-
-def _naive_min(g: Graph, valid: Callable[[int], bool]) -> Extremum:
-    best_size, best_mask = g.n + 1, 0
-    for mask in range(1 << g.n):
-        if valid(mask):
-            size = mask.bit_count()
-            if size < best_size:
-                best_size, best_mask = size, mask
-    if best_size > g.n:
+def _naive(g: Graph, valid: Callable[[int], bool], largest: bool) -> Extremum:
+    sign = -1 if largest else 1
+    size, mask = min(
+        ((sign * mask.bit_count(), mask) for mask in range(1 << g.n) if valid(mask)),
+        default=(None, 0),
+    )
+    if size is None:
         raise ValueError("no valid set exists")
-    return Extremum(best_size, VertexSet(g.n, best_mask))
+    return Extremum(sign * size, VertexSet(g.n, mask))
 
 
 def naive_alpha(g: Graph) -> Extremum:
     rows = g.rows
-    return _naive_max(g, lambda mask: _independent_mask(rows, mask))
+    return _naive(g, lambda mask: _independent_mask(rows, mask), largest=True)
 
 
 def naive_alpha_ir(g: Graph) -> Extremum:
     rows, degs = g.rows, g.degrees()
-    return _naive_max(
+    return _naive(
         g,
-        lambda mask: _independent_mask(rows, mask)
-        and _degrees_distinct(degs, mask),
+        lambda mask: _independent_mask(rows, mask) and _degrees_fit(degs, mask, True),
+        largest=True,
     )
 
 
 def naive_alpha_reg(g: Graph) -> Extremum:
     rows, degs = g.rows, g.degrees()
-    return _naive_max(
+    return _naive(
         g,
-        lambda mask: _independent_mask(rows, mask)
-        and _degrees_equal(degs, mask),
+        lambda mask: _independent_mask(rows, mask) and _degrees_fit(degs, mask, False),
+        largest=True,
     )
 
 
 def naive_gamma_ir(g: Graph) -> Extremum:
     rows, n = g.rows, g.n
-    return _naive_min(
-        g, lambda mask: _domination_counts_ok(rows, n, mask, distinct=True)
+    return _naive(
+        g, lambda mask: _domination_counts_ok(rows, n, mask, distinct=True),
+        largest=False,
     )
 
 
 def naive_gamma_reg(g: Graph) -> Extremum:
     rows, n = g.rows, g.n
-    return _naive_min(
-        g, lambda mask: _domination_counts_ok(rows, n, mask, distinct=False)
+    return _naive(
+        g, lambda mask: _domination_counts_ok(rows, n, mask, distinct=False),
+        largest=False,
     )
+
+
+def _cut(rows, n: int, side: int) -> int:
+    """The number of edges between side and the other vertices."""
+    out = ((1 << n) - 1) ^ side
+    cut = 0
+    rest = side
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        cut += (rows[v] & out).bit_count()
+        rest &= rest - 1
+    return cut
 
 
 def naive_max_cut(g: Graph) -> Extremum:
     rows, n = g.rows, g.n
-    best_cut, best_mask = -1, 0
-    for mask in range(1 << n):
-        out = ((1 << n) - 1) ^ mask
-        cut = 0
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            cut += (rows[v] & out).bit_count()
-            rest &= rest - 1
-        if cut > best_cut:
-            best_cut, best_mask = cut, mask
-    return Extremum(best_cut, VertexSet(n, best_mask))
+    cut, side = min((-_cut(rows, n, side), side) for side in range(1 << n))
+    return Extremum(-cut, VertexSet(n, side))
 
 
 # -- optimized solvers ---------------------------------------------------------
@@ -637,9 +616,7 @@ def full_report(g: Graph) -> ParameterReport:
             raise AssertionError(f"invalid witness for {key}")
         if check is not None and ext.witness.size != ext.value:
             raise AssertionError(f"witness size mismatch for {key}")
-    side = results["beta"].witness
-    outside = ((1 << g.n) - 1) ^ side.mask
-    if sum((g.rows[v] & outside).bit_count() for v in side) != results["beta"].value:
+    if _cut(g.rows, g.n, results["beta"].witness.mask) != results["beta"].value:
         raise AssertionError("invalid witness for beta")
     return ParameterReport(
         n=g.n,

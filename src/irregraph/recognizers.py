@@ -11,7 +11,8 @@ one mask test per vertex against its degree class.  Third, structural
 classifiers mapping a graph to the family it belongs to in the
 characterizations of planar alpha_ir = 1 graphs, outerplanar alpha_ir = 1
 graphs, and graphs with gamma_ir in {n, n-1}.  The degree classes come from
-graph.classify_degrees, built once per graph.
+graph.classify_degrees, built once per graph; it refuses the graph with no
+vertices, and so does every recognizer that reads it.
 
 The classifiers match by exact degree class sizes and local structure, never
 by isomorphism search or a Lemma 3.1 gate, and each matcher is exact: it fires
@@ -30,27 +31,14 @@ from typing import Optional
 from irregraph.graph import (
     DegreeClassification,
     Graph,
+    _bits,
+    _touch,
     classify_degrees,
     complete_graph,
     join,
 )
 
 # -- planarity by path addition ------------------------------------------------
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _touch(rows, mask: int) -> int:
-    """Every vertex adjacent to some vertex of mask."""
-    out = 0
-    for v in _bits(mask):
-        out |= rows[v]
-    return out
 
 
 def _component(rows, mask: int, seed: int) -> int:
@@ -164,8 +152,6 @@ def satisfies_lemma31(g: Graph) -> bool:
     tested, as one mask test per vertex: its neighbours and its own degree
     class together cover every vertex.
     """
-    if g.n < 1:
-        raise ValueError("needs at least one vertex")
     dc = classify_degrees(g)
     full = (1 << g.n) - 1
     return all(row | dc.masks[d] == full for row, d in zip(g.rows, dc.degrees))
@@ -216,8 +202,6 @@ def classify_planar_alpha1(g: Graph) -> Optional[FamilyTag]:
     every other matcher being exact for a family whose members are all
     planar.
     """
-    if g.n < 1:
-        raise ValueError("needs at least one vertex")
     n, dc = g.n, classify_degrees(g)
     sizes = dc.sizes
     if dc.span == 1:
@@ -269,8 +253,6 @@ def classify_outerplanar_alpha1(g: Graph) -> Optional[FamilyTag]:
     members are all outerplanar with alpha_ir = 1, so neither an
     outerplanarity nor a Lemma 3.1 test is needed.
     """
-    if g.n < 1:
-        raise ValueError("needs at least one vertex")
     n, sizes = g.n, classify_degrees(g).sizes
     if sizes == {2: n}:
         return FamilyTag(Family.CYCLE_UNION, {"n": n})
@@ -294,8 +276,6 @@ def classify_gamma_extremal(g: Graph) -> Optional[FamilyTag]:
     K_{1,r} or an r-regular graph with r >= 1; both shapes are read off the
     degree classes.
     """
-    if g.n < 1:
-        raise ValueError("needs at least one vertex")
     n, dc = g.n, classify_degrees(g)
     r = dc.Delta
     if r == 0:

@@ -265,6 +265,30 @@ def test_recognize_planar_alpha1_beyond_order_16():
     assert out == f"{dodecahedron} planar-alpha1=RegularPlanar(n=20,r=3)\n"
 
 
+def test_recognize_the_order_zero_graph():
+    # "?" is the graph6 line of the graph with no vertices
+    refused = (2, "", "line 1: needs at least one vertex\n")
+    expected = {
+        "lemma31": refused,
+        "planar": (0, "? planar=true\n", ""),
+        "outerplanar": (0, "? outerplanar=true\n", ""),
+        "planar-alpha1": refused,
+        "outerplanar-alpha1": refused,
+        "gamma-extremal": refused,
+    }
+    for prop, want in expected.items():
+        assert run_cli("recognize", prop, "?") == want, prop
+        code, out, err = run_cli("recognize", "--format", "json", prop, "?")
+        if want[0]:
+            assert (code, out, err) == want, prop
+        else:
+            assert (code, err) == (0, ""), prop
+            assert json.loads(out) == {
+                "schema": 1, "kind": "recognition", "graph": "?",
+                "property": prop, "value": True,
+            }
+
+
 def test_recognize_bad_input_exits_two():
     code, _, err = run_cli("recognize", "lemma31", stdin_text="!!!\n")
     assert code == 2

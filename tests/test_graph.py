@@ -2,6 +2,7 @@
 graph6 codec."""
 
 import random
+import re
 from collections import Counter
 from math import factorial
 
@@ -334,28 +335,31 @@ def test_graph6_accepts_bytes_and_whitespace():
     assert parse_graph6("  C~  ") == complete_graph(4)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "",  # empty
-        "~??",  # long form header
-        "\x3e",  # header below range
-        "C",  # truncated body
-        "Chh",  # trailing garbage
-        "A" + chr(200),  # body byte out of range
-        b"C\xffh",  # non-ASCII body byte
-        b"\xff",  # non-ASCII header byte
-        b"\xa0Ch",  # non-ASCII whitespace is not stripped
-    ],
-)
+# each malformed line and the exact text of its Graph6Error
+MALFORMED_GRAPH6 = {
+    "": "empty graph6 value",
+    "~??": "long-form graph6 (n > 62) is not supported",
+    "\x3e": "bad header byte 62",  # header below range
+    "C": "expected 1 body bytes for n=4, got 0",  # truncated body
+    "Chh": "expected 1 body bytes for n=4, got 2",  # trailing garbage
+    "A" + chr(200): "bad body byte 200",  # body byte out of range
+    b"C\xffh": "expected 1 body bytes for n=4, got 2",  # length is checked first
+    b"C\xff": "bad body byte 255",  # non-ASCII body byte
+    b"\xff": "bad header byte 255",  # non-ASCII header byte
+    b"\xa0Ch": "bad header byte 160",  # non-ASCII whitespace is not stripped
+}
+
+
+@pytest.mark.parametrize("bad", list(MALFORMED_GRAPH6))
 def test_graph6_rejects_malformed(bad):
-    with pytest.raises(Graph6Error):
+    message = MALFORMED_GRAPH6[bad]
+    with pytest.raises(Graph6Error, match=f"^{re.escape(message)}$"):
         parse_graph6(bad)
 
 
 def test_graph6_rejects_nonzero_padding():
     # n=2: one pair bit, five padding bits; 'A' + chr(63 + 1) sets a pad bit
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error, match="^nonzero padding bits$"):
         parse_graph6("A" + chr(63 + 0b000001))
     # the valid encodings of both 2-vertex graphs still parse
     assert parse_graph6("A?") == empty_graph(2)
@@ -391,6 +395,71 @@ def bitwise_graph6(g: Graph) -> str:
             group = (group << 1) | bit
         out.append(chr(group + 63))
     return "".join(out)
+
+
+def bitwise_parse_graph6(text: str | bytes) -> Graph:
+    """Oracle: the graph6 reader the package had before its table decoder,
+    one bit at a time, testing each padding bit as it goes."""
+    if isinstance(text, bytes):
+        text = text.decode("latin-1")
+    text = text.strip(" \t\n\r\v\f")
+    if not text:
+        raise Graph6Error("empty graph6 value")
+    head = ord(text[0])
+    if head == 126:
+        raise Graph6Error("long-form graph6 (n > 62) is not supported")
+    if not 63 <= head <= 125:
+        raise Graph6Error(f"bad header byte {head}")
+    n = head - 63
+    nbits = pair_count(n)
+    ngroups = (nbits + 5) // 6
+    body = text[1:]
+    if len(body) != ngroups:
+        raise Graph6Error(
+            f"expected {ngroups} body bytes for n={n}, got {len(body)}"
+        )
+    mask = 0
+    for i, ch in enumerate(body):
+        code = ord(ch)
+        if not 63 <= code <= 126:
+            raise Graph6Error(f"bad body byte {code}")
+        group = code - 63
+        for k in range(6):
+            p = 6 * i + k
+            bit = group >> (5 - k) & 1
+            if p < nbits:
+                mask |= bit << p
+            elif bit:
+                raise Graph6Error("nonzero padding bits")
+    return from_edge_mask(n, mask)
+
+
+def _decoded(decoder, text):
+    """The graph decoder reads from text, or the text of its Graph6Error."""
+    try:
+        return decoder(text)
+    except Graph6Error as exc:
+        return str(exc)
+
+
+def test_graph6_decoder_matches_bitwise_oracle_on_every_byte():
+    # every line of order 0-6 with one byte, header included, replaced by
+    # each of the 256 byte values: the same graph or the same error text
+    rng = random.Random(6)
+    seen = 0
+    for n in range(7):
+        masks = {0, (1 << pair_count(n)) - 1}
+        masks |= {rng.getrandbits(pair_count(n)) for _ in range(4)}
+        for mask in sorted(masks):
+            line = b"?" if n == 0 else graph6_from_edge_mask(n, mask).encode()
+            for i in range(len(line)):
+                for byte in range(256):
+                    text = line[:i] + bytes([byte]) + line[i + 1:]
+                    want = _decoded(bitwise_parse_graph6, text)
+                    assert _decoded(parse_graph6, text) == want, text
+                    assert _decoded(parse_graph6, text.decode("latin-1")) == want
+                    seen += 1
+    assert seen > 15000
 
 
 def _mask_cases():

@@ -300,6 +300,47 @@ def test_every_domination_answer_is_frozen():
         assert digest.hexdigest() == DOMINATION_DIGESTS[name], name
 
 
+# sha256 over one line per graph.  "oracles": "graph6" and then "value
+# witness-mask" of the six naive oracles, over every class of order 1-6, its
+# complement and 30 G(10, p) draws, so the oracles' tie-break is pinned, not
+# just their values.  "predicates": "n edge-mask subset-mask" and then the
+# six is_* answers as 0/1, over every subset of every labeled graph of order
+# 0-4.
+REFERENCE_DIGESTS = {
+    "oracles": "02ed2fb8afaf0b7659173b550c5708077e2e49dc2efc9ad58f381c2e378d414e",
+    "predicates": "afbc849319993f3dc29273eca020c82a71ce8be09837dd478f5a7237317f388c",
+}
+
+NAIVE_ORACLES = (naive_alpha, naive_alpha_ir, naive_alpha_reg,
+                 naive_gamma_ir, naive_gamma_reg, naive_max_cut)
+PREDICATES = (is_independent, is_irregular_independent, is_regular_independent,
+              is_dominating, is_irregular_dominating, is_regular_dominating)
+
+
+def test_every_oracle_and_predicate_answer_is_frozen():
+    rng = random.Random(20)
+    graphs = [h for n in range(1, 7) for g, _ in isomorphism_classes(n)
+              for h in (g, complement(g))]
+    graphs += [gnp(10, p, rng) for p in (0.2, 0.5, 0.8) for _ in range(10)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        answers = [oracle(g) for oracle in NAIVE_ORACLES]
+        line = write_graph6(g) + "".join(
+            f" {a.value} {a.witness.mask}" for a in answers
+        )
+        digest.update(f"{line}\n".encode("ascii"))
+    assert digest.hexdigest() == REFERENCE_DIGESTS["oracles"]
+    digest = hashlib.sha256()
+    for n in range(5):
+        for mask in range(1 << pair_count(n)):
+            g = from_edge_mask(n, mask)
+            for subset in range(1 << n):
+                s = VertexSet(n, subset)
+                bits = "".join(str(int(p(g, s))) for p in PREDICATES)
+                digest.update(f"{n} {mask} {subset} {bits}\n".encode("ascii"))
+    assert digest.hexdigest() == REFERENCE_DIGESTS["predicates"]
+
+
 def test_witnesses_on_tie_heavy_graphs():
     # many sets reach the optimum here, so the witness pins the tie-break
     graphs = [empty_graph(9), complete_graph(9), complete_graph(12)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irregraph.graph import (
+    classify_degrees,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -170,6 +171,19 @@ def test_lemma31_examples():
     assert satisfies_lemma31(empty_graph(4))
     assert satisfies_lemma31(star_graph(5))
     assert not satisfies_lemma31(disjoint_union(complete_graph(1), complete_graph(2)))
+
+
+def test_order_zero_answers():
+    # the degree classes refuse the graph with no vertices, so every
+    # recognizer that reads them does too; planarity holds vacuously
+    nothing = empty_graph(0)
+    for reader in (classify_degrees, satisfies_lemma31, classify_planar_alpha1,
+                   classify_outerplanar_alpha1, classify_gamma_extremal):
+        with pytest.raises(ValueError) as raised:
+            reader(nothing)
+        assert str(raised.value) == "needs at least one vertex", reader.__name__
+    assert is_planar(nothing) is True
+    assert is_outerplanar(nothing) is True
 
 
 def test_lemma31_iff_alpha_ir_one_exhaustive_n5():
