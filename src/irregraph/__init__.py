@@ -69,12 +69,6 @@ from irregraph.params import (
     is_regular_dominating,
     is_regular_independent,
     max_cut,
-    naive_alpha,
-    naive_alpha_ir,
-    naive_alpha_reg,
-    naive_gamma_ir,
-    naive_gamma_reg,
-    naive_max_cut,
 )
 from irregraph.recognizers import (
     Family,

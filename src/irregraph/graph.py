@@ -8,7 +8,7 @@ The module also provides the walk over the set bits of a vertex mask
 (_bits, lowest vertex first, and _touch, the union of the rows it visits),
 the degree classification used throughout (degree classes N_i, their sizes,
 the span, built once per graph), canonical keys with automorphism counts,
-one representative per isomorphism class of small order, and a bit-exact
+one walk over the isomorphism classes of small order, and a bit-exact
 graph6 codec restricted to the short form (1 <= n <= 62).
 
 Edge-mask convention: the C(n,2) vertex pairs are numbered in column-major
@@ -512,54 +512,52 @@ def _accepted_labelling(rows: list[int]) -> Optional[_Labelling]:
     return lab if any(order[-1] == last for order in lab.best) else None
 
 
+def _class_walk(n_max: int, cap: int) -> Iterator[tuple[list[int], _Labelling]]:
+    """Every isomorphism class of order <= n_max with at most cap edges, once
+    each, depth first, as one member's rows and the labelling that accepted
+    them.
+
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998): adding vertex n to one member of each order-n
+    class reaches every class of order n+1.  Neighbourhoods in one orbit of
+    the member's automorphism group, which its own labelling holds, give the
+    same child, so only the smallest of each orbit is tried.  A child is kept
+    only when its new vertex is in the orbit of its canonical vertex to
+    delete (_accepted_labelling), which holds for exactly one parent class and
+    one neighbourhood orbit, so every class comes out once, with no table of
+    keys.  A child has all its parent's edges, so cutting at cap on the way
+    down loses no class with at most cap edges.
+    """
+    stack = [([], _labelling([], []), 0)]
+    while stack:
+        rows, lab, m = stack.pop()
+        yield rows, lab
+        n = len(rows)
+        if n == n_max:
+            continue
+        new = 1 << n
+        for hood in _hood_orbits(n, _automorphisms(lab)):
+            m_child = m + hood.bit_count()
+            if m_child > cap:
+                continue
+            child = [row | new if hood >> v & 1 else row for v, row in enumerate(rows)]
+            child.append(hood)
+            accepted = _accepted_labelling(child)
+            if accepted is not None:
+                stack.append((child, accepted, m_child))
+
+
 @lru_cache(maxsize=None)
 def isomorphism_classes(n: int) -> tuple[tuple[Graph, int], ...]:
     """One graph per isomorphism class of order n, with |Aut|, by ascending key.
 
-    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
-    J. Algorithms 26, 1998): every order-n graph minus a vertex lies in an
-    order-(n-1) class, so adding vertex n-1 to each class representative
-    reaches every class.  Neighbourhoods in one orbit of the representative's
-    automorphism group give the same child, so only the smallest of each
-    orbit is tried.  A child is kept only when vertex n-1 is in the orbit of
-    its canonical vertex to delete (_accepted_labelling), which holds for
-    exactly one parent class and one neighbourhood orbit, so every class is
-    produced once, with no table of keys.  The representative is the graph
-    whose edge mask is the key; the class of g has n!/|Aut(g)| labeled
-    members.
+    The classes are the order-n entries of _class_walk.  The representative
+    is the graph whose edge mask is the key; its class has n!/|Aut| members.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
-    return _classes(n, pair_count(n))
-
-
-def _classes(n: int, cap: int) -> tuple[tuple[Graph, int], ...]:
-    """The classes of isomorphism_classes(n) with at most cap edges.
-
-    A child has its parent's edges plus one per member of its
-    neighbourhood, so the neighbourhoods that would pass cap are skipped.
-    Every class with at most cap edges is still reached once: its canonical
-    parent has no more edges than it does.
-    """
-    if n == 0:
-        return ((empty_graph(0), 1),)
-    found = []
-    new = 1 << (n - 1)
-    for parent, _ in isomorphism_classes(n - 1):
-        room = cap - parent.m
-        if room < 0:
-            continue
-        rows = parent.rows
-        gens = _automorphisms(_labelling(rows, _refined_cells(rows)))
-        for hood in _hood_orbits(n - 1, gens):
-            if hood.bit_count() > room:
-                continue
-            child = [row | new if hood >> v & 1 else row for v, row in enumerate(rows)]
-            child.append(hood)
-            lab = _accepted_labelling(child)
-            if lab is not None:
-                found.append((lab.key, lab.aut))
-    found.sort()
+    walk = _class_walk(n, pair_count(n))
+    found = sorted((lab.key, lab.aut) for rows, lab in walk if len(rows) == n)
     return tuple((from_edge_mask(n, key), aut) for key, aut in found)
 
 
@@ -647,14 +645,17 @@ def write_graph6(g: Graph) -> str:
 # the only blanks parse_graph6 strips; a Unicode space fails the parse
 ASCII_WHITESPACE = " \t\n\r\v\f"
 
+# errors="surrogateescape" reads an undecodable byte b as U+DC00 + b
+_ESCAPED_BYTES = {0xDC00 + b: b for b in range(0x80, 0x100)}
+
 
 def parse_graph6(text: str | bytes) -> Graph:
     """Decode one short-form graph6 value; bit-exact inverse of write_graph6."""
     if isinstance(text, bytes):
         # latin-1 maps every byte to the code point of its value, so a
-        # non-ASCII byte meets the range checks below
+        # non-ASCII byte meets the range checks below, as does an escaped one
         text = text.decode("latin-1")
-    text = text.strip(ASCII_WHITESPACE)
+    text = text.translate(_ESCAPED_BYTES).strip(ASCII_WHITESPACE)
     if not text:
         raise Graph6Error("empty graph6 value")
     head = ord(text[0])

@@ -12,18 +12,18 @@ graph6 string alone.  A sweep covers every labeled graph up to a given
 order (all 2^C(n,2) edge masks, nothing sampled).
 
 Every check is invariant under relabeling, so verify_range checks one
-representative per isomorphism class and counts its verdicts n!/|Aut|
-times, once for each labeled member.  Complementing maps the classes of an
-order onto themselves and keeps |Aut|, and the Nordhaus-Gaddum rows read
-alpha_ir and gamma_ir of the complement anyway.  So at each order the sweep
-visits only the classes with 2m <= C(n,2), and checks each with 2m < C(n,2)
-together with its complement: each side's complement values are the other
-side's own, which makes 10 solves for the pair instead of 14.  A class with
+member per isomorphism class and counts its verdicts n!/|Aut| times, once
+for each labeled member.  Complementing maps the classes of an order onto
+themselves and keeps |Aut|, and the Nordhaus-Gaddum rows read alpha_ir and
+gamma_ir of the complement anyway.  So at each order the sweep visits only
+the classes with 2m <= C(n,2), and checks each with 2m < C(n,2) together
+with its complement: each side's complement values are the other side's
+own, which makes 10 solves for the pair instead of 14.  A class with
 2m = C(n,2) is checked alone; its complement's class is in the visited half
-too.  The last order's classes come from a generator capped at C(n,2)/2
-edges, so the upper half is never generated.  For every order n and edge
+too.  Every order comes from one class walk capped at C(n_max,2)/2 edges
+(graph._class_walk), so no order is held whole.  For every order n and edge
 count m the weights of the graphs checked with m edges must add up to
-C(C(n,2), m), which checks the class generator and the pairing on every run.
+C(C(n,2), m), which checks the walk and the pairing on every run.
 
 A class with a failing check is expanded back into its labeled members (the
 complemented edge masks for a complement side), each reported under its own
@@ -56,12 +56,11 @@ from irregraph import bounds
 from irregraph.constructions import FAMILIES, evaluate as evaluate_construction
 from irregraph.graph import (
     Graph,
-    _classes,
+    _class_walk,
     classify_degrees,
     complement,
     from_edges,
     graph6_from_edge_mask,
-    isomorphism_classes,
     labeled_copies,
     pair_count,
     write_graph6,
@@ -554,42 +553,40 @@ def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
         raise ValueError("divisor must be >= 1")
     start = time.monotonic()
     counts = _blank_counts()
-    graphs_checked = 1  # the single order-0 graph
+    by_m = [[0] * (pair_count(n) + 1) for n in range(n_max + 1)]
     violations: list[TheoremReport] = []
-    for n in range(1, n_max + 1):
+    for rows, lab in _class_walk(n_max, pair_count(n_max) // 2):
+        n = len(rows)
+        g = Graph(n, rows)
         pairs = pair_count(n)
-        full = (1 << pairs) - 1
-        if n == n_max:  # no later order needs this one's classes as parents
-            classes = _classes(n, pairs // 2)
-        else:
-            classes = [c for c in isomorphism_classes(n) if 2 * c[0].m <= pairs]
-        by_m = [0] * (pairs + 1)
-        for g, aut in classes:
-            weight = factorial(n) // aut
-            if 2 * g.m == pairs:  # the class of the complement is in this half too
-                sides = [(g.m, 0, _verdicts(g, t41_divisor))]
-            else:  # the complement's members are g's masks XOR full
-                mine, theirs = _pair_verdicts(g, t41_divisor)
-                sides = [(g.m, 0, mine), (pairs - g.m, full, theirs)]
-            for m, flip, verdicts in sides:
-                by_m[m] += weight
-                for v in verdicts:
-                    counts[v.theorem_id][v.status] += weight
-                if any(v.status == "fail" for v in verdicts):
-                    violations.extend(
-                        TheoremReport._sharing(
-                            verdicts,
-                            (graph6_from_edge_mask(n, mask ^ flip)
-                             for mask in labeled_copies(g)),
-                        )
+        if n == 0 or 2 * g.m > pairs:  # no checks, or checked as a complement side
+            continue
+        weight = factorial(n) // lab.aut
+        if 2 * g.m == pairs:  # the class of the complement is in this half too
+            sides = [(g.m, 0, _verdicts(g, t41_divisor))]
+        else:  # the complement's members are g's masks with every pair flipped
+            mine, theirs = _pair_verdicts(g, t41_divisor)
+            sides = [(g.m, 0, mine), (pairs - g.m, (1 << pairs) - 1, theirs)]
+        for m, flip, verdicts in sides:
+            by_m[n][m] += weight
+            for v in verdicts:
+                counts[v.theorem_id][v.status] += weight
+            if any(v.status == "fail" for v in verdicts):
+                violations.extend(
+                    TheoremReport._sharing(
+                        verdicts,
+                        (graph6_from_edge_mask(n, mask ^ flip)
+                         for mask in labeled_copies(g)),
                     )
-        for m, total in enumerate(by_m):
-            if total != comb(pairs, m):
+                )
+    for n in range(1, n_max + 1):
+        for m, total in enumerate(by_m[n]):
+            if total != comb(pair_count(n), m):
                 raise AssertionError(
                     f"order {n}, m={m}: class weights add up to {total}, "
-                    f"not {comb(pairs, m)}"
+                    f"not {comb(pair_count(n), m)}"
                 )
-        graphs_checked += 1 << pairs
+    graphs_checked = sum(1 << pair_count(n) for n in range(n_max + 1))
     violations.sort(key=lambda r: r.graph)
     wall = int((time.monotonic() - start) * 1000)
     return SweepSummary(n_max, graphs_checked, counts, tuple(violations), wall)

@@ -29,8 +29,6 @@ from irregraph import (
     gamma_ir,
     is_outerplanar,
     is_planar,
-    naive_alpha_ir,
-    naive_gamma_ir,
     parse_graph6,
     satisfies_lemma31,
     sharpness_suite,
@@ -39,6 +37,7 @@ from irregraph import (
     write_graph6,
 )
 from irregraph.bounds import DEFAULT_RAMSEY
+from irregraph.params import naive_alpha_ir, naive_gamma_ir
 from oracles import checked_member
 
 LABELED_GRAPHS_THROUGH = {6: 33_868, 7: 2_131_020}

@@ -149,8 +149,21 @@ def test_input_file_non_ascii_byte_names_its_line(tmp_path):
     for argv in (("compute",), ("recognize", "planar")):
         code, out, err = run_cli(*argv, "--input", str(corpus))
         assert code == 2 and out.startswith("Ch ")
-        assert err.startswith("line 2: bad header byte")
-        assert len(err.splitlines()) == 1
+        assert err == "line 2: bad header byte 255\n"
+
+
+def test_non_ascii_byte_is_named_by_its_value(tmp_path):
+    # stdin and --input keep an undecodable byte as a surrogate escape; the
+    # error names the byte, not the escape's code point
+    corpus = tmp_path / "graphs.g6"
+    cases = ((b"A\xc8\n", "bad body byte 200"), (b"\xc8\n", "bad header byte 200"))
+    for raw, message in cases:
+        corpus.write_bytes(raw)
+        stdin_text = raw.decode("utf-8", "surrogateescape")
+        for argv in (("compute",), ("recognize", "lemma31")):
+            for tail, text in (((), stdin_text), (("--input", str(corpus)), "")):
+                code, out, err = run_cli(*argv, *tail, stdin_text=text)
+                assert (code, out, err) == (2, "", f"line 1: {message}\n")
 
 
 def test_only_newline_ends_a_line(tmp_path):

@@ -13,7 +13,7 @@ from irregraph.graph import (
     Graph,
     Graph6Error,
     VertexSet,
-    _classes,
+    _class_walk,
     canonical_form,
     classify_degrees,
     complement,
@@ -228,20 +228,32 @@ def test_classes_match_key_dict_oracle():
 
 
 def test_capped_classes_match_polya_counts():
-    # the lower half by edge count, as the sweep's last order reads it
-    for n in range(9):
-        cap = pair_count(n) // 2
-        by_m = Counter(g.m for g, _ in _classes(n, cap))
-        assert [by_m[m] for m in range(cap + 1)] == polya_graph_counts(n)[: cap + 1]
-        assert max(by_m) <= cap
+    # the walk the sweep reads for n_max = 8, capped at C(8,2)/2 = 14 edges
+    # at every order, against the Polya counts of each order up to that cap
+    cap = pair_count(8) // 2
+    by_m = [Counter() for _ in range(9)]
+    for rows, _ in _class_walk(8, cap):
+        by_m[len(rows)][sum(row.bit_count() for row in rows) // 2] += 1
+    for n, counted in enumerate(by_m):
+        top = min(cap, pair_count(n))
+        assert [counted[m] for m in range(top + 1)] == polya_graph_counts(n)[: top + 1]
+        assert max(counted) <= top
 
 
 def test_capped_classes_are_a_part_of_the_full_list():
-    for n in range(8):
-        full = isomorphism_classes(n)
-        caps = range(pair_count(n) + 1) if n <= 6 else (pair_count(n) // 2,)
-        for cap in caps:
-            assert _classes(n, cap) == tuple((g, a) for g, a in full if g.m <= cap)
+    # at every order k <= n_max the walk yields each class of
+    # isomorphism_classes(k) with at most cap edges exactly once, as a member
+    # of the class its labelling names
+    cases = [(n, cap) for n in range(7) for cap in range(pair_count(n) + 1)]
+    for n_max, cap in cases + [(7, 10)]:
+        walked = [[] for _ in range(n_max + 1)]
+        for rows, lab in _class_walk(n_max, cap):
+            assert canonical_form(Graph(len(rows), rows)) == (lab.key, lab.aut)
+            walked[len(rows)].append((lab.key, lab.aut))
+        for k, got in enumerate(walked):
+            assert len({key for key, _ in got}) == len(got)
+            full = isomorphism_classes(k)
+            assert sorted(got) == [(g.edge_mask, a) for g, a in full if g.m <= cap]
 
 
 def test_class_representatives_pairwise_non_isomorphic():
@@ -347,6 +359,8 @@ MALFORMED_GRAPH6 = {
     b"C\xff": "bad body byte 255",  # non-ASCII body byte
     b"\xff": "bad header byte 255",  # non-ASCII header byte
     b"\xa0Ch": "bad header byte 160",  # non-ASCII whitespace is not stripped
+    "A\udcc8": "bad body byte 200",  # a surrogate-escaped byte by its value
+    "\udcff": "bad header byte 255",
 }
 
 

@@ -167,21 +167,21 @@ def test_engines_agree_on_violations():
 
 def test_wrong_class_weight_is_caught(monkeypatch):
     # |Aut| of K2+K1 is 2; claiming 1 counts it, and its complement P3, 6
-    # times each.  The sweep reads isomorphism_classes below its last order.
-    real = harness.isomorphism_classes
+    # times each, whether order 3 is the last order walked or not.
+    real = harness._class_walk
 
-    def wrong(n):
-        classes = real(n)
-        if n != 3:
-            return classes
-        return tuple((g, 1 if g.m == 1 else aut) for g, aut in classes)
+    def wrong(n_max, cap):
+        for rows, lab in real(n_max, cap):
+            if len(rows) == 3 and sum(row.bit_count() for row in rows) == 2:
+                lab = lab._replace(aut=1)
+            yield rows, lab
 
-    monkeypatch.setattr(harness, "isomorphism_classes", wrong)
-    verify_range(3)
-    with pytest.raises(
-        AssertionError, match="order 3, m=1: class weights add up to 6, not 3"
-    ):
-        verify_range(4)
+    monkeypatch.setattr(harness, "_class_walk", wrong)
+    for n_max in (3, 4):
+        with pytest.raises(
+            AssertionError, match="order 3, m=1: class weights add up to 6, not 3"
+        ):
+            verify_range(n_max)
 
 
 def test_not_applicable_counts_frozen():
