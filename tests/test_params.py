@@ -300,6 +300,33 @@ def test_every_domination_answer_is_frozen():
         assert digest.hexdigest() == DOMINATION_DIGESTS[name], name
 
 
+# sha256 over "graph6 value witness-mask\n" of max_cut.  "classes": every
+# class of order 1-8 and the complement of each class of order 1-7, where the
+# low part holds every free vertex; "gnp": G(n, p) draws at n = 12-20, where
+# the walk over the high sides takes up to 2^9 steps.
+MAX_CUT_DIGEST = {
+    "classes": "00546984d6eac0e85059c14657c324d39b2a57797785b553cd9b24003a37d611",
+    "gnp": "d91888818355023811cd7566d77d782bb472ae700e5fbdc06bc6c50788090dee",
+}
+
+
+def test_every_max_cut_answer_is_frozen():
+    rng = random.Random(22)
+    sets = {
+        "classes": [g for n in range(1, 9) for g, _ in isomorphism_classes(n)]
+        + [complement(g) for n in range(1, 8) for g, _ in isomorphism_classes(n)],
+        "gnp": [gnp(n, p, rng) for n in range(12, 21) for p in (0.2, 0.5, 0.8)
+                for _ in range(2)],
+    }
+    for name, graphs in sets.items():
+        digest = hashlib.sha256()
+        for g in graphs:
+            cut = max_cut(g)
+            line = f"{write_graph6(g)} {cut.value} {cut.witness.mask}\n"
+            digest.update(line.encode("ascii"))
+        assert digest.hexdigest() == MAX_CUT_DIGEST[name], name
+
+
 # sha256 over one line per graph.  "oracles": "graph6" and then "value
 # witness-mask" of the six naive oracles, over every class of order 1-6, its
 # complement and 30 G(10, p) draws, so the oracles' tie-break is pinned, not
