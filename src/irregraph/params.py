@@ -24,12 +24,16 @@ alpha_ir and alpha_reg share one branch-and-bound maximum independent set
 search that yields the smallest-mask witness directly; alpha_ir runs it with
 every degree class joined into a clique, alpha_reg inside each degree class.
 The solvers whose cost is a hard 2^n (gamma_ir, gamma_reg, max_cut) refuse
-n > SIZE_GUARD = 26.  max_cut walks the sides in Gray-code order, so each side
-costs one popcount.  gamma_ir and gamma_reg share one minimum dominating set
-scan that differs only in its count condition: it visits the k-subsets of
-each size in ascending mask order, and from order 12 on it splits each
-subset into a high and a low half and skips, in bulk, the low halves on
-which the high vertices outside the subset already break the condition.
+n > SIZE_GUARD = 26.  max_cut splits each side into a low part over the
+first ten vertices and a high part over the rest.  One int packs the cuts
+of all low parts into byte lanes, and the high parts are walked in
+Gray-code order, so each high part costs one big-integer step and a scan
+of the lanes in C, not one Python step per side.  gamma_ir and gamma_reg
+share one minimum dominating set scan that differs only in its count
+condition: it visits the k-subsets of each size in ascending mask order,
+and from order 12 on it splits each subset into a high and a low half and
+skips, in bulk, the low halves on which the high vertices outside the
+subset already break the condition.
 gamma_ir also starts at the Thm 4.1 bound and skips the sizes for which the
 degree sequence leaves no room for pairwise distinct counts.
 """
@@ -38,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, NamedTuple
 
 from irregraph.bounds import lb_gamma_ir_thm41
@@ -504,9 +507,28 @@ def gamma_reg(g: Graph) -> Extremum:
     return _min_dominating(g, range(1, g.n + 1), _equal_nonzero, distinct=False)
 
 
-# The max-cut walk runs in blocks of 2^_GRAY_BLOCK steps.  The moves inside a
-# block are the same in every block, so they are listed once.
-_GRAY_BLOCK = 10
+# The most low vertices in max_cut.  A lane never exceeds C(t, 2) + t(n - t),
+# 205 at t = 10 and n = SIZE_GUARD, so one byte holds it exactly.
+_LOW_PART = 10
+# _BELOW[v] holds the byte values below v, for bytes.translate to delete.
+_BELOW = [bytes(range(v)) for v in range(256)]
+
+
+def _ones(lanes: int) -> int:
+    """The packed vector with 1 in each of the given number of byte lanes."""
+    return ((1 << 8 * lanes) - 1) // 255
+
+
+def _lane_counts(row: int, t: int) -> int:
+    """2^t byte lanes, lane j holding |row cap j| for each side j below t.
+
+    Each vertex i < t doubles the lanes: the new upper half is the old
+    lanes, plus one if row holds i.
+    """
+    counts = 0
+    for i in range(t):
+        counts |= (counts + (row >> i & 1) * _ones(1 << i)) << (8 << i)
+    return counts
 
 
 def max_cut(g: Graph) -> Extremum:
@@ -514,36 +536,58 @@ def max_cut(g: Graph) -> Extremum:
 
     Each bipartition has exactly one side without vertex n-1, and it is the
     numerically smaller of the pair, so these sides hold every cut value
-    and the smallest-mask witness.  They are walked in Gray-code order:
-    step i moves vertex v = ctz(i) across.  With c = |N(v) cap S| counted
-    before the move, the cut grows by deg v - 2c when v enters the side S
-    and by 2c - deg v when it leaves, so each side costs one popcount.
-    Starting from the empty side with cut 0, a side replaces the incumbent
-    when its cut is larger, or equal with a smaller mask; the witness is
-    therefore the smallest-mask side among the optima.
+    and the smallest-mask witness.  A side splits into a low part j over the
+    vertices below t = min(n - 1, _LOW_PART) and a high part H over
+    t..n-2.  One int holds 2^t byte lanes, lane j counting the cut edges
+    that touch a low vertex for the side j | H; a scalar counts the cut
+    edges among the other vertices.  The lanes start at H empty, built by t
+    doublings (vertex i adds deg i - 2|N(i) cap j| to the new half).  H
+    then runs through the 2^(n-1-t) high parts in Gray-code order: step i
+    moves h = t + ctz(i), which changes every lane by one precomputed int,
+    +-(|N(h) cap L| - 2|N(h) cap j|) with L the low vertices, and the
+    scalar by +-(deg h - 2c) with c = |N(h) cap H| and deg h counted
+    outside L.  Per high part, bytes.translate drops the lanes that cannot
+    beat the incumbent; if any is left, max() and bytes.index() find the
+    best lane, the smallest j among its ties.  A high part replaces the
+    incumbent when its cut is larger, or equal with a smaller mask, so the
+    witness is the smallest-mask side among the optima.
     """
     _guard(g, "max_cut")
-    rows, n, degs = g.rows, g.n, classify_degrees(g).degrees
-    free = n - 1  # vertices that may join the side
-    low = min(_GRAY_BLOCK, free)
-    moves = [(1 << v, rows[v], degs[v]) for v in range(free)]
-    # Step i = block * 2^low + r moves vertex ctz(r) when r > 0.  The head
-    # step r = 0 moves vertex low + ctz(block), and nothing in block 0.
-    inner = [moves[(r & -r).bit_length() - 1] for r in range(1, 1 << low)]
-    heads = [(0, 0, 0)] + [
-        moves[low + (b & -b).bit_length() - 1] for b in range(1, 1 << (free - low))
+    rows, n = g.rows, g.n
+    t = min(n - 1, _LOW_PART)
+    width = 1 << t
+    lanes = 0
+    for i in range(t):
+        lanes |= (
+            lanes + rows[i].bit_count() * _ones(1 << i)
+            - 2 * _lane_counts(rows[i], i)
+        ) << (8 << i)
+    ones, low = _ones(width), width - 1
+    high = [
+        (1 << h, rows[h], (rows[h] >> t).bit_count(),
+         (rows[h] & low).bit_count() * ones - 2 * _lane_counts(rows[h], t))
+        for h in range(t, n - 1)
     ]
-    side = cut = best_cut = best_side = 0
-    for head in heads:
-        for bit, row, deg in chain((head,), inner):
-            c = (row & side).bit_count()
-            if side & bit:
-                cut += c + c - deg
-            else:
-                cut += deg - c - c
-            side ^= bit
-            if cut >= best_cut and (cut > best_cut or side < best_side):
-                best_cut, best_side = cut, side
+    moves = [high[(i & -i).bit_length() - 1] for i in range(1, 1 << len(high))]
+    cuts = lanes.to_bytes(width, "little")
+    best_cut = max(cuts)
+    best_side = cuts.index(best_cut)
+    side = cut = 0
+    for bit, row, deg, step in moves:
+        c = (row & side).bit_count()
+        if side & bit:
+            cut += c + c - deg
+            lanes -= step
+        else:
+            cut += deg - c - c
+            lanes += step
+        side ^= bit
+        # the least lane value that beats the incumbent
+        need = best_cut - cut + (side > best_side)
+        cuts = lanes.to_bytes(width, "little")
+        if need <= 0 or need < 256 and cuts.translate(None, _BELOW[need]):
+            top = max(cuts)
+            best_cut, best_side = cut + top, side | cuts.index(top)
     return Extremum(best_cut, VertexSet(n, best_side))
 
 

@@ -272,6 +272,33 @@ def test_split_scan_matches_oracles_at_small_orders(monkeypatch):
         assert gamma_reg(g) == naive_gamma_reg(g), (g.n, g.edge_mask)
 
 
+
+def test_max_cut_walk_matches_oracle_at_small_orders(monkeypatch):
+    # with ten low vertices max_cut first walks two high parts at n = 12;
+    # shrink the low part, down to none, so that every order walks
+    import irregraph.params as params_module
+
+    rng = random.Random(11)
+    graphs = [from_edge_mask(n, mask) for n in range(1, 6)
+              for mask in range(1 << pair_count(n))]
+    graphs += [gnp(n, p, rng) for n in range(6, 12) for p in (0.2, 0.5, 0.8)]
+    expected = [naive_max_cut(g) for g in graphs]
+    for low_part in range(4):
+        monkeypatch.setattr(params_module, "_LOW_PART", low_part)
+        for g, want in zip(graphs, expected):
+            assert max_cut(g) == want, (low_part, g.n, g.edge_mask)
+
+
+def test_max_cut_lanes_fit_a_byte_at_the_size_guard():
+    # a lane counts cut edges that touch one of the t low vertices: at most
+    # C(t, 2) inside the low part and t(n - t) to the rest
+    from irregraph.params import _LOW_PART, SIZE_GUARD
+
+    t = min(SIZE_GUARD - 1, _LOW_PART)
+    assert t * (t - 1) // 2 + t * (SIZE_GUARD - t) <= 255
+    cut = max_cut(complete_graph(26))  # the densest graph the guard admits
+    assert (cut.value, cut.witness.mask) == (169, (1 << 13) - 1)
+
 # sha256 over "graph6 gamma_ir witness-mask gamma_reg witness-mask\n".  The
 # classes of order 1-7 and their complements take the plain ascending scan;
 # the G(n, p) draws at n = 12-16 take the split scan, up to the n = 16 that
