@@ -272,7 +272,6 @@ def test_split_scan_matches_oracles_at_small_orders(monkeypatch):
         assert gamma_reg(g) == naive_gamma_reg(g), (g.n, g.edge_mask)
 
 
-
 def test_max_cut_walk_matches_oracle_at_small_orders(monkeypatch):
     # with ten low vertices max_cut first walks two high parts at n = 12;
     # shrink the low part, down to none, so that every order walks
@@ -298,6 +297,7 @@ def test_max_cut_lanes_fit_a_byte_at_the_size_guard():
     assert t * (t - 1) // 2 + t * (SIZE_GUARD - t) <= 255
     cut = max_cut(complete_graph(26))  # the densest graph the guard admits
     assert (cut.value, cut.witness.mask) == (169, (1 << 13) - 1)
+
 
 # sha256 over "graph6 gamma_ir witness-mask gamma_reg witness-mask\n".  The
 # classes of order 1-7 and their complements take the plain ascending scan;
