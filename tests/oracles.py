@@ -9,6 +9,7 @@ number of classes with each edge count by Polya counting instead of
 generating them, the labeled members of a class by trying all n!
 relabelings instead of walking its orbit, and an isomorphism test by
 backtracking instead of canonical keys.
+frozen_classes reads the class list that the frozen digests hash.
 checked_member builds a construction family member and asserts that every
 claim measured on it holds.
 """
@@ -17,6 +18,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, gcd, lcm
+from pathlib import Path
 from typing import Iterator
 
 from irregraph.constructions import evaluate
@@ -26,6 +28,7 @@ from irregraph.graph import (
     from_edge_mask,
     pair_count,
     pair_index,
+    parse_graph6,
 )
 from irregraph.harness import ENUMERATION_LIMIT, _blank_counts, theorem_report
 
@@ -77,6 +80,26 @@ def classes_by_key_dict(n: int) -> tuple[tuple[int, int], ...]:
             rows.append(hood)
             autos.setdefault(*canonical_form(Graph(n, rows)))
     return tuple(sorted(autos.items()))
+
+
+CLASSES_FILE = Path(__file__).parent / "data" / "classes_1_8.g6"
+
+
+@lru_cache(maxsize=None)
+def frozen_classes() -> tuple[tuple[Graph, ...], ...]:
+    """Entry n holds one graph per isomorphism class of order n, for n <= 8
+    (none for n = 0), read from data/classes_1_8.g6.
+
+    The file lists the classes one graph6 line each, by ascending order, in
+    a fixed sequence.  The digest tests hash these graphs, so their values do
+    not depend on which member of a class the labeller picks.
+    """
+    by_order: list[list[Graph]] = [[] for _ in range(9)]
+    for line in CLASSES_FILE.read_text(encoding="ascii").split("\n"):
+        if line:
+            g = parse_graph6(line)
+            by_order[g.n].append(g)
+    return tuple(tuple(graphs) for graphs in by_order)
 
 
 def labeled_copies_by_relabelling(g: Graph) -> set[int]:

@@ -39,6 +39,7 @@ from irregraph.graph import (
 )
 from oracles import (
     classes_by_key_dict,
+    frozen_classes,
     is_isomorphic,
     labeled_copies_by_relabelling,
     polya_graph_counts,
@@ -219,6 +220,16 @@ def test_class_counts_and_labeled_weights():
         classes = isomorphism_classes(n)
         assert len(classes) == want
         assert sum(factorial(n) // aut for _, aut in classes) == 1 << pair_count(n)
+
+
+def test_frozen_class_list_is_every_class():
+    # the list the digest tests hash: one graph per class, A000088 counts,
+    # and up to order 7 exactly the classes that the walk yields
+    counts = [len(frozen_classes()[n]) for n in range(1, 9)]
+    assert counts == [1, 2, 4, 11, 34, 156, 1044, 12346]
+    for n in range(1, 8):
+        keys = sorted(canonical_form(g)[0] for g in frozen_classes()[n])
+        assert keys == [g.edge_mask for g, _ in isomorphism_classes(n)]
 
 
 def test_classes_match_key_dict_oracle():

@@ -16,7 +16,6 @@ from irregraph.graph import (
     empty_graph,
     from_edge_mask,
     from_edges,
-    isomorphism_classes,
     pair_count,
     path_graph,
     star_graph,
@@ -43,6 +42,7 @@ from irregraph.params import (
     naive_gamma_reg,
     naive_max_cut,
 )
+from oracles import frozen_classes
 
 
 @st.composite
@@ -312,7 +312,7 @@ DOMINATION_DIGESTS = {
 def test_every_domination_answer_is_frozen():
     rng = random.Random(19)
     sets = {
-        "classes": [h for n in range(1, 8) for g, _ in isomorphism_classes(n)
+        "classes": [h for n in range(1, 8) for g in frozen_classes()[n]
                     for h in (g, complement(g))],
         "gnp": [gnp(n, p, rng) for n in range(12, 17) for p in (0.2, 0.5, 0.8)
                 for _ in range(4)],
@@ -340,8 +340,8 @@ MAX_CUT_DIGEST = {
 def test_every_max_cut_answer_is_frozen():
     rng = random.Random(22)
     sets = {
-        "classes": [g for n in range(1, 9) for g, _ in isomorphism_classes(n)]
-        + [complement(g) for n in range(1, 8) for g, _ in isomorphism_classes(n)],
+        "classes": [g for n in range(1, 9) for g in frozen_classes()[n]]
+        + [complement(g) for n in range(1, 8) for g in frozen_classes()[n]],
         "gnp": [gnp(n, p, rng) for n in range(12, 21) for p in (0.2, 0.5, 0.8)
                 for _ in range(2)],
     }
@@ -373,7 +373,7 @@ PREDICATES = (is_independent, is_irregular_independent, is_regular_independent,
 
 def test_every_oracle_and_predicate_answer_is_frozen():
     rng = random.Random(20)
-    graphs = [h for n in range(1, 7) for g, _ in isomorphism_classes(n)
+    graphs = [h for n in range(1, 7) for g in frozen_classes()[n]
               for h in (g, complement(g))]
     graphs += [gnp(10, p, rng) for p in (0.2, 0.5, 0.8) for _ in range(10)]
     digest = hashlib.sha256()
