@@ -7,9 +7,10 @@ operations return new graphs; nothing here mutates shared state.
 The module also provides the walk over the set bits of a vertex mask
 (_bits, lowest vertex first, and _touch, the union of the rows it visits),
 the degree classification used throughout (degree classes N_i, their sizes,
-the span, built once per graph), canonical keys with automorphism counts,
-one walk over the isomorphism classes of small order, and a bit-exact
-graph6 codec restricted to the short form (1 <= n <= 62).
+the span, built once per graph), canonical keys with automorphism counts
+by individualisation-refinement, one walk over the isomorphism classes of
+small order, and a bit-exact graph6 codec restricted to the short form
+(1 <= n <= 62).
 
 Edge-mask convention: the C(n,2) vertex pairs are numbered in column-major
 upper-triangle order, pair (u, v) with u < v at position v*(v-1)/2 + u.  This
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations, product
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -303,32 +303,34 @@ def classify_degrees(g: Graph) -> DegreeClassification:
 # -- canonical form and isomorphism classes -------------------------------
 
 
-def _refined_cells(rows: Sequence[int]) -> list[list[int]]:
-    """Cells of the stable colour-refinement partition, in canonical order.
+def _refined(
+    rows: Sequence[int], colour: Sequence[int], top: int = -1
+) -> Optional[list[int]]:
+    """The stable colour refinement of colour, as ranks from 0.
 
-    Colours start as degrees.  Each round recolours every vertex by its own
-    colour and the sorted colours of its neighbors, ranked in sorted order,
-    until no cell splits.  Nothing depends on the labels, so isomorphic graphs
-    get corresponding cells in the same order.  Each round only splits cells
-    and keeps their order, so the last cell lies inside the set of vertices
-    with the largest (degree, sorted neighbour degrees).
+    Each round recolours every vertex by its own colour and its number of
+    neighbours in each class, ranked in sorted order, until no class
+    splits.  Nothing depends on the labels, so isomorphic graphs with
+    corresponding colourings get corresponding classes.  A round only
+    splits classes and keeps their order, so a vertex that leaves the
+    highest class never returns to it: with top given, the result is None
+    as soon as vertex top is outside the highest class.
     """
-    n = len(rows)
-    colour = [row.bit_count() for row in rows]
     while True:
+        if top >= 0 and colour[top] != max(colour):
+            return None
+        masks = [0] * (max(colour, default=0) + 1)
+        for v, c in enumerate(colour):
+            masks[c] |= 1 << v
         signature = [
-            (colour[v], tuple(sorted(colour[u] for u in range(n) if row >> u & 1)))
-            for v, row in enumerate(rows)
+            (c, *[(row & mask).bit_count() for mask in masks])
+            for c, row in zip(colour, rows)
         ]
         rank = {s: i for i, s in enumerate(sorted(set(signature)))}
         stable = len(rank) == len(set(colour))
         colour = [rank[s] for s in signature]
         if stable:
-            break
-    cells: list[list[int]] = [[] for _ in rank]
-    for v in range(n):
-        cells[colour[v]].append(v)
-    return cells
+            return colour
 
 
 @lru_cache(maxsize=None)
@@ -339,45 +341,12 @@ def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _cell_orderings(rows: Sequence[int], cell: list[int]) -> tuple[list, list]:
-    """Orderings of one cell up to swaps of twins, and the cell's twin classes.
-
-    u and v are twins when N(u) - {v} = N(v) - {u}.  Swapping them is an
-    automorphism, so it never changes an edge code.  Twinship is an
-    equivalence, and only the orderings that keep each twin class in
-    ascending order are listed.
-    """
-    classes: list[list[int]] = []
-    for v in cell:
-        for twins in classes:
-            u = twins[0]
-            if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
-                twins.append(v)
-                break
-        else:
-            classes.append([v])
-    if len(classes) == len(cell):  # no twins: the same list, built faster
-        return list(permutations(cell)), classes
-    return _interleavings(classes), classes
-
-
-def _interleavings(classes: list[list[int]]) -> list[tuple[int, ...]]:
-    """Every ordering of the union of classes that keeps each class in order."""
-    if len(classes) == 1:
-        return [tuple(classes[0])]
-    out = []
-    for i, (head, *tail) in enumerate(classes):
-        rest = classes[:i] + [tail] * bool(tail) + classes[i + 1:]
-        out.extend((head,) + order for order in _interleavings(rest))
-    return out
-
-
 class _Labelling(NamedTuple):
-    """The best orderings of a graph's vertices and what they give.
+    """What the search of _labelling finds.
 
-    best lists every ordering, up to swaps of twins, whose edge code is the
-    key; each is a tuple of vertices by position.  twins holds the twin
-    classes with more than one member.
+    key is the largest leaf code, aut the total weight of the leaves that
+    reach it, and best their orderings, each a tuple of vertices by
+    position.  twins holds the twin classes with more than one member.
     """
 
     key: int
@@ -386,44 +355,77 @@ class _Labelling(NamedTuple):
     twins: list[list[int]]
 
 
-def _labelling(rows: Sequence[int], cells: list[list[int]]) -> _Labelling:
+def _labelling(rows: Sequence[int], colour: list[int]) -> _Labelling:
+    """Individualisation-refinement (McKay and Piperno, "Practical graph
+    isomorphism II", J. Symbolic Comput. 60, 2014) from a stable colouring.
+
+    u and v are twins when N(u) - {v} = N(v) - {u}; swapping them is an
+    automorphism that keeps every colouring below, so one twin stands for
+    all of its class.  A node whose every colour class is one twin class is
+    a leaf: its ordering lists the classes by colour, members ascending, and
+    its code is the edge mask of the graph relabelled by it.  Reordering
+    twins keeps the code, so the leaf weighs the product of the class-size
+    factorials.  Any other node takes its lowest class with two or more twin
+    classes and, for each twin class T there, gives min(T) a colour just
+    above that class, refines, and descends with its weight times |T|.
+    """
     n = len(rows)
+    twin = list(range(n))  # the smallest twin of each vertex
+    heads: dict[int, list[int]] = {}  # twins share every stable colour
+    for v, c in enumerate(colour):
+        for u in heads.setdefault(c, []):
+            if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
+                twin[v] = u
+                break
+        else:
+            heads[c].append(v)
     edges = [(u, v) for v in range(n) for u in range(v) if rows[v] >> u & 1]
     bits = _pair_bits(n)
-    key, tied = -1, []
-    position = [0] * n
-    per_cell = [_cell_orderings(rows, cell) for cell in cells]
-    for parts in product(*(orderings for orderings, _ in per_cell)):
-        for i, v in enumerate(chain.from_iterable(parts)):
-            position[v] = i
+    key, aut, best = -1, 0, []
+    stack = [(colour, 1)]
+    while stack:
+        colour, weight = stack.pop()
+        classes: list[dict[int, list[int]]] = [{} for _ in range(n)]
+        for v, c in enumerate(colour):
+            classes[c].setdefault(twin[v], []).append(v)
+        split = next((cell for cell in classes if len(cell) > 1), None)
+        if split is not None:
+            base = [2 * c for c in colour]
+            for members in split.values():
+                child = base.copy()
+                child[members[0]] += 1
+                stack.append((_refined(rows, child), weight * len(members)))
+            continue
+        order = tuple(sorted(range(n), key=colour.__getitem__))
+        position = sorted(range(n), key=order.__getitem__)  # inverse of order
         code = 0
         for u, v in edges:
             code |= bits[position[u]][position[v]]
+        for cell in classes:
+            for members in cell.values():
+                weight *= factorial(len(members))
         if code > key:
-            key, tied = code, [parts]
+            key, aut, best = code, weight, [order]
         elif code == key:
-            tied.append(parts)
-    twins = [t for _, classes in per_cell for t in classes if len(t) > 1]
-    aut = len(tied)
-    for t in twins:
-        aut *= factorial(len(t))
-    return _Labelling(key, aut, [tuple(chain.from_iterable(p)) for p in tied], twins)
+            aut += weight
+            best.append(order)
+    twins = [[v for v in range(n) if twin[v] == u] for u in dict.fromkeys(twin)]
+    return _Labelling(key, aut, best, [t for t in twins if len(t) > 1])
 
 
 def canonical_form(g: Graph) -> tuple[int, int]:
     """(key, |Aut(g)|); isomorphic graphs, and only they, share the key.
 
-    The key is the largest edge mask over all vertex orderings that list the
-    stable colour-refinement cells in order.  Those orderings are permuted
-    among themselves by every automorphism, and two of them give the same
-    mask exactly when they differ by one, so |Aut| is the number of orderings
-    that reach the key.  Twins (vertices with the same neighbours apart from
-    each other) are interchangeable, so the orderings are listed up to swaps
-    of twins and counted with that multiplicity.  The cost is at most the
-    product of the cell factorials (n! for a single cell); intended for n up
-    to about 8.
+    The key is the largest leaf code of _labelling, run from the refinement
+    of the degrees.  The search depends on no label, so isomorphic graphs
+    reach the same leaf codes, and a code is the edge mask of a relabelling,
+    so it fixes the graph up to isomorphism.  With its weight, a leaf stands
+    for the orderings that swapping twins gives from it and from the twins
+    the search skipped.  Aut(g) permutes those orderings freely, and two of
+    them give the same code exactly when they differ by an automorphism, so
+    |Aut| is the weight of the leaves that reach the key.
     """
-    lab = _labelling(g.rows, _refined_cells(g.rows))
+    lab = _labelling(g.rows, _refined(g.rows, g.degrees()))
     return lab.key, lab.aut
 
 
@@ -484,32 +486,18 @@ def _accepted_labelling(rows: list[int]) -> Optional[_Labelling]:
     delete, else None.
 
     The canonical vertex is the one at the last position of the best
-    orderings; it lies in the last refinement cell, so among the vertices
-    with the largest (degree, sorted neighbour degrees), which is checked
-    first.  The last vertex qualifies when it is in that vertex's orbit: the
-    vertices at the last position over all best orderings, closed under
-    swaps of twins.  The listed orderings keep each twin class ascending,
-    so the last position always holds the largest member of its class; the
-    last vertex is the largest of its own, so it is in the closure exactly
-    when some listed best ordering ends with it.
+    orderings.  It lies in the highest class of the refinement, so
+    refinement stops as soon as the last vertex leaves that class.  The last
+    vertex qualifies when it is in that vertex's orbit, which is every
+    vertex at the last position of a best ordering together with its twins.
     """
-    n = len(rows)
-    last = n - 1
-    degs = [row.bit_count() for row in rows]
-    d = degs[last]
-    if max(degs) > d:
+    last = len(rows) - 1
+    colour = _refined(rows, [row.bit_count() for row in rows], last)
+    if colour is None:
         return None
-    mine = sorted(degs[u] for u in range(last) if rows[last] >> u & 1)
-    for v in range(last):
-        if degs[v] == d and sorted(
-            degs[u] for u in range(n) if rows[v] >> u & 1
-        ) > mine:
-            return None
-    cells = _refined_cells(rows)
-    if last not in cells[-1]:
-        return None
-    lab = _labelling(rows, cells)
-    return lab if any(order[-1] == last for order in lab.best) else None
+    lab = _labelling(rows, colour)
+    mates = next((t for t in lab.twins if last in t), [last])
+    return lab if any(order[-1] in mates for order in lab.best) else None
 
 
 def _class_walk(n_max: int, cap: int) -> Iterator[tuple[list[int], _Labelling]]:
@@ -622,19 +610,27 @@ _GRAPH6_BYTES = tuple(
 _GRAPH6_GROUPS = {byte: x for x, byte in enumerate(_GRAPH6_BYTES)}
 
 
-def graph6_from_edge_mask(n: int, mask: int) -> str:
-    """graph6 short form of the graph that from_edge_mask(n, mask) builds.
+def graph6_from_edge_masks(n: int, masks: Iterable[int]) -> list[str]:
+    """graph6 short forms of the graphs that from_edge_mask(n, mask) builds,
+    one per mask, with n checked and the header built once.
 
-    Defined for 1 <= n <= 62; the mask must lie in [0, 2^C(n,2)).
+    Defined for 1 <= n <= 62; each mask must lie in [0, 2^C(n,2)).
     """
     if not 1 <= n <= 62:
         raise Graph6Error("short-form graph6 covers 1 <= n <= 62")
     nbits = pair_count(n)
-    if mask < 0 or mask >> nbits:
-        raise ValueError("edge mask out of range")
-    return chr(n + 63) + "".join(
-        [_GRAPH6_BYTES[mask >> start & 63] for start in range(0, nbits, 6)]
-    )
+    head, starts = chr(n + 63), range(0, nbits, 6)
+    out = []
+    for mask in masks:
+        if mask < 0 or mask >> nbits:
+            raise ValueError("edge mask out of range")
+        out.append(head + "".join([_GRAPH6_BYTES[mask >> s & 63] for s in starts]))
+    return out
+
+
+def graph6_from_edge_mask(n: int, mask: int) -> str:
+    """graph6 short form of the graph that from_edge_mask(n, mask) builds."""
+    return graph6_from_edge_masks(n, [mask])[0]
 
 
 def write_graph6(g: Graph) -> str:

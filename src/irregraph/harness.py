@@ -32,7 +32,9 @@ isomorphism invariants (parameter values, degree classes, family tags), so
 a member's verdicts equal its representative's.  The members are the orbit
 of the representative's edge mask, walked one coset of each S_k in S_(k+1)
 at a time (graph.labeled_copies), so a class costs about n!/|Aut| swaps
-rather than n! relabelings.  All members share one verdicts tuple, which
+rather than n! relabelings.  The orbit is walked once per class, for both
+sides, and each violating side's members are encoded to graph6 in one call
+(graph.graph6_from_edge_masks).  All members share one verdicts tuple, which
 TheoremReport checks once per violating side instead of once per member.
 The tests hold the class sweep to a labeled sweep that checks every edge
 mask, verdicts included.
@@ -60,7 +62,7 @@ from irregraph.graph import (
     classify_degrees,
     complement,
     from_edges,
-    graph6_from_edge_mask,
+    graph6_from_edge_masks,
     labeled_copies,
     pair_count,
     write_graph6,
@@ -567,18 +569,15 @@ def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
         else:  # the complement's members are g's masks with every pair flipped
             mine, theirs = _pair_verdicts(g, t41_divisor)
             sides = [(g.m, 0, mine), (pairs - g.m, (1 << pairs) - 1, theirs)]
+        members = None  # the class's orbit, walked once for both sides
         for m, flip, verdicts in sides:
             by_m[n][m] += weight
             for v in verdicts:
                 counts[v.theorem_id][v.status] += weight
             if any(v.status == "fail" for v in verdicts):
-                violations.extend(
-                    TheoremReport._sharing(
-                        verdicts,
-                        (graph6_from_edge_mask(n, mask ^ flip)
-                         for mask in labeled_copies(g)),
-                    )
-                )
+                members = members or labeled_copies(g)
+                graphs = graph6_from_edge_masks(n, [mask ^ flip for mask in members])
+                violations.extend(TheoremReport._sharing(verdicts, graphs))
     for n in range(1, n_max + 1):
         for m, total in enumerate(by_m[n]):
             if total != comb(pair_count(n), m):

@@ -14,6 +14,7 @@ from irregraph.graph import (
     Graph6Error,
     VertexSet,
     _class_walk,
+    _refined,
     canonical_form,
     classify_degrees,
     complement,
@@ -21,6 +22,7 @@ from irregraph.graph import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    disjoint_union_all,
     empty_graph,
     from_edge_mask,
     from_edges,
@@ -285,6 +287,34 @@ def test_automorphism_counts():
     assert canonical_form(cycle_graph(4))[1] == 8
     assert canonical_form(complete_bipartite(3, 3))[1] == 72
     assert canonical_form(empty_graph(0)) == (0, 1)
+    # past order 8: vertex-transitive graphs whose refinement is one cell
+    petersen = [(i, (i + 1) % 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    petersen += [(i, i + 5) for i in range(5)]
+    rook = [(u, v) for v in range(9) for u in range(v)
+            if u // 3 == v // 3 or u % 3 == v % 3]
+    cube = [(u, u | 1 << b) for u in range(16) for b in range(4) if not u >> b & 1]
+    triangles = disjoint_union_all([complete_graph(3)] * 3)
+    assert canonical_form(cycle_graph(9))[1] == 18
+    assert canonical_form(from_edges(10, petersen))[1] == 120
+    assert canonical_form(from_edges(9, rook))[1] == 72
+    assert canonical_form(triangles)[1] == 1296
+    assert canonical_form(complement(triangles))[1] == 1296
+    assert canonical_form(complete_graph(9))[1] == factorial(9)
+    assert canonical_form(from_edges(16, cube))[1] == 384
+
+
+def test_refinement_stops_once_top_leaves_the_highest_class():
+    # every labeled graph of order <= 5 and every vertex t: None exactly when
+    # t is outside the highest class of the full refinement, else that
+    # refinement itself
+    for n in range(1, 6):
+        for mask in range(1 << pair_count(n)):
+            g = from_edge_mask(n, mask)
+            full = _refined(g.rows, g.degrees())
+            for t in range(n):
+                got = _refined(g.rows, g.degrees(), t)
+                assert got == (full if full[t] == max(full) else None)
 
 
 def test_labeled_copies_partition_every_order():
@@ -315,7 +345,7 @@ def test_labeled_copies_is_the_orbit(pair):
     assert len(copies) == factorial(g.n) // canonical_form(g)[1]
 
 
-@given(permuted_pairs(max_n=8))
+@given(permuted_pairs(max_n=12))
 def test_canonical_form_survives_relabeling(pair):
     g, h = pair
     assert canonical_form(g) == canonical_form(h)
