@@ -301,11 +301,13 @@ def test_max_cut_lanes_fit_a_byte_at_the_size_guard():
 
 # sha256 over "graph6 gamma_ir witness-mask gamma_reg witness-mask\n".  The
 # classes of order 1-7 and their complements take the plain ascending scan;
-# the G(n, p) draws at n = 12-16 take the split scan, up to the n = 16 that
+# the G(n, p) draws at n = 12-16 ("gnp", four per (n, p)) and n = 17-20
+# ("gnp_large", one per (n, p)) take the split scan, through the n = 18 that
 # compute runs, past the n = 12 that the oracle comparisons above reach.
 DOMINATION_DIGESTS = {
     "classes": "0ce2deaa8c87ba39becf341f8b3b11f62ad5926a9ad34515b71791e6ad6227fc",
     "gnp": "0d067bdc3f6e13c05eab33d057d9e387443241aeb2b4fd58e38ad2ae5b7310af",
+    "gnp_large": "d253f490555999bf1020913d7f45cd489e15269f29c4292ebcb78ea93e6fbaa7",
 }
 
 
@@ -316,6 +318,8 @@ def test_every_domination_answer_is_frozen():
                     for h in (g, complement(g))],
         "gnp": [gnp(n, p, rng) for n in range(12, 17) for p in (0.2, 0.5, 0.8)
                 for _ in range(4)],
+        "gnp_large": [gnp(n, p, rng) for n in range(17, 21)
+                      for p in (0.2, 0.5, 0.8)],
     }
     for name, graphs in sets.items():
         digest = hashlib.sha256()
