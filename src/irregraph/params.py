@@ -29,13 +29,15 @@ first ten vertices and a high part over the rest.  One int packs the cuts
 of all low parts into byte lanes, and the high parts are walked in
 Gray-code order, so each high part costs one big-integer step and a scan
 of the lanes in C, not one Python step per side.  gamma_ir and gamma_reg
-share one minimum dominating set scan that differs only in its count
-condition: it visits the k-subsets of each size in ascending mask order,
-and from order 12 on it splits each subset into a high and a low half and
-skips, in bulk, the low halves on which the high vertices outside the
-subset already break the condition.
-gamma_ir also starts at the Thm 4.1 bound and skips the sizes for which the
-degree sequence leaves no room for pairwise distinct counts.
+share one minimum dominating set search that differs only in its count
+condition.  Below order 12 it visits the k-subsets of each size in
+ascending mask order; gamma_ir starts there at the Thm 4.1 bound and skips
+the sizes for which the degree sequence leaves no room for pairwise
+distinct counts.  From order 12 on, each set splits into a low part over
+the first twelve vertices and a high part over the rest.  One int holds a
+bit per low part, and per high part a few big-integer operations per
+vertex mark exactly the low parts that complete it to a valid set, for
+every size at once.
 """
 
 from __future__ import annotations
@@ -354,115 +356,133 @@ def _distinct_counts_fit(degs, k: int) -> bool:
     return placed >= outside
 
 
-# Below this order the domination solvers scan in plain ascending order: the
-# split tables cost more than they save (measured crossover at n = 12).
+# Below this order the domination solvers scan in plain ascending order.
+# Mean us per call, plain -> packed, on nine G(n, p) draws per n (p = 0.2,
+# 0.5, 0.8): gamma_ir 45 -> 79 at n = 9, 90 -> 95 at 10, 232 -> 122 at 11,
+# 366 -> 180 at 12, 442 -> 214 at 13; gamma_reg 42 -> 78, 72 -> 100,
+# 289 -> 133, 694 -> 175, 1700 -> 346.  At n = 11 the plain scan still wins
+# on some draws (gamma_ir on ten G(11, 1/2): 46 against 129 us); at n = 12
+# the packed pass wins on all but the densest (gamma_reg at p = 0.8).
 _SPLIT_FROM = 12
+# The most low vertices in the packed domination pass: 2^12 bits a bitset.
+# gamma_ir plus gamma_reg over the 102 compute-benchmark graphs took 0.22 s
+# at 10, 0.16 at 11, 0.13 at 12, 0.14 at 13 and 0.14 at 14.
+_DOMINATION_LOW = 12
 
 
-class _SplitScan:
-    """Ascending k-subsets of one graph's vertices, with bulk filtering.
+def _low_levels(row: int, v: int, t: int) -> list[int]:
+    """Entry c: the bitset of the low parts L over 0..t-1, one bit per L,
+    with v not in L and |row cap L| = c.
 
-    Each mask is split into a high part H over the vertices t..n-1,
-    t = floor(n/2), and a low part L over the vertices below t.  Within a
-    size, H runs upward and, for each H, L runs upward through the j-subsets
-    of the low vertices, so the masks come in ascending order.  A high
-    vertex v outside H lies outside every mask H | L and has
-    |N(v) cap H| + |N(v) cap L| neighbours in it.  For each j the scan keeps,
-    per high vertex v, a list whose entry c is the bitmask of the positions
-    in the ascending j-subset list at which |N(v) cap L| = c.  A filter gets
-    one (|N(v) cap H|, list) pair per high vertex outside H and returns the
-    bitmask of positions worth a full check: it may keep too many masks,
-    never too few.
+    Each vertex i < t doubles the bitset: the new upper half is the old
+    one, one level up if row holds i, and empty at i = v.
     """
-
-    def __init__(self, rows) -> None:
-        self.rows, self.n = rows, len(rows)
-        self.t = self.n // 2
-        self._tables: dict[int, tuple[list[int], dict[int, list[int]]]] = {}
-
-    def _table(self, j: int) -> tuple[list[int], dict[int, list[int]]]:
-        table = self._tables.get(j)
-        if table is None:
-            lows = list(_subset_masks_of_size(self.t, j))
-            levels = {}
-            for v in range(self.t, self.n):
-                level = [0] * (j + 1)
-                for i, low in enumerate(lows):
-                    level[(self.rows[v] & low).bit_count()] |= 1 << i
-                levels[v] = level
-            table = self._tables[j] = (lows, levels)
-        return table
-
-    def masks(self, k: int, keep: Callable[[list, int], int]):
-        """The k-subsets in ascending order, less those keep() drops."""
-        rows, n, t = self.rows, self.n, self.t
-        if n < _SPLIT_FROM:
-            yield from _subset_masks_of_size(n, k)
-            return
-        for part in range(1 << (n - t)):
-            j = k - part.bit_count()
-            if not 0 <= j <= t:
-                continue
-            high = part << t
-            lows, levels = self._table(j)
-            outside = [
-                ((rows[v] & high).bit_count(), levels[v])
-                for v in range(t, n)
-                if not high >> v & 1
-            ]
-            positions = keep(outside, (1 << len(lows)) - 1)
-            while positions:
-                first = positions & -positions
-                positions ^= first
-                yield high | lows[first.bit_length() - 1]
+    levels = [1]
+    for i in range(t):
+        shift = 1 << i
+        if i == v:
+            continue
+        if row >> i & 1:
+            levels.append(0)
+            for c in range(len(levels) - 1, 0, -1):
+                levels[c] |= levels[c - 1] << shift
+        else:
+            levels = [level | level << shift for level in levels]
+    return levels
 
 
-def _distinct_nonzero(outside, everything: int) -> int:
-    """Positions where the given counts are nonzero and pairwise distinct."""
-    holders: dict[int, int] = {}  # count -> positions where some vertex has it
-    clash = 0
-    for offset, level in outside:
-        for count, where in enumerate(level, offset):
-            if where:
-                before = holders.get(count, 0)
-                clash |= before & where
-                holders[count] = before | where
-    return everything & ~(clash | holders.get(0, 0))
+def _packed_dominating(rows, n: int, distinct: bool) -> tuple[int, int]:
+    """Size and mask of the smallest-mask dominating set with the count
+    condition of _min_dominating, by one exact pass per high part.
+
+    A set splits into a low part L over the vertices below
+    t = min(n, _DOMINATION_LOW) and a high part H over the rest.  One int
+    has a bit per L; per vertex v, _low_levels gives the bits at which v is
+    outside L with c neighbours in it, and inside_v the bits at which v is
+    in L.  For each H, in ascending order, a vertex v outside H has
+    a_v = |N(v) cap H| more neighbours.  Distinct counts: each level,
+    shifted up by a_v, is ORed into a holder per count, and a bit held
+    twice clashes; valid is every bit but the clashes and holder[0].  Equal
+    counts: valid is the OR over c >= 1 of the AND over outside v of level
+    c - a_v or inside_v.  Either way bit L of valid is set exactly when
+    H | L passes.  Then the smallest j with a valid L of size j, and its
+    lowest bit, replace the incumbent when |H| + j is smaller, so the
+    result is the smallest size and, for it, the smallest mask.
+    """
+    t = min(n, _DOMINATION_LOW)
+    everything = (1 << (1 << t)) - 1
+    pop = _low_levels((1 << t) - 1, -1, t)  # pop[j]: the L with |L| = j
+    tables = []
+    # high vertices first: with no inside bits they empty an AND soonest
+    for v in [*range(t, n), *range(t)]:
+        levels = _low_levels(rows[v], v, t)
+        inside = everything ^ sum(levels)  # the L that hold v
+        if not distinct:
+            levels = [level | inside for level in levels]
+        tables.append((1 << v, rows[v], levels, inside))
+    best = n + 1
+    best_mask = 0
+    for part in range(1 << (n - t)):
+        size = part.bit_count()
+        if size >= best:
+            continue
+        high = part << t
+        outside = [
+            ((row & high).bit_count(), levels, inside)
+            for bit, row, levels, inside in tables
+            if not high & bit
+        ]
+        if distinct:
+            holders = [0] * n
+            clash = 0
+            for a, levels, _ in outside:
+                for c, where in enumerate(levels, a):
+                    before = holders[c]
+                    clash |= before & where
+                    holders[c] = before | where
+            valid = everything & ~(clash | holders[0])
+        else:
+            valid = 0
+            # c = 1 runs even when no outside vertex reaches it: the L that
+            # leave no vertex outside H | L are vacuously valid
+            top = max((a + len(levels) for a, levels, _ in outside), default=0)
+            for c in range(1, max(top, 2)):
+                common = everything
+                for a, levels, inside in outside:
+                    i = c - a
+                    common &= levels[i] if 0 <= i < len(levels) else inside
+                    if not common:
+                        break
+                valid |= common
+        for j in range(min(t, best - size - 1) + 1):
+            found = valid & pop[j]
+            if found:
+                best = size + j
+                best_mask = high | (found & -found).bit_length() - 1
+                break
+    return best, best_mask
 
 
-def _equal_nonzero(outside, everything: int) -> int:
-    """Positions where the given counts all equal one nonzero value."""
-    if not outside:
-        return everything
-    (offset, level), others = outside[0], outside[1:]
-    keep = 0
-    for count, where in enumerate(level, offset):
-        if count:
-            for other_offset, other_level in others:
-                if not where:
-                    break
-                c = count - other_offset
-                where = where & other_level[c] if 0 <= c < len(other_level) else 0
-            keep |= where
-    return keep
-
-
-def _min_dominating(
-    g: Graph, sizes, keep: Callable[[list, int], int], distinct: bool
-) -> Extremum:
+def _min_dominating(g: Graph, sizes, distinct: bool) -> Extremum:
     """The smallest-mask dominating set of the first size that has one.
 
     distinct=True asks for pairwise distinct counts |N(v) cap D| over v
-    outside D, False for all counts equal.  Within a size the masks come in
-    ascending order, less those keep() drops (_SplitScan), and the first
-    valid one is returned.  The full vertex set is vacuously valid, so a
-    size sequence that reaches n always ends the search.
+    outside D, False for all counts equal.  From n = _SPLIT_FROM on, the
+    packed pass (_packed_dominating) settles every size at once, and its
+    answer is checked once here.  Below, the sizes are scanned in order,
+    each in ascending mask order, and the first valid mask is returned;
+    the full vertex set is vacuously valid, so a size sequence that
+    reaches n always ends the search.
     """
     rows, n = g.rows, g.n
+    if n >= _SPLIT_FROM:
+        size, mask = _packed_dominating(rows, n, distinct)
+        if not _domination_counts_ok(rows, n, mask, distinct):
+            raise AssertionError("packed domination pass found no valid set")
+        return Extremum(size, VertexSet(n, mask))
     vertices = [(1 << v, rows[v]) for v in range(n)]
-    scan = _SplitScan(rows)
     for k in sizes:
-        for mask in scan.masks(k, keep):
+        for mask in _subset_masks_of_size(n, k):
             # bit c of barred rules count c out for the next outside vertex;
             # bit 0 starts set because an undominated vertex never fits.
             # Distinct counts bar each count once seen, equal counts bar
@@ -482,11 +502,10 @@ def _min_dominating(
 def gamma_ir(g: Graph) -> Extremum:
     """Irregular domination number.
 
-    Candidate sizes run upward from the Thm 4.1 lower bound, so the first
-    size admitting a valid set is optimal.  Sizes whose degree intervals
-    cannot hold n - k distinct counts are skipped as well, and the scan
-    drops the masks on which two high vertices outside the mask share a
-    count or one has none.
+    Below _SPLIT_FROM, candidate sizes run upward from the Thm 4.1 lower
+    bound, so the first size admitting a valid set is optimal, and sizes
+    whose degree intervals cannot hold n - k distinct counts are skipped.
+    From _SPLIT_FROM on, the packed pass settles every size at once.
     """
     _guard(g, "gamma_ir")
     n, dc = g.n, classify_degrees(g)
@@ -494,17 +513,17 @@ def gamma_ir(g: Graph) -> Extremum:
         k for k in range(lb_gamma_ir_thm41(n, dc.Delta), n + 1)
         if _distinct_counts_fit(dc.degrees, k)
     )
-    return _min_dominating(g, sizes, _distinct_nonzero, distinct=True)
+    return _min_dominating(g, sizes, distinct=True)
 
 
 def gamma_reg(g: Graph) -> Extremum:
     """Regular (fair) domination number.
 
-    Sizes are tried upward from 1, and the scan drops the masks on which the
-    high vertices outside the mask do not share one nonzero count.
+    Sizes are tried upward from 1 below _SPLIT_FROM; from there on the
+    packed pass settles every size at once.
     """
     _guard(g, "gamma_reg")
-    return _min_dominating(g, range(1, g.n + 1), _equal_nonzero, distinct=False)
+    return _min_dominating(g, range(1, g.n + 1), distinct=False)
 
 
 # The most low vertices in max_cut.  A lane never exceeds C(t, 2) + t(n - t),

@@ -259,7 +259,9 @@ def test_exponential_solvers_match_oracles_beyond_n7(p):
 
 
 def test_split_scan_matches_oracles_at_small_orders(monkeypatch):
-    # the split scan only runs from n = 12 by default; force it everywhere
+    # the packed pass only runs from n = 12 by default; force it everywhere,
+    # and shrink its low part, down to none, so that every order walks
+    # several high parts
     import irregraph.params as params_module
 
     monkeypatch.setattr(params_module, "_SPLIT_FROM", 1)
@@ -267,9 +269,12 @@ def test_split_scan_matches_oracles_at_small_orders(monkeypatch):
     graphs = [from_edge_mask(n, mask) for n in range(1, 6)
               for mask in range(1 << pair_count(n))]
     graphs += [gnp(n, p, rng) for n in range(6, 12) for p in (0.2, 0.5, 0.8)]
-    for g in graphs:
-        assert gamma_ir(g) == naive_gamma_ir(g), (g.n, g.edge_mask)
-        assert gamma_reg(g) == naive_gamma_reg(g), (g.n, g.edge_mask)
+    expected = [(naive_gamma_ir(g), naive_gamma_reg(g)) for g in graphs]
+    for low_part in (0, 1, 2, 3, params_module._DOMINATION_LOW):
+        monkeypatch.setattr(params_module, "_DOMINATION_LOW", low_part)
+        for g, (ir, reg) in zip(graphs, expected):
+            assert gamma_ir(g) == ir, (low_part, g.n, g.edge_mask)
+            assert gamma_reg(g) == reg, (low_part, g.n, g.edge_mask)
 
 
 def test_max_cut_walk_matches_oracle_at_small_orders(monkeypatch):
@@ -302,7 +307,7 @@ def test_max_cut_lanes_fit_a_byte_at_the_size_guard():
 # sha256 over "graph6 gamma_ir witness-mask gamma_reg witness-mask\n".  The
 # classes of order 1-7 and their complements take the plain ascending scan;
 # the G(n, p) draws at n = 12-16 ("gnp", four per (n, p)) and n = 17-20
-# ("gnp_large", one per (n, p)) take the split scan, through the n = 18 that
+# ("gnp_large", one per (n, p)) take the packed pass, through the n = 18 that
 # compute runs, past the n = 12 that the oracle comparisons above reach.
 DOMINATION_DIGESTS = {
     "classes": "0ce2deaa8c87ba39becf341f8b3b11f62ad5926a9ad34515b71791e6ad6227fc",
