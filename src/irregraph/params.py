@@ -478,7 +478,7 @@ def _min_dominating(g: Graph, sizes, distinct: bool) -> Extremum:
     if n >= _SPLIT_FROM:
         size, mask = _packed_dominating(rows, n, distinct)
         if not _domination_counts_ok(rows, n, mask, distinct):
-            raise AssertionError("packed domination pass found no valid set")
+            raise AssertionError("packed domination pass returned an invalid set")
         return Extremum(size, VertexSet(n, mask))
     vertices = [(1 << v, rows[v]) for v in range(n)]
     for k in sizes:
