@@ -9,7 +9,8 @@ string per line, and one line loop serves compute and recognize; compute
 passes '#' comment lines through unchanged, so construct output pipes
 straight back in, and recognize skips them.  Each subparser names its handler,
 which receives the parsed arguments as they are; construct has one flag per
-parameter name in FAMILIES.
+parameter name in FAMILIES.  The parser is built once per process, on the
+first call of main, and reused by every later call.
 
 Exit codes: 0 for a clean run, 1 when verification or a claim check finds a
 failure or when the reader closes stdout early, 2 for unusable input, with
@@ -18,6 +19,7 @@ the line number in the message.
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -26,7 +28,7 @@ from typing import TextIO
 from irregraph.constructions import FAMILIES, evaluate, metadata_comment
 from irregraph.graph import ASCII_WHITESPACE, Graph6Error, parse_graph6, write_graph6
 from irregraph.harness import sharpness_suite, verify_range
-from irregraph.params import full_report
+from irregraph.params import SIZE_GUARD, full_report
 from irregraph.recognizers import (
     classify_gamma_extremal,
     classify_outerplanar_alpha1,
@@ -57,19 +59,33 @@ _CONSTRUCT_PARAMS = {
 }
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and its subcommand parsers by name."""
+    """The top-level parser and its subcommand parsers by name.
+
+    Built on first use and then shared: the parser depends only on module
+    constants, and argparse keeps no state between parses.  The GRAPH6
+    defaults are empty tuples, so that no parse can grow a shared default.
+    """
     parser = argparse.ArgumentParser(
         prog="irregraph",
         description="exact irregular independence and domination toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    compute = sub.add_parser("compute", help="exact parameters per graph")
+    compute = sub.add_parser(
+        "compute",
+        help="exact parameters per graph",
+        description=(
+            "Print the exact parameters of each graph. gamma_ir, gamma_reg "
+            "and max_cut enumerate subsets and refuse graphs with more than "
+            f"{SIZE_GUARD} vertices (exit 2)."
+        ),
+    )
     compute.set_defaults(handler=_cmd_compute)
     source = compute.add_mutually_exclusive_group()
     # a default makes the positional optional, which the group requires
-    source.add_argument("graphs", nargs="*", default=[], metavar="GRAPH6")
+    source.add_argument("graphs", nargs="*", default=(), metavar="GRAPH6")
     source.add_argument("--input", metavar="PATH")
     compute.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -83,7 +99,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     recognize.set_defaults(handler=_cmd_recognize)
     recognize.add_argument("property", choices=sorted(PROPERTIES))
     source = recognize.add_mutually_exclusive_group()
-    source.add_argument("graphs", nargs="*", default=[], metavar="GRAPH6")
+    source.add_argument("graphs", nargs="*", default=(), metavar="GRAPH6")
     source.add_argument("--input", metavar="PATH")
     recognize.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -37,11 +37,13 @@ distinct counts.  From order 12 on, each set splits into a low part over
 the first twelve vertices and a high part over the rest.  One int holds a
 bit per low part, and per high part a few big-integer operations per
 vertex mark exactly the low parts that complete it to a valid set, for
-every size at once.
+every size at once.  The low-part tables are built once per graph and
+shared by both solvers.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -365,8 +367,11 @@ def _distinct_counts_fit(degs, k: int) -> bool:
 # the packed pass wins on all but the densest (gamma_reg at p = 0.8).
 _SPLIT_FROM = 12
 # The most low vertices in the packed domination pass: 2^12 bits a bitset.
-# gamma_ir plus gamma_reg over the 102 compute-benchmark graphs took 0.22 s
-# at 10, 0.16 at 11, 0.13 at 12, 0.14 at 13 and 0.14 at 14.
+# gamma_ir plus gamma_reg over the 102 compute-benchmark graphs, tables
+# built once per graph, median of 12 rounds in alternating order, three
+# runs: 0.21-0.25 s at 11, 0.17-0.20 at 12, 0.18-0.19 at 13, 0.17-0.19 at
+# 14.  Paired with 12 over 16 rounds, 13 was faster in 8 and 12 of them,
+# 14 in 9 and 8, so no other low part wins.
 _DOMINATION_LOW = 12
 
 
@@ -391,6 +396,27 @@ def _low_levels(row: int, v: int, t: int) -> list[int]:
     return levels
 
 
+@functools.lru_cache(maxsize=1)
+def _low_tables(rows: tuple[int, ...], t: int) -> tuple[tuple, tuple]:
+    """The packed pass's tables over the low vertices 0..t-1 of rows.
+
+    pop[j] is the bitset of the low parts L with |L| = j.  Per vertex v,
+    high vertices first (with no inside bits they empty an AND soonest),
+    the entry is (1 << v, rows[v], the _low_levels of v, inside_v), inside_v
+    being the L that hold v.  The tables depend only on rows and t, so
+    gamma_ir and gamma_reg on one graph share one build; they are tuples so
+    that no caller can change a cached table.
+    """
+    n = len(rows)
+    everything = (1 << (1 << t)) - 1
+    pop = tuple(_low_levels((1 << t) - 1, -1, t))
+    tables = []
+    for v in [*range(t, n), *range(t)]:
+        levels = tuple(_low_levels(rows[v], v, t))
+        tables.append((1 << v, rows[v], levels, everything ^ sum(levels)))
+    return pop, tuple(tables)
+
+
 def _packed_dominating(rows, n: int, distinct: bool) -> tuple[int, int]:
     """Size and mask of the smallest-mask dominating set with the count
     condition of _min_dominating, by one exact pass per high part.
@@ -399,27 +425,26 @@ def _packed_dominating(rows, n: int, distinct: bool) -> tuple[int, int]:
     t = min(n, _DOMINATION_LOW) and a high part H over the rest.  One int
     has a bit per L; per vertex v, _low_levels gives the bits at which v is
     outside L with c neighbours in it, and inside_v the bits at which v is
-    in L.  For each H, in ascending order, a vertex v outside H has
-    a_v = |N(v) cap H| more neighbours.  Distinct counts: each level,
-    shifted up by a_v, is ORed into a holder per count, and a bit held
-    twice clashes; valid is every bit but the clashes and holder[0].  Equal
-    counts: valid is the OR over c >= 1 of the AND over outside v of level
-    c - a_v or inside_v.  Either way bit L of valid is set exactly when
-    H | L passes.  Then the smallest j with a valid L of size j, and its
-    lowest bit, replace the incumbent when |H| + j is smaller, so the
-    result is the smallest size and, for it, the smallest mask.
+    in L; _low_tables builds these tables once per graph, and gamma_ir and
+    gamma_reg share them.  For each H, in ascending order, a vertex v
+    outside H has a_v = |N(v) cap H| more neighbours.  Distinct counts:
+    each level, shifted up by a_v, is ORed into a holder per count, and a
+    bit held twice clashes; valid is every bit but the clashes and
+    holder[0].  Equal counts: valid is the OR over c >= 1 of the AND over
+    outside v of level c - a_v or inside_v.  Either way bit L of valid is
+    set exactly when H | L passes.  Then the smallest j with a valid L of
+    size j, and its lowest bit, replace the incumbent when |H| + j is
+    smaller, so the result is the smallest size and, for it, the smallest
+    mask.
     """
     t = min(n, _DOMINATION_LOW)
     everything = (1 << (1 << t)) - 1
-    pop = _low_levels((1 << t) - 1, -1, t)  # pop[j]: the L with |L| = j
-    tables = []
-    # high vertices first: with no inside bits they empty an AND soonest
-    for v in [*range(t, n), *range(t)]:
-        levels = _low_levels(rows[v], v, t)
-        inside = everything ^ sum(levels)  # the L that hold v
-        if not distinct:
-            levels = [level | inside for level in levels]
-        tables.append((1 << v, rows[v], levels, inside))
+    pop, tables = _low_tables(rows, t)
+    if not distinct:
+        tables = [
+            (bit, row, [level | inside for level in levels], inside)
+            for bit, row, levels, inside in tables
+        ]
     best = n + 1
     best_mask = 0
     for part in range(1 << (n - t)):

@@ -15,6 +15,7 @@ from irregraph.cli import main
 from irregraph.constructions import FAMILIES
 from irregraph.graph import complete_graph, star_graph, write_graph6
 from irregraph.harness import THEOREM_IDS, Verdict
+from irregraph.params import SIZE_GUARD
 from oracles import checked_member
 
 
@@ -123,12 +124,21 @@ def test_graphs_after_an_option_are_parsed(tmp_path):
         code, out, err = run_cli(*late)
         assert (code, err) == (0, "") and out
         assert run_cli(*early) == (code, out, err)
+    # the parser is shared between calls: graphs left over from one call
+    # must not reach the next one's default
+    assert run_cli("recognize", "planar", "--format", "json", "A_")[0] == 0
+    assert run_cli("recognize", "planar", stdin_text="Ch\n") == (
+        0, "Ch planar=true\n", ""
+    )
     corpus = tmp_path / "graphs.g6"
     corpus.write_text("Ch\n")
     code, out, err = run_cli("recognize", "planar", "--input", str(corpus), "A_")
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == (
         "irregraph recognize: error: argument GRAPH6: not allowed with argument --input"
+    )
+    assert run_cli("recognize", "planar", "--input", str(corpus)) == (
+        0, "Ch planar=true\n", ""
     )
 
 
@@ -401,6 +411,11 @@ def test_usage_errors_and_help():
     assert run_cli()[0] == 2
     assert run_cli("no_such_command")[0] == 2
     assert run_cli("--help")[0] == 0
+    code, out, _ = run_cli("compute", "--help")
+    assert code == 0
+    assert (
+        f"refuse graphs with more than {SIZE_GUARD} vertices" in " ".join(out.split())
+    )
 
 
 def test_construct_flags_are_the_family_parameters():

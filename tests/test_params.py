@@ -261,7 +261,8 @@ def test_exponential_solvers_match_oracles_beyond_n7(p):
 def test_split_scan_matches_oracles_at_small_orders(monkeypatch):
     # the packed pass only runs from n = 12 by default; force it everywhere,
     # and shrink its low part, down to none, so that every order walks
-    # several high parts
+    # several high parts.  Each graph is solved at every low part in a row,
+    # so tables kept for one low part must not serve another.
     import irregraph.params as params_module
 
     monkeypatch.setattr(params_module, "_SPLIT_FROM", 1)
@@ -269,12 +270,31 @@ def test_split_scan_matches_oracles_at_small_orders(monkeypatch):
     graphs = [from_edge_mask(n, mask) for n in range(1, 6)
               for mask in range(1 << pair_count(n))]
     graphs += [gnp(n, p, rng) for n in range(6, 12) for p in (0.2, 0.5, 0.8)]
-    expected = [(naive_gamma_ir(g), naive_gamma_reg(g)) for g in graphs]
-    for low_part in (0, 1, 2, 3, params_module._DOMINATION_LOW):
-        monkeypatch.setattr(params_module, "_DOMINATION_LOW", low_part)
-        for g, (ir, reg) in zip(graphs, expected):
+    low_parts = (0, 1, 2, 3, params_module._DOMINATION_LOW)
+    for g in graphs:
+        ir, reg = naive_gamma_ir(g), naive_gamma_reg(g)
+        for low_part in low_parts:
+            monkeypatch.setattr(params_module, "_DOMINATION_LOW", low_part)
             assert gamma_ir(g) == ir, (low_part, g.n, g.edge_mask)
             assert gamma_reg(g) == reg, (low_part, g.n, g.edge_mask)
+
+
+def test_full_report_builds_the_domination_tables_once(monkeypatch):
+    # gamma_ir and gamma_reg share the packed pass's tables: one _low_levels
+    # call per vertex plus one for pop, not one set for each solver
+    import irregraph.params as params_module
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return low_levels(*args)
+
+    low_levels = params_module._low_levels
+    monkeypatch.setattr(params_module, "_low_levels", counted)
+    g = gnp(14, 0.5, random.Random(25))
+    full_report(g)
+    assert len(calls) == g.n + 1
 
 
 def test_max_cut_walk_matches_oracle_at_small_orders(monkeypatch):
