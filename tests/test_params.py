@@ -284,13 +284,13 @@ def test_full_report_builds_the_domination_tables_once(monkeypatch):
     # call per vertex plus one for pop, not one set for each solver
     import irregraph.params as params_module
 
+    low_levels = params_module._low_levels
     calls = []
 
     def counted(*args):
         calls.append(args)
         return low_levels(*args)
 
-    low_levels = params_module._low_levels
     monkeypatch.setattr(params_module, "_low_levels", counted)
     g = gnp(14, 0.5, random.Random(25))
     full_report(g)
