@@ -8,8 +8,10 @@ None where the fact's hypothesis fails; a characterization row names the
 two sides of an "if and only if"; a few rows carry both.  Each row has a
 witness template that the evaluator fills in only when the row fails, with
 the instantiated inequality, so a failure can be re-checked by hand from the
-graph6 string alone.  A sweep covers every labeled graph up to a given
-order (all 2^C(n,2) edge masks, nothing sampled).
+graph6 string alone.  A failing verdict is the only one the evaluator
+builds: each row's "pass" and "not_applicable" verdicts are built once, at
+import, and every graph shares them.  A sweep covers every labeled graph up
+to a given order (all 2^C(n,2) edge masks, nothing sampled).
 
 Every check is invariant under relabeling, so verify_range checks one
 member per isomorphism class and counts its verdicts n!/|Aut| times, once
@@ -21,9 +23,11 @@ with its complement: each side's complement values are the other side's
 own, which makes 10 solves for the pair instead of 14.  A class with
 2m = C(n,2) is checked alone; its complement's class is in the visited half
 too.  Every order comes from one class walk capped at C(n_max,2)/2 edges
-(graph._class_walk), so no order is held whole.  For every order n and edge
-count m the weights of the graphs checked with m edges must add up to
-C(C(n,2), m), which checks the walk and the pairing on every run.
+(graph._class_walk), so no order is held whole; a Graph is built only for
+the classes checked.  Each side's verdicts are tallied into per-row counters
+in one pass that also finds a failure.  For every order n and edge count m
+the weights of the graphs checked with m edges must add up to C(C(n,2), m),
+which checks the walk and the pairing on every run.
 
 A class with a failing check is expanded back into its labeled members (the
 complemented edge masks for a complement side), each reported under its own
@@ -37,7 +41,8 @@ sides, and each violating side's members are encoded to graph6 in one call
 (graph.graph6_from_edge_masks).  All members share one verdicts tuple, which
 TheoremReport checks once per violating side instead of once per member.
 The tests hold the class sweep to a labeled sweep that checks every edge
-mask, verdicts included.
+mask, verdicts included, and the evaluator to a reference that builds every
+verdict anew from the rows.
 
 verify_range and theorem_report take t41_divisor, the 2 in the published
 ceil(n/2) domination lower bound (T4.1).  Setting it to 1 claims
@@ -250,8 +255,8 @@ class _Ctx:
         self.g = g
         self.t41_divisor = t41_divisor
         self.n = g.n
-        self.m = g.m
         self.dc = classify_degrees(g)
+        self.m = sum(self.dc.degrees) // 2
         self.alpha, self.alpha_ir, self.alpha_reg, self.gamma_ir, self.beta = own
         self.alpha_ir_c = alpha_ir_c
         self.gamma_ir_c = gamma_ir_c
@@ -483,29 +488,38 @@ _ROWS = (
 THEOREM_IDS = tuple(row.tid for row in _ROWS)
 
 
-def _evaluate(row: _Row, c: _Ctx) -> Verdict:
-    """The verdict of one row on one graph."""
-    lo = row.lo(c) if row.lo else None
-    hi = row.hi(c) if row.hi else None
-    if (row.lo and lo is None) or (row.hi and hi is None):
-        return Verdict(row.tid, "not_applicable")
-    v = row.value(c) if row.value else None
-    ok = (lo is None or lo <= v) and (hi is None or v <= hi)
-    lhs = rhs = None
-    if row.iff:
-        lhs, rhs = row.iff(c, v, hi)
-        ok = ok and lhs == rhs
-    if ok:
-        return Verdict(row.tid, "pass")
-    fields = {"c": c, "v": v, "lo": lo, "hi": hi, "lhs": lhs, "rhs": rhs}
+def _plain(row: _Row) -> tuple:
+    """row as the plain tuple _evaluate unpacks: tid, value, lo, hi, iff,
+    the witness as one callable taking keywords, and the row's "pass" and
+    "not_applicable" verdicts, built once here and shared by every graph."""
     w = row.witness
-    return Verdict(
-        row.tid, "fail", w.format(**fields) if isinstance(w, str) else w(**fields)
+    return (
+        row.tid, row.value, row.lo, row.hi, row.iff,
+        w.format if isinstance(w, str) else w,
+        Verdict(row.tid, "pass"), Verdict(row.tid, "not_applicable"),
     )
 
 
+_TABLE = tuple(_plain(row) for row in _ROWS)
+
+
+def _evaluate(row: tuple, c: _Ctx) -> Verdict:
+    """The verdict of one _TABLE row on one graph.  Only a failing verdict is
+    built here, with its witness; the others are the row's shared ones."""
+    tid, value, lo_of, hi_of, iff, witness, passed, not_applicable = row
+    lo = lo_of(c) if lo_of else None
+    hi = hi_of(c) if hi_of else None
+    if (lo_of and lo is None) or (hi_of and hi is None):
+        return not_applicable
+    v = value(c) if value else None
+    lhs, rhs = iff(c, v, hi) if iff else (None, None)
+    if lhs == rhs and (lo is None or lo <= v) and (hi is None or v <= hi):
+        return passed
+    return Verdict(tid, "fail", witness(c=c, v=v, lo=lo, hi=hi, lhs=lhs, rhs=rhs))
+
+
 def _row_verdicts(c: _Ctx) -> tuple[Verdict, ...]:
-    return tuple(_evaluate(row, c) for row in _ROWS)
+    return tuple([_evaluate(row, c) for row in _TABLE])
 
 
 def _verdicts(g: Graph, t41_divisor: int) -> tuple[Verdict, ...]:
@@ -555,26 +569,32 @@ def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
         raise ValueError("divisor must be >= 1")
     start = time.monotonic()
     counts = _blank_counts()
+    cells = [counts[tid] for tid in THEOREM_IDS]  # the order of every verdicts
     by_m = [[0] * (pair_count(n) + 1) for n in range(n_max + 1)]
     violations: list[TheoremReport] = []
     for rows, lab in _class_walk(n_max, pair_count(n_max) // 2):
         n = len(rows)
-        g = Graph(n, rows)
+        m = sum(map(int.bit_count, rows)) // 2
         pairs = pair_count(n)
-        if n == 0 or 2 * g.m > pairs:  # no checks, or checked as a complement side
+        if n == 0 or 2 * m > pairs:  # no checks, or checked as a complement side
             continue
+        g = Graph(n, rows)
         weight = factorial(n) // lab.aut
-        if 2 * g.m == pairs:  # the class of the complement is in this half too
-            sides = [(g.m, 0, _verdicts(g, t41_divisor))]
+        if 2 * m == pairs:  # the class of the complement is in this half too
+            sides = [(m, 0, _verdicts(g, t41_divisor))]
         else:  # the complement's members are g's masks with every pair flipped
             mine, theirs = _pair_verdicts(g, t41_divisor)
-            sides = [(g.m, 0, mine), (pairs - g.m, (1 << pairs) - 1, theirs)]
+            sides = [(m, 0, mine), (pairs - m, (1 << pairs) - 1, theirs)]
         members = None  # the class's orbit, walked once for both sides
-        for m, flip, verdicts in sides:
-            by_m[n][m] += weight
-            for v in verdicts:
-                counts[v.theorem_id][v.status] += weight
-            if any(v.status == "fail" for v in verdicts):
+        for edges, flip, verdicts in sides:
+            by_m[n][edges] += weight
+            failed = False
+            for cell, v in zip(cells, verdicts):
+                status = v.status
+                cell[status] += weight
+                if status == "fail":
+                    failed = True
+            if failed:
                 members = members or labeled_copies(g)
                 graphs = graph6_from_edge_masks(n, [mask ^ flip for mask in members])
                 violations.extend(TheoremReport._sharing(verdicts, graphs))

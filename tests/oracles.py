@@ -7,8 +7,9 @@ representatives by n!/|Aut|, isomorphism classes from a dict of canonical
 keys over every one-vertex extension instead of canonical augmentation, the
 number of classes with each edge count by Polya counting instead of
 generating them, the labeled members of a class by trying all n!
-relabelings instead of walking its orbit, and an isomorphism test by
-backtracking instead of canonical keys.
+relabelings instead of walking its orbit, an isomorphism test by
+backtracking instead of canonical keys, and the row verdicts of one graph
+built anew for every row from the harness's _Row fields instead of shared.
 frozen_classes reads the class list that the frozen digests hash.
 checked_member builds a construction family member and asserts that every
 claim measured on it holds.
@@ -30,7 +31,13 @@ from irregraph.graph import (
     pair_index,
     parse_graph6,
 )
-from irregraph.harness import ENUMERATION_LIMIT, _blank_counts, theorem_report
+from irregraph.harness import (
+    ENUMERATION_LIMIT,
+    _ROWS,
+    Verdict,
+    _blank_counts,
+    theorem_report,
+)
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
@@ -54,6 +61,39 @@ def sweep_order_labeled(n: int, t41_divisor: int):
         if report.failures:
             violating.append((g.edge_mask, report.verdicts))
     return counts, violating
+
+
+def reference_row_verdicts(c) -> tuple[Verdict, ...]:
+    """The verdict of every row of harness._ROWS on the context c, each one a
+    new Verdict read from the _Row's fields, in THEOREM_IDS order.
+
+    A row is not applicable when a bound it has reads None, both bounds
+    being read first; otherwise it passes when lo <= value <= hi, a missing
+    end being open, and the two sides of its iff, if it has one, are equal.
+    A failing verdict carries the row's witness filled in with c, v, lo, hi,
+    lhs and rhs.
+    """
+    verdicts = []
+    for row in _ROWS:
+        lo = row.lo(c) if row.lo else None
+        hi = row.hi(c) if row.hi else None
+        if (row.lo and lo is None) or (row.hi and hi is None):
+            verdicts.append(Verdict(row.tid, "not_applicable"))
+            continue
+        v = row.value(c) if row.value else None
+        ok = (lo is None or lo <= v) and (hi is None or v <= hi)
+        lhs = rhs = None
+        if row.iff:
+            lhs, rhs = row.iff(c, v, hi)
+            ok = ok and lhs == rhs
+        if ok:
+            verdicts.append(Verdict(row.tid, "pass"))
+            continue
+        fields = {"c": c, "v": v, "lo": lo, "hi": hi, "lhs": lhs, "rhs": rhs}
+        w = row.witness
+        text = w.format(**fields) if isinstance(w, str) else w(**fields)
+        verdicts.append(Verdict(row.tid, "fail", text))
+    return tuple(verdicts)
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,7 @@ from irregraph.graph import (
     pair_count,
     parse_graph6,
     path_graph,
+    write_graph6,
 )
 from irregraph.harness import (
     THEOREM_IDS,
@@ -33,7 +34,11 @@ from irregraph.harness import (
 )
 from irregraph.params import full_report
 from irregraph.recognizers import is_outerplanar, is_planar
-from oracles import enumerate_labeled_graphs, sweep_order_labeled
+from oracles import (
+    enumerate_labeled_graphs,
+    reference_row_verdicts,
+    sweep_order_labeled,
+)
 
 # labeled graphs of order 0..n summed: 1, 2, 4, 12, 76, 1100, 33868, 2131020
 GRAPHS_THROUGH = {0: 1, 1: 2, 2: 4, 3: 12, 4: 76, 5: 1100, 6: 33868}
@@ -114,6 +119,61 @@ def test_t41_divisor_validation_and_bound():
     assert by_id(theorem_report(k3, t41_divisor=1))["T4.1"] == Verdict(
         "T4.1", "fail", "gamma_ir=2 < max(ceil(3/1), n-Delta=1) = 3"
     )
+
+
+@pytest.mark.parametrize("divisor", [1, 2])
+def test_row_verdicts_match_the_reference_evaluator(divisor):
+    # both sides of every class of order 1-6, against verdicts built anew
+    # from the _Row fields for every row; alpha_ir or gamma_ir off by one
+    # makes every row fail somewhere, the iff rows included, but T4.5ii,
+    # which needs span >= 5 and delta >= 3 and so order 8
+    statuses = set()
+    failing = set()
+    for n in range(1, 7):
+        for g, _ in isomorphism_classes(n):
+            gc = complement(g)
+            own, own_c = harness._solve(g), harness._solve(gc)
+            for side, mine, theirs in ((g, own, own_c), (gc, own_c, own)):
+                for solved in (
+                    mine,
+                    *(mine._replace(alpha_ir=mine.alpha_ir + d) for d in (-1, 1)),
+                    *(mine._replace(gamma_ir=mine.gamma_ir + d) for d in (-1, 1)),
+                ):
+                    c = harness._Ctx(
+                        side, divisor, solved, theirs.alpha_ir, theirs.gamma_ir
+                    )
+                    verdicts = harness._row_verdicts(c)
+                    assert verdicts == reference_row_verdicts(c), write_graph6(side)
+                    if solved is mine:
+                        statuses |= {v.status for v in verdicts}
+                    failing |= {v.theorem_id for v in verdicts if v.status == "fail"}
+    expected = {"pass", "not_applicable"} | ({"fail"} if divisor == 1 else set())
+    assert statuses == expected
+    assert failing == set(THEOREM_IDS) - {"T4.5ii"}
+
+
+def test_passing_and_not_applicable_verdicts_are_shared():
+    def by_id(g, divisor=2):
+        return {v.theorem_id: v for v in theorem_report(g, divisor).verdicts}
+
+    e3, k3 = by_id(empty_graph(3)), by_id(complete_graph(3))
+    for tid in ("T2.1", "T4.1", "T6.1i"):
+        assert e3[tid].status == "pass" and e3[tid] is k3[tid]
+    # product rows need n >= 4
+    assert e3["C2.4"].status == "not_applicable" and e3["C2.4"] is k3["C2.4"]
+    p4, p5 = by_id(path_graph(4)), by_id(path_graph(5))
+    assert p4["T3.2i"].status == "not_applicable" and p4["T3.2i"] is p5["T3.2i"]
+    # a failing verdict is built for its graph and carries its witness
+    first, second = by_id(complete_graph(2), 1), by_id(complete_graph(2), 1)
+    witness = "gamma_ir=1 < max(ceil(2/1), n-Delta=1) = 2"
+    assert first["T4.1"] == second["T4.1"] == Verdict("T4.1", "fail", witness)
+    assert first["T4.1"] is not second["T4.1"]
+    assert first["T4.1"].to_json() == {
+        "theorem": "T4.1", "status": "fail", "witness": witness,
+    }
+    assert first["T2.1"] is e3["T2.1"]
+    assert e3["T2.1"].to_json() == {"theorem": "T2.1", "status": "pass"}
+    assert e3["C2.4"].to_json() == {"theorem": "C2.4", "status": "not_applicable"}
 
 
 def test_sweep_frozen_graph_counts():
