@@ -125,8 +125,8 @@ def test_t41_divisor_validation_and_bound():
 def test_row_verdicts_match_the_reference_evaluator(divisor):
     # both sides of every class of order 1-6, against verdicts built anew
     # from the _Row fields for every row; alpha_ir or gamma_ir off by one
-    # makes every row fail somewhere, the iff rows included, but T4.5ii,
-    # which needs span >= 5 and delta >= 3 and so order 8
+    # makes every row fail on some graph, the iff rows included, except
+    # T4.5ii, which applies only from order 8 (span >= 5 and delta >= 3)
     statuses = set()
     failing = set()
     for n in range(1, 7):
@@ -305,7 +305,7 @@ def test_weakened_bound_cannot_fire():
 
 
 def test_verify_range_validation():
-    # order 8 is accepted (about 6 seconds), order 9 is not
+    # order 8 is accepted (4.0-5.5 s in process on a 2-vCPU Xeon), 9 is not
     with pytest.raises(ValueError, match="n_max <= 8"):
         verify_range(9)
     with pytest.raises(ValueError):
