@@ -500,10 +500,12 @@ def _accepted_labelling(rows: list[int]) -> Optional[_Labelling]:
     return lab if any(order[-1] in mates for order in lab.best) else None
 
 
-def _class_walk(n_max: int, cap: int) -> Iterator[tuple[list[int], _Labelling]]:
+def _class_walk(
+    n_max: int, cap: int, shard: tuple[int, int] = (0, 1)
+) -> Iterator[tuple[list[int], _Labelling]]:
     """Every isomorphism class of order <= n_max with at most cap edges, once
     each, depth first, as one member's rows and the labelling that accepted
-    them.
+    them; or, for shard (i, k), the i-th of k disjoint parts of that walk.
 
     Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 26, 1998): adding vertex n to one member of each order-n
@@ -515,13 +517,28 @@ def _class_walk(n_max: int, cap: int) -> Iterator[tuple[list[int], _Labelling]]:
     one neighbourhood orbit, so every class comes out once, with no table of
     keys.  A child has all its parent's edges, so cutting at cap on the way
     down loses no class with at most cap edges.
+
+    A shard deals the entries of each order below n_max in walk order, the
+    j-th to shard j mod k, and an entry of order n_max goes with its parent:
+    shard i descends only from the order-(n_max - 1) entries dealt to it (the
+    split of geng's res/mod).  Every shard still walks the lower orders
+    whole, to reach its parents, but yields only its own entries, so the k
+    shards partition the walk.
     """
+    i, k = shard
+    dealt = [0] * (n_max + 1)  # entries of each order below n_max met so far
     stack = [([], _labelling([], []), 0)]
     while stack:
         rows, lab, m = stack.pop()
-        yield rows, lab
         n = len(rows)
-        if n == n_max:
+        if n < n_max or n == 0:
+            mine = dealt[n] % k == i
+            dealt[n] += 1
+        else:  # the walk reaches order n_max only from this shard's parents
+            mine = True
+        if mine:
+            yield rows, lab
+        if n == n_max or (n == n_max - 1 and not mine):
             continue
         new = 1 << n
         for hood in _hood_orbits(n, _automorphisms(lab)):

@@ -25,15 +25,28 @@ own, which makes 10 solves for the pair instead of 14.  A class with
 too.  Every order comes from one class walk capped at C(n_max,2)/2 edges
 (graph._class_walk), so no order is held whole; a Graph is built only for
 the classes checked.  Each side's verdicts are tallied into per-row counters
-in one pass that also finds a failure.  For every order n and edge count m
-the weights of the graphs checked with m edges must add up to C(C(n,2), m),
-which checks the walk and the pairing on every run.
+in one pass that also finds a failure.
 
-A class with a failing check is expanded back into its labeled members (the
-complemented edge masks for a complement side), each reported under its own
-graph6 string with the class's verdicts: every witness string is built from
-isomorphism invariants (parameter values, degree classes, family tags), so
-a member's verdicts equal its representative's.  The members are the orbit
+The sweep runs as k shards of that walk (_sweep_shard), one per usable CPU
+up to _MAX_WORKERS, from order _PARALLEL_FROM on and where the process can
+fork safely; otherwise k = 1 and the one shard is the whole walk.  A shard
+deals the entries of each order below n_max round-robin and keeps the
+children of its own entries of order n_max - 1.  Shard 0 runs in the caller
+and the others in forked children, each returning plain tallies: per-row
+counts, per-(n, m) weights and the violating sides, with their verdicts as
+strings, which a child sends back through a pipe (irregraph.workers); an
+exception in a child is raised again in the caller, with the same type and
+arguments.  The merge (_merged) adds the tallies up, and then, for every
+order n and edge count m, the weights of the graphs checked with m edges
+must add up to C(C(n,2), m), which checks the walk, the pairing and the
+sharding on every run.
+
+After the merge, in the caller, a class with a failing check is expanded
+back into its labeled members (the complemented edge masks for a complement
+side), each reported under its own graph6 string with the class's verdicts:
+every witness string is built from isomorphism invariants (parameter
+values, degree classes, family tags), so a member's verdicts equal its
+representative's.  The members are the orbit
 of the representative's edge mask, walked one coset of each S_k in S_(k+1)
 at a time (graph.labeled_copies), so a class costs about n!/|Aut| swaps
 rather than n! relabelings.  The orbit is walked once per class, for both
@@ -501,6 +514,8 @@ def _plain(row: _Row) -> tuple:
 
 
 _TABLE = tuple(_plain(row) for row in _ROWS)
+# the shared verdicts by (theorem id, status)
+_SHARED = {(v.theorem_id, v.status): v for row in _TABLE for v in row[6:]}
 
 
 def _evaluate(row: tuple, c: _Ctx) -> Verdict:
@@ -555,24 +570,43 @@ def _blank_counts() -> dict:
     return {tid: {"pass": 0, "fail": 0, "not_applicable": 0} for tid in THEOREM_IDS}
 
 
-def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
-    """Check every theorem on every labeled graph of order 1..n_max.
+# verify_range forks worker shards from this order on.  `verify --n-max N`
+# in a fresh process, one shard against two, medians of 12 alternating runs
+# on a 2-vCPU Xeon: 21.6 vs 22.0 ms at N = 5; at 6, 76 vs 52 ms, but 252 vs
+# 262 ms with --t41-divisor 1, whose time goes to expanding violations in
+# the caller; 342 vs 240 ms at 7.
+_PARALLEL_FROM = 7
+# The most shards verify_range runs at once.  From per-class times of the
+# orders 7 and 8 sweeps, measured one at a time, the largest of k shards
+# gives a speed-up of 1.8, 2.7, 4.0 and 4.9 at k = 2, 4, 8 and 16 at order 7
+# (1.8, 3.0, 4.7 and 6.6 at order 8): each shard walks the orders below the
+# last one whole (17 ms at 7, 120 ms at 8), and whole subtrees are dealt.
+# Past 8, doubling the processes buys at most 1.4 times.
+_MAX_WORKERS = 8
 
-    Violations are sorted by graph6.  AssertionError means the class weights
-    of some order and edge count m do not add up to C(C(n,2), m).  The
-    order-0 graph is counted but carries no checks.  The result is
-    deterministic.
+
+def _workers(n_max: int) -> int:
+    """How many shards verify_range splits an n_max sweep into: from
+    _PARALLEL_FROM on, one per usable CPU where the process can fork safely
+    (irregraph.workers), else 1."""
+    if n_max < _PARALLEL_FROM:
+        return 1
+    from irregraph.workers import usable_workers
+
+    return usable_workers(_MAX_WORKERS)
+
+
+def _sweep_shard(n_max: int, t41_divisor: int, shard: tuple[int, int]) -> tuple:
+    """The tallies of one shard of the sweep (graph._class_walk's shard),
+    in plain ints, tuples and strings: the per-row counts, the weights
+    by_m[n][m] of the sides checked, and each violating side as
+    (n, rows, flip, verdicts), verdicts as (theorem id, status, witness).
     """
-    if not 0 <= n_max <= ENUMERATION_LIMIT:
-        raise ValueError(f"sweep budget is 0 <= n_max <= {ENUMERATION_LIMIT}")
-    if t41_divisor < 1:
-        raise ValueError("divisor must be >= 1")
-    start = time.monotonic()
     counts = _blank_counts()
     cells = [counts[tid] for tid in THEOREM_IDS]  # the order of every verdicts
     by_m = [[0] * (pair_count(n) + 1) for n in range(n_max + 1)]
-    violations: list[TheoremReport] = []
-    for rows, lab in _class_walk(n_max, pair_count(n_max) // 2):
+    failed_sides = []
+    for rows, lab in _class_walk(n_max, pair_count(n_max) // 2, shard):
         n = len(rows)
         m = sum(map(int.bit_count, rows)) // 2
         pairs = pair_count(n)
@@ -585,7 +619,6 @@ def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
         else:  # the complement's members are g's masks with every pair flipped
             mine, theirs = _pair_verdicts(g, t41_divisor)
             sides = [(m, 0, mine), (pairs - m, (1 << pairs) - 1, theirs)]
-        members = None  # the class's orbit, walked once for both sides
         for edges, flip, verdicts in sides:
             by_m[n][edges] += weight
             failed = False
@@ -595,9 +628,38 @@ def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
                 if status == "fail":
                     failed = True
             if failed:
-                members = members or labeled_copies(g)
-                graphs = graph6_from_edge_masks(n, [mask ^ flip for mask in members])
-                violations.extend(TheoremReport._sharing(verdicts, graphs))
+                plain = tuple((v.theorem_id, v.status, v.witness) for v in verdicts)
+                failed_sides.append((n, tuple(rows), flip, plain))
+    return counts, by_m, failed_sides
+
+
+def _sweep_shards(n_max: int, t41_divisor: int, k: int) -> list[tuple]:
+    """The tallies of the k shards of the sweep, shard 0 from this process
+    and the others from forked children (irregraph.workers)."""
+    if k == 1:
+        return [_sweep_shard(n_max, t41_divisor, (0, 1))]
+    from irregraph.workers import forked_map
+
+    return forked_map(lambda i: _sweep_shard(n_max, t41_divisor, (i, k)), k)
+
+
+def _merged(n_max: int, tallies: list[tuple]) -> tuple[dict, list[TheoremReport]]:
+    """The per-row counts and the violation reports of the whole sweep,
+    summed over its shards' tallies.  AssertionError if the weights of some
+    order and edge count m do not add up to C(C(n,2), m)."""
+    counts = _blank_counts()
+    by_m = [[0] * (pair_count(n) + 1) for n in range(n_max + 1)]
+    failed_sides = []
+    for shard_counts, shard_by_m, shard_failed in tallies:
+        for tid, cell in shard_counts.items():
+            total = counts[tid]
+            for status, count in cell.items():
+                total[status] += count
+        for n, weights in enumerate(shard_by_m):
+            total = by_m[n]
+            for m, weight in enumerate(weights):
+                total[m] += weight
+        failed_sides += shard_failed
     for n in range(1, n_max + 1):
         for m, total in enumerate(by_m[n]):
             if total != comb(pair_count(n), m):
@@ -605,8 +667,34 @@ def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
                     f"order {n}, m={m}: class weights add up to {total}, "
                     f"not {comb(pair_count(n), m)}"
                 )
-    graphs_checked = sum(1 << pair_count(n) for n in range(n_max + 1))
+    violations: list[TheoremReport] = []
+    orbit_of = members = None  # the orbit is walked once for both sides
+    for n, rows, flip, plain in failed_sides:
+        if rows != orbit_of:
+            orbit_of, members = rows, labeled_copies(Graph(n, rows))
+        graphs = graph6_from_edge_masks(n, [mask ^ flip for mask in members])
+        verdicts = tuple(_SHARED.get(v[:2]) or Verdict(*v) for v in plain)
+        violations.extend(TheoremReport._sharing(verdicts, graphs))
     violations.sort(key=lambda r: r.graph)
+    return counts, violations
+
+
+def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
+    """Check every theorem on every labeled graph of order 1..n_max.
+
+    Violations are sorted by graph6.  AssertionError means the class weights
+    of some order and edge count m do not add up to C(C(n,2), m).  The
+    order-0 graph is counted but carries no checks.  The result is
+    deterministic, and the same for any number of shards.
+    """
+    if not 0 <= n_max <= ENUMERATION_LIMIT:
+        raise ValueError(f"sweep budget is 0 <= n_max <= {ENUMERATION_LIMIT}")
+    if t41_divisor < 1:
+        raise ValueError("divisor must be >= 1")
+    start = time.monotonic()
+    tallies = _sweep_shards(n_max, t41_divisor, _workers(n_max))
+    counts, violations = _merged(n_max, tallies)
+    graphs_checked = sum(1 << pair_count(n) for n in range(n_max + 1))
     wall = int((time.monotonic() - start) * 1000)
     return SweepSummary(n_max, graphs_checked, counts, tuple(violations), wall)
 

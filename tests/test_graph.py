@@ -269,6 +269,25 @@ def test_capped_classes_are_a_part_of_the_full_list():
             assert sorted(got) == [(g.edge_mask, a) for g, a in full if g.m <= cap]
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_walk_shards_partition_the_walk(k):
+    # the k shards yield disjoint entries whose union is the whole walk,
+    # order by order, at the sweep's cap and (below order 7) uncapped
+    cases = [(n, pair_count(n) // 2) for n in range(8)]
+    cases += [(n, pair_count(n)) for n in range(7)]
+    for n_max, cap in cases:
+        whole = [set() for _ in range(n_max + 1)]
+        for rows, lab in _class_walk(n_max, cap):
+            whole[len(rows)].add((lab.key, lab.aut))
+        parts = [[] for _ in range(n_max + 1)]
+        for i in range(k):
+            for rows, lab in _class_walk(n_max, cap, (i, k)):
+                parts[len(rows)].append((lab.key, lab.aut))
+        for n in range(n_max + 1):
+            assert len(set(parts[n])) == len(parts[n])  # disjoint
+            assert set(parts[n]) == whole[n]
+
+
 def test_class_representatives_pairwise_non_isomorphic():
     for n in range(1, 6):
         reps = [g for g, _ in isomorphism_classes(n)]

@@ -3,6 +3,8 @@ and the negative controls."""
 
 import io
 import json
+import os
+import signal
 from math import factorial
 
 import pytest
@@ -34,6 +36,7 @@ from irregraph.harness import (
 )
 from irregraph.params import full_report
 from irregraph.recognizers import is_outerplanar, is_planar
+from irregraph.workers import WorkerTraceback, usable_workers
 from oracles import (
     enumerate_labeled_graphs,
     reference_row_verdicts,
@@ -230,8 +233,8 @@ def test_wrong_class_weight_is_caught(monkeypatch):
     # times each, whether order 3 is the last order walked or not.
     real = harness._class_walk
 
-    def wrong(n_max, cap):
-        for rows, lab in real(n_max, cap):
+    def wrong(n_max, cap, shard=(0, 1)):
+        for rows, lab in real(n_max, cap, shard):
             if len(rows) == 3 and sum(row.bit_count() for row in rows) == 2:
                 lab = lab._replace(aut=1)
             yield rows, lab
@@ -242,6 +245,115 @@ def test_wrong_class_weight_is_caught(monkeypatch):
             AssertionError, match="order 3, m=1: class weights add up to 6, not 3"
         ):
             verify_range(n_max)
+
+
+def _payload(summary: SweepSummary) -> str:
+    return json.dumps(dict(summary.to_json(), wall_time_ms=0), indent=2)
+
+
+def _unsharded(monkeypatch, n_max: int, t41_divisor: int) -> str:
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_workers", lambda n_max: 1)
+        return _payload(verify_range(n_max, t41_divisor))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_merged_shard_tallies_give_the_same_payload(monkeypatch, k):
+    # the k shards' tallies, summed and expanded, against one unsharded run
+    cases = [(n, 2) for n in range(8)] + [(n, 1) for n in range(6)]
+    expected = {case: _unsharded(monkeypatch, *case) for case in cases}
+
+    def in_process(n_max, t41_divisor, workers):
+        return [harness._sweep_shard(n_max, t41_divisor, (i, k)) for i in range(k)]
+
+    monkeypatch.setattr(harness, "_sweep_shards", in_process)
+    for case in cases:
+        assert _payload(verify_range(*case)) == expected[case]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_forked_shards_give_the_same_payload(monkeypatch, k):
+    expected = _unsharded(monkeypatch, 7, 2)
+    monkeypatch.setattr(harness, "_workers", lambda n_max: k)
+    assert _payload(verify_range(7)) == expected
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_shard_error_is_raised_after_reaping_every_worker(monkeypatch, where):
+    # a solver that fails in one process only; the caller raises the same
+    # exception and leaves no child behind, and so does the next normal call
+    caller = os.getpid()
+    real = harness.max_cut
+
+    def failing(g):
+        if g.n == 7 and (os.getpid() == caller) == (where == "caller"):
+            raise ZeroDivisionError(f"max_cut failed in the {where}")
+        return real(g)
+
+    monkeypatch.setattr(harness, "_workers", lambda n_max: 2)
+    monkeypatch.setattr(harness, "max_cut", failing)
+    with pytest.raises(ZeroDivisionError, match=f"^max_cut failed in the {where}$"):
+        verify_range(7)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(harness, "max_cut", real)
+    assert verify_range(7).violations == ()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_killed_before_sending_is_an_error(monkeypatch):
+    caller = os.getpid()
+    real = harness._sweep_shard
+
+    def killed(n_max, t41_divisor, shard):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(n_max, t41_divisor, shard)
+
+    monkeypatch.setattr(harness, "_workers", lambda n_max: 3)
+    monkeypatch.setattr(harness, "_sweep_shard", killed)
+    with pytest.raises(RuntimeError, match="ended without a result"):
+        verify_range(7)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_error_carries_its_traceback(monkeypatch):
+    caller = os.getpid()
+    real = harness.alpha
+
+    def failing(g):
+        if os.getpid() != caller:
+            raise KeyError("a key only the worker misses")
+        return real(g)
+
+    monkeypatch.setattr(harness, "_workers", lambda n_max: 2)
+    monkeypatch.setattr(harness, "alpha", failing)
+    with pytest.raises(KeyError) as raised:
+        verify_range(7)
+    assert raised.value.args == ("a key only the worker misses",)
+    cause = raised.value.__cause__
+    assert isinstance(cause, WorkerTraceback)
+    assert 'in failing\n    raise KeyError("a key only the worker misses")' in str(cause)
+
+
+def test_worker_count(monkeypatch):
+    # one shard below _PARALLEL_FROM; from there on, irregraph.workers decides
+    assert harness._workers(harness._PARALLEL_FROM - 1) == 1
+    monkeypatch.setattr(harness, "_MAX_WORKERS", 1)
+    assert harness._workers(8) == 1
+    monkeypatch.setattr(harness, "_MAX_WORKERS", 3)
+    assert harness._workers(8) == usable_workers(3)
+
+
+@pytest.mark.slow
+def test_order_eight_shards_give_the_same_payload(monkeypatch):
+    expected = _unsharded(monkeypatch, 8, 2)
+    monkeypatch.setattr(harness, "_workers", lambda n_max: 2)
+    assert _payload(verify_range(8)) == expected
 
 
 def test_not_applicable_counts_frozen():
