@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import marshal
 import os
-import signal
 import sys
 from typing import Callable, NoReturn
 
@@ -62,10 +61,13 @@ def forked_map(work: Callable[[int], object], k: int) -> list:
             results.append(_received(pid, pipes.pop(pid)))
         return results
     finally:
-        for pid, fd in pipes.items():  # not every result came in: stop the rest
-            os.close(fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if pipes:  # not every result came in: stop the rest
+            import signal  # here only: the import alone takes about 2 ms
+
+            for pid, fd in pipes.items():
+                os.close(fd)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _child(work: Callable[[int], object], i: int, out: int) -> NoReturn:
