@@ -107,7 +107,9 @@ def _received(pid: int, fd: int) -> object:
         sent = pipe.read()
     _, status = os.waitpid(pid, 0)
     if not sent:
-        raise RuntimeError(f"worker {pid} ended without a result (wait status {status})")
+        raise RuntimeError(
+            f"worker {pid} ended without a result (wait status {status})"
+        )
     kind, *body = marshal.loads(sent)
     if kind == "ok":
         return body[0]
