@@ -576,13 +576,13 @@ def _blank_counts() -> dict:
 # 262 ms with --t41-divisor 1, whose time goes to expanding violations in
 # the caller; 342 vs 240 ms at 7.
 _PARALLEL_FROM = 7
-# The most shards verify_range runs at once.  From per-class times of the
-# orders 7 and 8 sweeps, measured one at a time, the largest of k shards
-# gives a speed-up of 1.8, 2.7, 4.0 and 4.9 at k = 2, 4, 8 and 16 at order 7
-# (1.8, 3.0, 4.7 and 6.6 at order 8): each shard walks the orders below the
-# last one whole (17 ms at 7, 120 ms at 8), and whole subtrees are dealt.
-# Past 8, doubling the processes buys at most 1.4 times.
-_MAX_WORKERS = 8
+# The most shards verify_range runs at once: two, the only count measured
+# end to end, on a 2-vCPU Xeon.  Two shards against one: op_p90_ms of the
+# verify7 benchmark 424 -> 286 ms, verify_range(9) 92 -> 61 s.  Run side by
+# side, shards slow each other: per-class costs measured one at a time
+# predicted 1.8 times, not 1.5.  More shards wait for a host with more CPUs
+# to measure them.
+_MAX_WORKERS = 2
 
 
 def _workers(n_max: int) -> int:
@@ -636,8 +636,6 @@ def _sweep_shard(n_max: int, t41_divisor: int, shard: tuple[int, int]) -> tuple:
 def _sweep_shards(n_max: int, t41_divisor: int, k: int) -> list[tuple]:
     """The tallies of the k shards of the sweep, shard 0 from this process
     and the others from forked children (irregraph.workers)."""
-    if k == 1:
-        return [_sweep_shard(n_max, t41_divisor, (0, 1))]
     from irregraph.workers import forked_map
 
     return forked_map(lambda i: _sweep_shard(n_max, t41_divisor, (i, k)), k)

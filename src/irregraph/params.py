@@ -417,10 +417,9 @@ def _low_tables(rows: tuple[int, ...], t: int) -> tuple[tuple, tuple]:
     return pop, tuple(tables)
 
 
-def _packed_dominating(rows, n: int, distinct: bool, floor: int) -> tuple[int, int]:
+def _packed_dominating(rows, n: int, distinct: bool) -> tuple[int, int]:
     """Size and mask of the smallest-mask dominating set with the count
-    condition of _min_dominating, by one exact pass per high part; floor is
-    the least size that can hold such a set.
+    condition of _min_dominating, by one exact pass per high part.
 
     A set splits into a low part L over the vertices below
     t = min(n, _DOMINATION_LOW) and a high part H over the rest.  One int
@@ -436,10 +435,7 @@ def _packed_dominating(rows, n: int, distinct: bool, floor: int) -> tuple[int, i
     set exactly when H | L passes.  Then the smallest j with a valid L of
     size j, and its lowest bit, replace the incumbent when |H| + j is
     smaller, so the result is the smallest size and, for it, the smallest
-    mask.  The pass stops once that size is floor, since no smaller set
-    passes.  An L read for H has fewer than best - |H| vertices, so fewer
-    neighbours of v; levels past that only serve sets never read, and are
-    dropped.
+    mask.
     """
     t = min(n, _DOMINATION_LOW)
     everything = (1 << (1 << t)) - 1
@@ -452,15 +448,12 @@ def _packed_dominating(rows, n: int, distinct: bool, floor: int) -> tuple[int, i
     best = n + 1
     best_mask = 0
     for part in range(1 << (n - t)):
-        if best == floor:
-            break
         size = part.bit_count()
         if size >= best:
             continue
         high = part << t
-        reach = best - size
         outside = [
-            ((row & high).bit_count(), levels[:reach], inside)
+            ((row & high).bit_count(), levels, inside)
             for bit, row, levels, inside in tables
             if not high & bit
         ]
@@ -486,7 +479,7 @@ def _packed_dominating(rows, n: int, distinct: bool, floor: int) -> tuple[int, i
                     if not common:
                         break
                 valid |= common
-        for j in range(min(t, reach - 1) + 1):
+        for j in range(min(t, best - size - 1) + 1):
             found = valid & pop[j]
             if found:
                 best = size + j
@@ -500,16 +493,15 @@ def _min_dominating(g: Graph, sizes, distinct: bool) -> Extremum:
 
     distinct=True asks for pairwise distinct counts |N(v) cap D| over v
     outside D, False for all counts equal.  From n = _SPLIT_FROM on, the
-    packed pass (_packed_dominating) settles every size at once, stopping
-    once it holds a set of the first size, and its answer is checked once
-    here.  Below, the sizes are scanned in order,
+    packed pass (_packed_dominating) settles every size at once, and its
+    answer is checked once here.  Below, the sizes are scanned in order,
     each in ascending mask order, and the first valid mask is returned;
     the full vertex set is vacuously valid, so a size sequence that
     reaches n always ends the search.
     """
     rows, n = g.rows, g.n
     if n >= _SPLIT_FROM:
-        size, mask = _packed_dominating(rows, n, distinct, next(iter(sizes)))
+        size, mask = _packed_dominating(rows, n, distinct)
         if not _domination_counts_ok(rows, n, mask, distinct):
             raise AssertionError("packed domination pass returned an invalid set")
         return Extremum(size, VertexSet(n, mask))
@@ -538,8 +530,7 @@ def gamma_ir(g: Graph) -> Extremum:
     Below _SPLIT_FROM, candidate sizes run upward from the Thm 4.1 lower
     bound, so the first size admitting a valid set is optimal, and sizes
     whose degree intervals cannot hold n - k distinct counts are skipped.
-    From _SPLIT_FROM on, the packed pass settles every size at once and
-    stops early if it finds a set of the first such size.
+    From _SPLIT_FROM on, the packed pass settles every size at once.
     """
     _guard(g, "gamma_ir")
     n, dc = g.n, classify_degrees(g)

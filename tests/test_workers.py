@@ -1,8 +1,11 @@
 """Forked worker shards: results in shard order, errors raised again in the
 caller, and no child process left behind."""
 
+import errno
 import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -27,6 +30,49 @@ def test_results_come_back_in_shard_order():
 def test_a_result_the_pipe_cannot_carry_is_an_error():
     with pytest.raises(ValueError, match="unmarshallable object"):
         forked_map(lambda i: object() if i else None, 2)
+    _no_child_left()
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _interrupt(signum, frame):
+    raise _Interrupted
+
+
+def test_an_interrupt_while_waiting_for_a_worker_stops_it():
+    # the caller is interrupted while it reads a result that would take a
+    # minute: the worker is killed and reaped, and the interrupt goes on
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(_Interrupted):
+            forked_map(lambda i: time.sleep(60) if i else None, 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_a_failed_fork_closes_its_pipe_and_stops_the_workers(monkeypatch):
+    real = os.fork
+
+    def fail():
+        raise BlockingIOError(errno.EAGAIN, "no process left")
+
+    def fork_once():
+        monkeypatch.setattr(os, "fork", fail)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        forked_map(lambda i: time.sleep(60), 3)
+    assert sorted(os.listdir("/proc/self/fd")) == before
     _no_child_left()
 
 
