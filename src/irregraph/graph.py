@@ -541,9 +541,11 @@ def _class_walk(
         if n == n_max or (n == n_max - 1 and not mine):
             continue
         new = 1 << n
+        # the new vertex must reach the top degree class, at least the parent's
+        top = max((row.bit_count() for row in rows), default=0)
         for hood in _hood_orbits(n, _automorphisms(lab)):
             m_child = m + hood.bit_count()
-            if m_child > cap:
+            if m_child > cap or hood.bit_count() < top:
                 continue
             child = [row | new if hood >> v & 1 else row for v, row in enumerate(rows)]
             child.append(hood)

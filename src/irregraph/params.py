@@ -17,38 +17,41 @@ independent sets are {1, 2} (mask 6) and {0, 3} (mask 9), and the witness is
 {1, 2}.  The naive_* oracles realize the same tie-break by scanning all 2^n
 subsets and taking the smallest (size, mask) key, with the size negated for a
 maximum; the optimized solvers match them bit for bit, which the test suite
-checks exhaustively at order 4 and on random graphs up to order 12.
+checks exhaustively up to order 5 and on random graphs up to order 12.
 
-Everything here enumerates subsets, so the intended range is small n.  alpha,
-alpha_ir and alpha_reg share one branch-and-bound maximum independent set
-search that yields the smallest-mask witness directly; alpha_ir runs it with
-every degree class joined into a clique, alpha_reg inside each degree class.
-The solvers whose cost is a hard 2^n (gamma_ir, gamma_reg, max_cut) refuse
-n > SIZE_GUARD = 26.  max_cut splits each side into a low part over the
-first ten vertices and a high part over the rest.  One int packs the cuts
-of all low parts into byte lanes, and the high parts are walked in
-Gray-code order, so each high part costs one big-integer step and a scan
-of the lanes in C, not one Python step per side.  gamma_ir and gamma_reg
-share one minimum dominating set search that differs only in its count
-condition.  Below order 12 it visits the k-subsets of each size in
-ascending mask order; gamma_ir starts there at the Thm 4.1 bound and skips
-the sizes for which the degree sequence leaves no room for pairwise
-distinct counts.  From order 12 on, each set splits into a low part over
+Everything here enumerates subsets, so the intended range is small n.  Up
+to order LATTICE_MAX = 9 every solver reads the subset tables of its order
+(_lattice, built on first use), bitsets with a bit and ints with a byte lane
+per subset: an AND over the vertices keeps the independent sets, one pass
+over one-hot count lanes the valid dominating sets, and one sum of count
+lanes gives every cut.  The best size comes first, then its lowest subset.
+Above LATTICE_MAX, alpha, alpha_ir and alpha_reg share one branch-and-bound
+maximum independent set search that yields the smallest-mask witness
+directly; alpha_ir runs it with every degree class joined into a clique,
+alpha_reg inside each degree class.  The solvers whose cost is a hard 2^n
+(gamma_ir, gamma_reg, max_cut) refuse n > SIZE_GUARD = 26.  max_cut splits
+each side into a low part over the first ten vertices and a high part over
+the rest.  One int packs the cuts of all low parts into byte lanes, and the
+high parts are walked in Gray-code order, so each high part costs one
+big-integer step and a scan of the lanes in C, not one Python step per
+side.  gamma_ir and gamma_reg share one minimum dominating set search that
+differs only in its count condition: each set splits into a low part over
 the first twelve vertices and a high part over the rest.  One int holds a
 bit per low part, and per high part a few big-integer operations per
 vertex mark exactly the low parts that complete it to a valid set, for
 every size at once.  The low-part tables are built once per graph and
-shared by both solvers.
+shared by both solvers.  gamma_ir reads no bound on its answer at any
+order, so the Thm 4.1 check tests an independently found minimum.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from irregraph.bounds import lb_gamma_ir_thm41
 from irregraph.graph import Graph, VertexSet, _touch, classify_degrees
 
 SIZE_GUARD = 26
@@ -57,23 +60,6 @@ SIZE_GUARD = 26
 class Extremum(NamedTuple):
     value: int
     witness: VertexSet
-
-
-def _subset_masks_of_size(n: int, k: int):
-    """All k-subsets of [0, n) in increasing numeric mask order."""
-    if k == 0:
-        yield 0
-        return
-    if k > n:
-        return
-    mask = (1 << k) - 1
-    limit = 1 << n
-    while mask < limit:
-        yield mask
-        # Gosper's hack: next larger integer with the same popcount.
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | (((mask ^ ripple) >> 2) // low)
 
 
 def _check_subset(g: Graph, s: VertexSet) -> None:
@@ -274,6 +260,74 @@ def _guard(g: Graph, enumerator: str = "") -> None:
         )
 
 
+# The largest order solved from the subset tables of _lattice.  Mean us per
+# call, tables -> general path (branch and bound, packed pass, lane walk),
+# nine G(n, p) draws per n (p = 0.2, 0.5, 0.8), medians of seven alternating
+# rounds, two runs on a 2-vCPU Xeon.  n = 9: alpha 6-7 -> 18-19, alpha_ir
+# 8-10 -> 18-20, alpha_reg 4-7 -> 11-17, gamma_ir 11-18 -> 74-140, gamma_reg
+# 9-14 -> 90-157, max_cut 14-17 -> 33-40.  n = 10: 6-8 -> 19-22, 10-12 ->
+# 20-24, 5-9 -> 13-21, 18-24 -> 104-144, 13-14 -> 117-127, 18-26 -> 36.  The
+# tables still win at 10, but take 2.4 MB there (0.64 MB at 9), and a count
+# can reach 9, past the 0-7 that a one-hot byte holds.
+LATTICE_MAX = 9
+# bytes.translate tables: _ONE_HOT[c] is 1 << c as a byte (0 from c = 8);
+# _CLEAR gives the digit 1 for a zero byte, _SHARED for one above 1.
+_ONE_HOT = bytes(1 << c & 255 for c in range(256))
+_CLEAR = b"1" + b"0" * 255
+_SHARED = b"00" + b"1" * 254
+
+
+_Lattice = namedtuple("_Lattice", "outside sizes disjoint counts hot outside_lanes")
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice(n: int) -> _Lattice:
+    """The subset tables of order n, built on first use.  A subset S of
+    [0, n) is bit S of a bitset, or byte lane S of a lane int.
+
+    outside[v]: the S without v.  sizes[j]: the S with |S| = j.
+    disjoint[r]: the S disjoint from r.  counts[r] and hot[r]: lane S holds
+    |r cap S|, as a count and as _ONE_HOT[count].  outside_lanes[v]: 255 in
+    the lanes of the S without v.  disjoint[r] and counts[r] come from r
+    less its lowest vertex v.  The tables are tuples so that no caller can
+    change a cached one.
+    """
+    subsets = range(1 << n)
+    width = len(subsets)
+    member = [int.from_bytes(bytes(s >> v & 1 for s in subsets), "little")
+              for v in range(n)]
+    outside = [_lane_digits(lanes, n, _CLEAR) for lanes in member]
+    disjoint, counts = [(1 << width) - 1], [0]
+    for r in subsets[1:]:
+        v = (r & -r).bit_length() - 1
+        disjoint.append(disjoint[r & r - 1] & outside[v])
+        counts.append(counts[r & r - 1] + member[v])
+    sizes = [_lane_digits(counts[-1], n, b"0" * j + b"1" + b"0" * (255 - j))
+             for j in range(n + 1)]
+    hot = [int.from_bytes(c.to_bytes(width, "little").translate(_ONE_HOT), "little")
+           for c in counts]
+    every_lane = (1 << 8 * width) - 1
+    return _Lattice(
+        tuple(outside), tuple(sizes), tuple(disjoint), tuple(counts), tuple(hot),
+        tuple(every_lane ^ 255 * lanes for lanes in member),
+    )
+
+
+def _lane_digits(lanes: int, n: int, table: bytes) -> int:
+    """The bitset of the S whose byte lane table maps to the digit 1."""
+    return int(lanes.to_bytes(1 << n, "little").translate(table)[::-1], 2)
+
+
+def _best(found: int, sizes, order) -> tuple[int, int]:
+    """The first size in order with a subset in found, and its smallest
+    mask; found must hold a subset of some size in order."""
+    for j in order:
+        hit = found & sizes[j]
+        if hit:
+            return j, (hit & -hit).bit_length() - 1
+    raise AssertionError("no subset of the sizes asked for; solver bug")
+
+
 def _max_independent(rows, cand: int) -> tuple[int, int]:
     """Size and mask of the smallest-mask maximum independent set in cand.
 
@@ -301,10 +355,30 @@ def _max_independent(rows, cand: int) -> tuple[int, int]:
     return best, best_mask
 
 
+def _largest_independent(rows, classes) -> tuple[int, int]:
+    """Size and mask of the smallest-mask largest independent set of rows
+    that lies inside one of the vertex masks in classes.
+
+    Up to LATTICE_MAX, one AND per vertex over the subset tables keeps the
+    independent subsets; above, _max_independent searches each class.
+    """
+    n = len(rows)
+    if n > LATTICE_MAX:
+        return max((_max_independent(rows, c) for c in classes),
+                   key=lambda found: (found[0], -found[1]))
+    lat = _lattice(n)
+    found = 0
+    for c in classes:
+        found |= lat.disjoint[c ^ (1 << n) - 1]
+    for out, row in zip(lat.outside, rows):
+        found &= out | lat.disjoint[row]
+    return _best(found, lat.sizes, range(n, -1, -1))
+
+
 def alpha(g: Graph) -> Extremum:
     """Independence number with the smallest-mask maximum independent set."""
     _guard(g)
-    size, mask = _max_independent(g.rows, (1 << g.n) - 1)
+    size, mask = _largest_independent(g.rows, [(1 << g.n) - 1])
     return Extremum(size, VertexSet(g.n, mask))
 
 
@@ -313,13 +387,14 @@ def alpha_ir(g: Graph) -> Extremum:
 
     An irregular independent set takes at most one vertex per degree class,
     so it is an independent set of g once each degree class is made a
-    clique: the one search runs on rows[v] | class of deg v, the class
-    masks coming from classify_degrees.
+    clique: the one search runs on rows[v] | class of deg v, less v itself,
+    the class masks coming from classify_degrees.
     """
     _guard(g)
     dc = classify_degrees(g)
-    rows = [row | dc.masks[d] for row, d in zip(g.rows, dc.degrees)]
-    size, mask = _max_independent(rows, (1 << g.n) - 1)
+    rows = [row | dc.masks[d] ^ 1 << v
+            for v, (row, d) in enumerate(zip(g.rows, dc.degrees))]
+    size, mask = _largest_independent(rows, [(1 << g.n) - 1])
     return Extremum(size, VertexSet(g.n, mask))
 
 
@@ -327,45 +402,14 @@ def alpha_reg(g: Graph) -> Extremum:
     """Regular independence number.
 
     A regular independent set lies inside one degree class, so the search
-    runs on each class alone; the largest wins, and on a tie the smaller
-    mask.
+    keeps the independent sets inside some class; the largest wins, and on
+    a tie the smaller mask.
     """
     _guard(g)
-    size, mask = max(
-        (_max_independent(g.rows, c) for c in classify_degrees(g).masks.values()),
-        key=lambda found: (found[0], -found[1]),
-    )
+    size, mask = _largest_independent(g.rows, classify_degrees(g).masks.values())
     return Extremum(size, VertexSet(g.n, mask))
 
 
-def _distinct_counts_fit(degs, k: int) -> bool:
-    """Whether the degrees leave room for an irregular dominating k-set.
-
-    Each of the n - k vertices outside a k-set D has at least 1, at least
-    deg v - (n - k - 1) and at most min(deg v, k) neighbours in D, and the
-    counts must be pairwise distinct.  Serving these intervals by increasing
-    right end, each with the least free value it contains, places as many
-    distinct values as any assignment can.
-    """
-    outside = len(degs) - k
-    used = placed = 0
-    for high, low in sorted((min(d, k), max(1, d - outside + 1)) for d in degs):
-        free = ~used >> low << low  # the unused values >= low
-        value = (free & -free).bit_length() - 1
-        if value <= high:
-            used |= 1 << value
-            placed += 1
-    return placed >= outside
-
-
-# Below this order the domination solvers scan in plain ascending order.
-# Mean us per call, plain -> packed, on nine G(n, p) draws per n (p = 0.2,
-# 0.5, 0.8): gamma_ir 45 -> 79 at n = 9, 90 -> 95 at 10, 232 -> 122 at 11,
-# 366 -> 180 at 12, 442 -> 214 at 13; gamma_reg 42 -> 78, 72 -> 100,
-# 289 -> 133, 694 -> 175, 1700 -> 346.  At n = 11 the plain scan still wins
-# on some draws (gamma_ir on ten G(11, 1/2): 46 against 129 us); at n = 12
-# the packed pass wins on all but the densest (gamma_reg at p = 0.8).
-_SPLIT_FROM = 12
 # The most low vertices in the packed domination pass: 2^12 bits a bitset.
 # gamma_ir plus gamma_reg over the 102 compute-benchmark graphs, tables
 # built once per graph, median of 12 rounds in alternating order, three
@@ -488,67 +532,62 @@ def _packed_dominating(rows, n: int, distinct: bool) -> tuple[int, int]:
     return best, best_mask
 
 
-def _min_dominating(g: Graph, sizes, distinct: bool) -> Extremum:
-    """The smallest-mask dominating set of the first size that has one.
+def _lattice_dominating(rows, n: int, distinct: bool) -> tuple[int, int]:
+    """Size and mask of the smallest-mask dominating set with the count
+    condition of _min_dominating, from the subset tables of order n.
+
+    Lane S of hot[rows[v]], kept where v is outside S, is the one-hot count
+    |N(v) cap S|.  Distinct counts: a bit that a second vertex sets again
+    clashes, and bit 0 (hot[0] in every lane) is an undominated vertex.
+    Equal counts: the AND over v of hot[rows[v]], all ones where v is in S,
+    keeps a bit above bit 0 only where every vertex outside S has that
+    count.  A count of 8 has no bit: only S = V - v with v adjacent to all
+    of S at n = 9 has one, where no other vertex can clash and {v} alone is
+    regular dominating.
+    """
+    lat = _lattice(n)
+    if distinct:
+        seen = clash = 0
+        for row, out in zip(rows, lat.outside_lanes):
+            where = lat.hot[row] & out
+            clash |= seen & where
+            seen |= where
+        valid = _lane_digits(clash | seen & lat.hot[0], n, _CLEAR)
+    else:
+        common = (1 << (8 << n)) - 1
+        for row, out in zip(rows, lat.outside_lanes):
+            common &= lat.hot[row] | ~out
+        valid = _lane_digits(common, n, _SHARED)
+    return _best(valid, lat.sizes, range(n + 1))
+
+
+def _min_dominating(g: Graph, distinct: bool) -> Extremum:
+    """The smallest-mask dominating set of the smallest size.
 
     distinct=True asks for pairwise distinct counts |N(v) cap D| over v
-    outside D, False for all counts equal.  From n = _SPLIT_FROM on, the
-    packed pass (_packed_dominating) settles every size at once, and its
-    answer is checked once here.  Below, the sizes are scanned in order,
-    each in ascending mask order, and the first valid mask is returned;
-    the full vertex set is vacuously valid, so a size sequence that
-    reaches n always ends the search.
+    outside D, False for all counts equal.  Up to LATTICE_MAX the subset
+    tables settle every size at once (_lattice_dominating), above it the
+    packed pass (_packed_dominating); either answer is checked once here.
     """
     rows, n = g.rows, g.n
-    if n >= _SPLIT_FROM:
-        size, mask = _packed_dominating(rows, n, distinct)
-        if not _domination_counts_ok(rows, n, mask, distinct):
-            raise AssertionError("packed domination pass returned an invalid set")
-        return Extremum(size, VertexSet(n, mask))
-    vertices = [(1 << v, rows[v]) for v in range(n)]
-    for k in sizes:
-        for mask in _subset_masks_of_size(n, k):
-            # bit c of barred rules count c out for the next outside vertex;
-            # bit 0 starts set because an undominated vertex never fits.
-            # Distinct counts bar each count once seen, equal counts bar
-            # every count but the first.
-            barred = 1
-            for bit, row in vertices:
-                if not mask & bit:
-                    count_bit = 1 << (row & mask).bit_count()
-                    if barred & count_bit:
-                        break
-                    barred = barred | count_bit if distinct else ~count_bit
-            else:
-                return Extremum(k, VertexSet(n, mask))
-    raise AssertionError("V(G) must be a valid set; solver bug")
+    search = _lattice_dominating if n <= LATTICE_MAX else _packed_dominating
+    size, mask = search(rows, n, distinct)
+    if not _domination_counts_ok(rows, n, mask, distinct):
+        raise AssertionError("domination search returned an invalid set")
+    return Extremum(size, VertexSet(n, mask))
 
 
 def gamma_ir(g: Graph) -> Extremum:
-    """Irregular domination number.
-
-    Below _SPLIT_FROM, candidate sizes run upward from the Thm 4.1 lower
-    bound, so the first size admitting a valid set is optimal, and sizes
-    whose degree intervals cannot hold n - k distinct counts are skipped.
-    From _SPLIT_FROM on, the packed pass settles every size at once.
-    """
+    """Irregular domination number: every size is settled at once, so no
+    bound on the answer is read."""
     _guard(g, "gamma_ir")
-    n, dc = g.n, classify_degrees(g)
-    sizes = (
-        k for k in range(lb_gamma_ir_thm41(n, dc.Delta), n + 1)
-        if _distinct_counts_fit(dc.degrees, k)
-    )
-    return _min_dominating(g, sizes, distinct=True)
+    return _min_dominating(g, distinct=True)
 
 
 def gamma_reg(g: Graph) -> Extremum:
-    """Regular (fair) domination number.
-
-    Sizes are tried upward from 1 below _SPLIT_FROM; from there on the
-    packed pass settles every size at once.
-    """
+    """Regular (fair) domination number."""
     _guard(g, "gamma_reg")
-    return _min_dominating(g, range(1, g.n + 1), distinct=False)
+    return _min_dominating(g, distinct=False)
 
 
 # The most low vertices in max_cut.  A lane never exceeds C(t, 2) + t(n - t),
@@ -580,11 +619,31 @@ def max_cut(g: Graph) -> Extremum:
 
     Each bipartition has exactly one side without vertex n-1, and it is the
     numerically smaller of the pair, so these sides hold every cut value
-    and the smallest-mask witness.  A side splits into a low part j over the
-    vertices below t = min(n - 1, _LOW_PART) and a high part H over
-    t..n-2.  One int holds 2^t byte lanes, lane j counting the cut edges
-    that touch a low vertex for the side j | H; a scalar counts the cut
-    edges among the other vertices.  The lanes start at H empty, built by t
+    and the smallest-mask witness.  Up to LATTICE_MAX, lane S of the sum
+    over v of counts[rows[v]], kept where v is outside S, is the cut of S,
+    and max() and bytes.index() read the best over the lower half of the
+    lanes, the sides without vertex n-1; above it, _walked_cut walks them.
+    """
+    _guard(g, "max_cut")
+    rows, n = g.rows, g.n
+    if n > LATTICE_MAX:
+        cut, side = _walked_cut(rows, n)
+        return Extremum(cut, VertexSet(n, side))
+    lat = _lattice(n)
+    lanes = sum(lat.counts[row] & out for row, out in zip(rows, lat.outside_lanes))
+    cuts = lanes.to_bytes(1 << n, "little")[: 1 << n - 1]
+    cut = max(cuts)
+    return Extremum(cut, VertexSet(n, cuts.index(cut)))
+
+
+def _walked_cut(rows, n: int) -> tuple[int, int]:
+    """Cut and side of max_cut above LATTICE_MAX.
+
+    A side splits into a low part j over the vertices below
+    t = min(n - 1, _LOW_PART) and a high part H over t..n-2.  One int holds
+    2^t byte lanes, lane j counting the cut edges that touch a low vertex
+    for the side j | H; a scalar counts the cut edges among the other
+    vertices.  The lanes start at H empty, built by t
     doublings (vertex i adds deg i - 2|N(i) cap j| to the new half).  H
     then runs through the 2^(n-1-t) high parts in Gray-code order: step i
     moves h = t + ctz(i), which changes every lane by one precomputed int,
@@ -596,8 +655,6 @@ def max_cut(g: Graph) -> Extremum:
     incumbent when its cut is larger, or equal with a smaller mask, so the
     witness is the smallest-mask side among the optima.
     """
-    _guard(g, "max_cut")
-    rows, n = g.rows, g.n
     t = min(n - 1, _LOW_PART)
     width = 1 << t
     lanes = 0
@@ -632,7 +689,7 @@ def max_cut(g: Graph) -> Extremum:
         if need <= 0 or need < 256 and cuts.translate(None, _BELOW[need]):
             top = max(cuts)
             best_cut, best_side = cut + top, side | cuts.index(top)
-    return Extremum(best_cut, VertexSet(n, best_side))
+    return best_cut, best_side
 
 
 # -- combined report ------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Exact parameter solvers against frozen values and the naive oracles."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from irregraph.graph import (
     VertexSet,
+    classify_degrees,
     complement,
     complete_bipartite,
     complete_graph,
@@ -258,14 +263,104 @@ def test_exponential_solvers_match_oracles_beyond_n7(p):
                 assert fast(g) == slow(g), (fast.__name__, n, g.edge_mask)
 
 
-def test_split_scan_matches_oracles_at_small_orders(monkeypatch):
-    # the packed pass only runs from n = 12 by default; force it everywhere,
-    # and shrink its low part, down to none, so that every order walks
-    # several high parts.  Each graph is solved at every low part in a row,
-    # so tables kept for one low part must not serve another.
+def test_subset_tables_match_oracles():
+    # the tables serve every order up to LATTICE_MAX: every labeled graph of
+    # order <= 5, seeded G(n, p) draws above, and the complete graphs, where
+    # gamma_ir's witness leaves one vertex outside with n - 1 neighbours in
+    # it (a count of 8 at n = 9, past what a one-hot byte holds)
+    from irregraph.params import LATTICE_MAX
+
+    rng = random.Random(28)
+    graphs = [from_edge_mask(n, mask) for n in range(1, 6)
+              for mask in range(1 << pair_count(n))]
+    graphs += [gnp(n, p, rng) for n in range(6, LATTICE_MAX + 1)
+               for p in (0.2, 0.5, 0.8) for _ in range(3)]
+    graphs += [complete_graph(n) for n in range(6, LATTICE_MAX + 1)]
+    for g in graphs:
+        for fast, slow in SOLVER_PAIRS:
+            assert fast(g) == slow(g), (fast.__name__, g.n, g.edge_mask)
+
+
+def general_answers(g):
+    """(value, witness mask) of the six solvers from the paths that serve
+    orders above LATTICE_MAX, called directly."""
+    from irregraph.params import (
+        _max_independent, _packed_dominating, _walked_cut,
+    )
+
+    rows, n, every = g.rows, g.n, (1 << g.n) - 1
+    dc = classify_degrees(g)
+    cliqued = [row | dc.masks[d] for row, d in zip(rows, dc.degrees)]
+    regular = max((_max_independent(rows, c) for c in dc.masks.values()),
+                  key=lambda found: (found[0], -found[1]))
+    return [
+        _max_independent(rows, every), _max_independent(cliqued, every),
+        regular, _packed_dominating(rows, n, True),
+        _packed_dominating(rows, n, False), _walked_cut(rows, n),
+    ]
+
+
+@pytest.mark.parametrize(
+    "orders", [range(1, 8), pytest.param([8], marks=pytest.mark.slow)],
+    ids=["1-7", "8"],
+)
+def test_subset_tables_match_the_general_paths(orders):
+    for n in orders:
+        for g in frozen_classes()[n]:
+            got = [(found.value, found.witness.mask)
+                   for found in (fast(g) for fast, _ in SOLVER_PAIRS)]
+            assert got == general_answers(g), (n, g.edge_mask)
+
+
+def test_gamma_ir_reads_no_thm41_bound(monkeypatch):
+    # the T4.1 row checks gamma_ir against lb_gamma_ir_thm41, so gamma_ir
+    # must find its minimum without that bound: inflated to n, it changes
+    # no answer
+    import irregraph.bounds as bounds_module
     import irregraph.params as params_module
 
-    monkeypatch.setattr(params_module, "_SPLIT_FROM", 1)
+    def inflated(n, Delta, divisor=2):
+        return n
+
+    monkeypatch.setattr(bounds_module, "lb_gamma_ir_thm41", inflated)
+    monkeypatch.setattr(params_module, "lb_gamma_ir_thm41", inflated,
+                        raising=False)
+    for n in range(1, 8):
+        for g in frozen_classes()[n]:
+            for h in (g, complement(g)):
+                assert gamma_ir(h) == naive_gamma_ir(h), (n, h.edge_mask)
+
+
+def test_subset_tables_are_small_and_built_on_demand():
+    # importing the package builds no table, no order above LATTICE_MAX gets
+    # one, and the largest order's tables take under 1 MB
+    import irregraph.params as params_module
+    from irregraph.params import LATTICE_MAX, _lattice
+
+    code = ("import irregraph, irregraph.params as p; "
+            "print(p._lattice.cache_info().currsize)")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(params_module.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout == "0\n"
+    _lattice.cache_clear()
+    full_report(gnp(LATTICE_MAX + 1, 0.5, random.Random(1)))
+    assert _lattice.cache_info().currsize == 0
+    tables = _lattice(LATTICE_MAX)
+    size = sum(sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+               for table in tables)
+    assert size < 1 << 20
+
+
+def test_split_scan_matches_oracles_at_small_orders(monkeypatch):
+    # the packed pass only runs above LATTICE_MAX by default; force it
+    # everywhere, and shrink its low part, down to none, so that every order
+    # walks several high parts.  Each graph is solved at every low part in a
+    # row, so tables kept for one low part must not serve another.
+    import irregraph.params as params_module
+
+    monkeypatch.setattr(params_module, "LATTICE_MAX", 0)
     rng = random.Random(7)
     graphs = [from_edge_mask(n, mask) for n in range(1, 6)
               for mask in range(1 << pair_count(n))]
@@ -299,9 +394,11 @@ def test_full_report_builds_the_domination_tables_once(monkeypatch):
 
 def test_max_cut_walk_matches_oracle_at_small_orders(monkeypatch):
     # with ten low vertices max_cut first walks two high parts at n = 12;
-    # shrink the low part, down to none, so that every order walks
+    # take the walk at every order, not the subset tables up to LATTICE_MAX,
+    # and shrink the low part, down to none, so that every order walks
     import irregraph.params as params_module
 
+    monkeypatch.setattr(params_module, "LATTICE_MAX", 0)
     rng = random.Random(11)
     graphs = [from_edge_mask(n, mask) for n in range(1, 6)
               for mask in range(1 << pair_count(n))]
@@ -325,10 +422,11 @@ def test_max_cut_lanes_fit_a_byte_at_the_size_guard():
 
 
 # sha256 over "graph6 gamma_ir witness-mask gamma_reg witness-mask\n".  The
-# classes of order 1-7 and their complements take the plain ascending scan;
-# the G(n, p) draws at n = 12-16 ("gnp", four per (n, p)) and n = 17-20
-# ("gnp_large", one per (n, p)) take the packed pass, through the n = 18 that
-# compute runs, past the n = 12 that the oracle comparisons above reach.
+# classes of order 1-7 and their complements take the subset tables (up to
+# LATTICE_MAX); the G(n, p) draws at n = 12-16 ("gnp", four per (n, p)) and
+# n = 17-20 ("gnp_large", one per (n, p)) take the packed pass, through the
+# n = 18 that compute runs, past the n = 12 that the oracle comparisons
+# above reach.
 DOMINATION_DIGESTS = {
     "classes": "0ce2deaa8c87ba39becf341f8b3b11f62ad5926a9ad34515b71791e6ad6227fc",
     "gnp": "0d067bdc3f6e13c05eab33d057d9e387443241aeb2b4fd58e38ad2ae5b7310af",
