@@ -452,9 +452,10 @@ def _automorphisms(lab: _Labelling) -> list[list[int]]:
     return gens
 
 
-def _hood_orbits(n: int, gens: list[list[int]]) -> list[int]:
+def _hood_orbits(n: int, gens: list[list[int]], least: int) -> list[int]:
     """The smallest vertex mask of each orbit of the group gens generate on
-    the 2^n subsets of n vertices, ascending."""
+    the subsets of n vertices with at least least members, ascending.  An
+    orbit keeps the size of its subsets, so no smaller one is closed."""
     top = 1 << n
     tables = []
     for image in gens:
@@ -466,7 +467,7 @@ def _hood_orbits(n: int, gens: list[list[int]]) -> list[int]:
     seen = bytearray(top)
     smallest = []
     for mask in range(top):
-        if seen[mask]:
+        if seen[mask] or mask.bit_count() < least:
             continue
         smallest.append(mask)
         seen[mask] = 1
@@ -543,9 +544,9 @@ def _class_walk(
         new = 1 << n
         # the new vertex must reach the top degree class, at least the parent's
         top = max((row.bit_count() for row in rows), default=0)
-        for hood in _hood_orbits(n, _automorphisms(lab)):
+        for hood in _hood_orbits(n, _automorphisms(lab), top):
             m_child = m + hood.bit_count()
-            if m_child > cap or hood.bit_count() < top:
+            if m_child > cap:
                 continue
             child = [row | new if hood >> v & 1 else row for v, row in enumerate(rows)]
             child.append(hood)

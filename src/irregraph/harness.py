@@ -24,19 +24,20 @@ own, which makes 10 solves for the pair instead of 14.  A class with
 2m = C(n,2) is checked alone; its complement's class is in the visited half
 too.  Every order comes from one class walk capped at C(n_max,2)/2 edges
 (graph._class_walk), so no order is held whole; a Graph is built only for
-the classes checked.  Each side's verdicts are tallied into per-row counters
-in one pass that also finds a failure.
+the classes checked.  Each checked side adds its weight n!/|Aut| to its
+record (n, m, its verdict statuses), of which there are few.
 
 The sweep runs as k shards of that walk (_sweep_shard), one per usable CPU
 up to _MAX_WORKERS, from order _PARALLEL_FROM on and where the process can
 fork safely; otherwise k = 1 and the one shard is the whole walk.  A shard
 deals the entries of each order below n_max round-robin and keeps the
 children of its own entries of order n_max - 1.  Shard 0 runs in the caller
-and the others in forked children, each returning plain tallies: per-row
-counts, per-(n, m) weights and the violating sides, with their verdicts as
+and the others in forked children, each returning a plain tally: the
+weight of each record and the violating sides, with their verdicts as
 strings, which a child sends back through a pipe (irregraph.workers); an
 exception in a child is raised again in the caller, with the same type and
-arguments.  The merge (_merged) adds the tallies up, and then, for every
+arguments.  The merge (_merged) adds the tallies up, record by record, and
+reads the per-row counts and the per-(n, m) weights off the sum: for every
 order n and edge count m, the weights of the graphs checked with m edges
 must add up to C(C(n,2), m), which checks the walk, the pairing and the
 sharding on every run.
@@ -68,6 +69,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from math import comb, factorial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TextIO, Union
@@ -597,14 +599,12 @@ def _workers(n_max: int) -> int:
 
 
 def _sweep_shard(n_max: int, t41_divisor: int, shard: tuple[int, int]) -> tuple:
-    """The tallies of one shard of the sweep (graph._class_walk's shard),
-    in plain ints, tuples and strings: the per-row counts, the weights
-    by_m[n][m] of the sides checked, and each violating side as
-    (n, rows, flip, verdicts), verdicts as (theorem id, status, witness).
+    """The tally of one shard of the sweep (graph._class_walk's shard), in
+    plain ints, tuples and strings: the labeled weight of the checked sides
+    by record (n, m, their statuses in THEOREM_IDS order), and each failing
+    side as (n, rows, flip, verdicts), verdicts as (theorem id, status, witness).
     """
-    counts = _blank_counts()
-    cells = [counts[tid] for tid in THEOREM_IDS]  # the order of every verdicts
-    by_m = [[0] * (pair_count(n) + 1) for n in range(n_max + 1)]
+    weights = {}
     failed_sides = []
     for rows, lab in _class_walk(n_max, pair_count(n_max) // 2, shard):
         n = len(rows)
@@ -620,17 +620,13 @@ def _sweep_shard(n_max: int, t41_divisor: int, shard: tuple[int, int]) -> tuple:
             mine, theirs = _pair_verdicts(g, t41_divisor)
             sides = [(m, 0, mine), (pairs - m, (1 << pairs) - 1, theirs)]
         for edges, flip, verdicts in sides:
-            by_m[n][edges] += weight
-            failed = False
-            for cell, v in zip(cells, verdicts):
-                status = v.status
-                cell[status] += weight
-                if status == "fail":
-                    failed = True
-            if failed:
+            statuses = tuple([v.status for v in verdicts])
+            record = (n, edges, statuses)
+            weights[record] = weights.get(record, 0) + weight
+            if "fail" in statuses:
                 plain = tuple((v.theorem_id, v.status, v.witness) for v in verdicts)
                 failed_sides.append((n, tuple(rows), flip, plain))
-    return counts, by_m, failed_sides
+    return weights, failed_sides
 
 
 def _sweep_shards(n_max: int, t41_divisor: int, k: int) -> list[tuple]:
@@ -642,27 +638,26 @@ def _sweep_shards(n_max: int, t41_divisor: int, k: int) -> list[tuple]:
 
 
 def _merged(n_max: int, tallies: list[tuple]) -> tuple[dict, list[TheoremReport]]:
-    """The per-row counts and the violation reports of the whole sweep,
-    summed over its shards' tallies.  AssertionError if the weights of some
-    order and edge count m do not add up to C(C(n,2), m)."""
-    counts = _blank_counts()
-    by_m = [[0] * (pair_count(n) + 1) for n in range(n_max + 1)]
+    """The per-row counts and the violation reports of the whole sweep, read
+    off the sum of its shards' weights.  AssertionError if the weights of
+    some order and edge count m do not add up to C(C(n,2), m)."""
+    weights = Counter()
     failed_sides = []
-    for shard_counts, shard_by_m, shard_failed in tallies:
-        for tid, cell in shard_counts.items():
-            total = counts[tid]
-            for status, count in cell.items():
-                total[status] += count
-        for n, weights in enumerate(shard_by_m):
-            total = by_m[n]
-            for m, weight in enumerate(weights):
-                total[m] += weight
+    for shard_weights, shard_failed in tallies:
+        weights.update(shard_weights)
         failed_sides += shard_failed
+    counts = _blank_counts()
+    cells = [counts[tid] for tid in THEOREM_IDS]  # the order of every statuses
+    by_m = Counter()
+    for (n, m, statuses), weight in weights.items():
+        by_m[n, m] += weight
+        for cell, status in zip(cells, statuses):
+            cell[status] += weight
     for n in range(1, n_max + 1):
-        for m, total in enumerate(by_m[n]):
-            if total != comb(pair_count(n), m):
+        for m in range(pair_count(n) + 1):
+            if by_m[n, m] != comb(pair_count(n), m):
                 raise AssertionError(
-                    f"order {n}, m={m}: class weights add up to {total}, "
+                    f"order {n}, m={m}: class weights add up to {by_m[n, m]}, "
                     f"not {comb(pair_count(n), m)}"
                 )
     violations: list[TheoremReport] = []

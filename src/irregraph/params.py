@@ -277,7 +277,7 @@ _CLEAR = b"1" + b"0" * 255
 _SHARED = b"00" + b"1" * 254
 
 
-_Lattice = namedtuple("_Lattice", "outside sizes disjoint counts hot outside_lanes")
+_Lattice = namedtuple("_Lattice", "sizes disjoint counts hot outside_lanes")
 
 
 @functools.lru_cache(maxsize=None)
@@ -285,8 +285,8 @@ def _lattice(n: int) -> _Lattice:
     """The subset tables of order n, built on first use.  A subset S of
     [0, n) is bit S of a bitset, or byte lane S of a lane int.
 
-    outside[v]: the S without v.  sizes[j]: the S with |S| = j.
-    disjoint[r]: the S disjoint from r.  counts[r] and hot[r]: lane S holds
+    sizes[j]: the S with |S| = j.  disjoint[r]: the S disjoint from r, so
+    disjoint[1 << v] is the S without v.  counts[r] and hot[r]: lane S holds
     |r cap S|, as a count and as _ONE_HOT[count].  outside_lanes[v]: 255 in
     the lanes of the S without v.  disjoint[r] and counts[r] come from r
     less its lowest vertex v.  The tables are tuples so that no caller can
@@ -308,7 +308,7 @@ def _lattice(n: int) -> _Lattice:
            for c in counts]
     every_lane = (1 << 8 * width) - 1
     return _Lattice(
-        tuple(outside), tuple(sizes), tuple(disjoint), tuple(counts), tuple(hot),
+        tuple(sizes), tuple(disjoint), tuple(counts), tuple(hot),
         tuple(every_lane ^ 255 * lanes for lanes in member),
     )
 
@@ -370,8 +370,8 @@ def _largest_independent(rows, classes) -> tuple[int, int]:
     found = 0
     for c in classes:
         found |= lat.disjoint[c ^ (1 << n) - 1]
-    for out, row in zip(lat.outside, rows):
-        found &= out | lat.disjoint[row]
+    for v, row in enumerate(rows):
+        found &= lat.disjoint[1 << v] | lat.disjoint[row]
     return _best(found, lat.sizes, range(n, -1, -1))
 
 

@@ -1,6 +1,7 @@
 """The package exports every name its README and demos import from it and
 every name the README calls inline, the README states the sweep limit the
-harness enforces, and every demo runs to completion."""
+harness enforces, every top-level name of the package is used somewhere,
+and every demo runs to completion."""
 
 import ast
 import importlib
@@ -47,6 +48,61 @@ def test_readme_sweep_order_matches_enumeration_limit():
     assert claimed and refused
     assert {int(n) for n in claimed} == {ENUMERATION_LIMIT}
     assert {int(n) for n in refused} == {ENUMERATION_LIMIT + 1}
+
+
+def _defined(stmt: ast.stmt) -> set:
+    """The names a top-level statement defines: a function, a class, or the
+    plain names it assigns."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    )
+    return {
+        node.id for target in targets for node in ast.walk(target)
+        if isinstance(node, ast.Name)
+    }
+
+
+def _named(tree: ast.AST) -> set:
+    """The names tree reads: loaded names, attributes, imported names, and
+    strings that are identifiers, as monkeypatch.setattr and __all__ use."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def test_every_top_level_name_is_used():
+    # a function, class or constant of the package that no source, test,
+    # benchmark or demo file names outside its own definition is a leftover;
+    # a file that defines a name of its own reads that one, not the package's
+    package = sorted((ROOT / "src" / "irregraph").glob("*.py"))
+    files = [p for d in ("src", "tests", "bench", "demos")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    defines, uses = {}, {}
+    for path in files:
+        defines[path], uses[path] = set(), set()
+        for stmt in ast.parse(path.read_text()).body:
+            own = _defined(stmt)
+            defines[path] |= own
+            uses[path] |= _named(stmt) - own
+    unused = sorted(
+        f"{module.name}: {name}"
+        for module in package for name in defines[module]
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in uses[module]
+        and not any(name in uses[p] and name not in defines[p] for p in files)
+    )
+    assert unused == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

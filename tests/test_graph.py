@@ -13,7 +13,9 @@ from irregraph.graph import (
     Graph,
     Graph6Error,
     VertexSet,
+    _automorphisms,
     _class_walk,
+    _hood_orbits,
     _refined,
     canonical_form,
     classify_degrees,
@@ -286,6 +288,38 @@ def test_walk_shards_partition_the_walk(k):
         for n in range(n_max + 1):
             assert len(set(parts[n])) == len(parts[n])  # disjoint
             assert set(parts[n]) == whole[n]
+
+
+def _orbit_minima(n: int, gens: list[list[int]]) -> list[int]:
+    """The smallest mask of each orbit of gens on the subsets of n vertices,
+    ascending, each orbit closed by mapping masks vertex by vertex."""
+    minima, seen = [], set()
+    for mask in range(1 << n):
+        if mask in seen:
+            continue
+        minima.append(mask)
+        seen.add(mask)
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            for image in gens:
+                mapped = sum(1 << image[v] for v in range(n) if m >> v & 1)
+                if mapped not in seen:
+                    seen.add(mapped)
+                    stack.append(mapped)
+    return minima
+
+
+def test_hood_orbits_keep_the_orbits_of_the_larger_hoods():
+    # for the automorphisms of every class of order <= 6, the orbits with at
+    # least `least` members are the unfiltered orbits cut by size
+    for rows, lab in _class_walk(6, pair_count(6)):
+        n = len(rows)
+        gens = _automorphisms(lab)
+        every = _orbit_minima(n, gens)
+        for least in range(n + 1):
+            got = _hood_orbits(n, gens, least)
+            assert got == [mask for mask in every if mask.bit_count() >= least]
 
 
 def test_class_representatives_pairwise_non_isomorphic():

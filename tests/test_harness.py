@@ -5,6 +5,7 @@ import io
 import json
 import os
 import signal
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -251,6 +252,10 @@ def _payload(summary: SweepSummary) -> str:
     return json.dumps(dict(summary.to_json(), wall_time_ms=0), indent=2)
 
 
+# (n_max, t41_divisor) of the sharded sweeps compared with one shard
+SWEEP_CASES = [(n, 2) for n in range(8)] + [(n, 1) for n in range(6)]
+
+
 def _unsharded(monkeypatch, n_max: int, t41_divisor: int) -> str:
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_workers", lambda n_max: 1)
@@ -260,15 +265,44 @@ def _unsharded(monkeypatch, n_max: int, t41_divisor: int) -> str:
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_merged_shard_tallies_give_the_same_payload(monkeypatch, k):
     # the k shards' tallies, summed and expanded, against one unsharded run
-    cases = [(n, 2) for n in range(8)] + [(n, 1) for n in range(6)]
-    expected = {case: _unsharded(monkeypatch, *case) for case in cases}
+    expected = {case: _unsharded(monkeypatch, *case) for case in SWEEP_CASES}
 
     def in_process(n_max, t41_divisor, workers):
         return [harness._sweep_shard(n_max, t41_divisor, (i, k)) for i in range(k)]
 
     monkeypatch.setattr(harness, "_sweep_shards", in_process)
-    for case in cases:
+    for case in SWEEP_CASES:
         assert _payload(verify_range(*case)) == expected[case]
+
+
+def _summed(tallies: list[tuple]) -> tuple[Counter, list]:
+    """The shards' weights added up key by key, and their failing sides."""
+    weights, failed_sides = Counter(), []
+    for shard_weights, shard_failed in tallies:
+        weights.update(shard_weights)
+        failed_sides += shard_failed
+    return weights, sorted(failed_sides)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_shard_weights_add_up_to_the_one_shard_map(k):
+    for case in SWEEP_CASES:
+        whole = harness._sweep_shard(*case, (0, 1))
+        parts = [harness._sweep_shard(*case, (i, k)) for i in range(k)]
+        assert _summed(parts) == _summed([whole])
+        # one record per (n, m, statuses), of 28 statuses each
+        assert all(
+            len(record) == 3 and len(record[2]) == len(THEOREM_IDS)
+            for record in whole[0]
+        )
+
+
+@pytest.mark.parametrize("lost", [0, 1])
+def test_lost_shard_is_caught(lost):
+    tallies = [harness._sweep_shard(5, 2, (i, 2)) for i in range(2)]
+    del tallies[lost]
+    with pytest.raises(AssertionError, match="class weights add up to"):
+        harness._merged(5, tallies)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -337,9 +371,21 @@ def test_worker_count(monkeypatch):
 
 @pytest.mark.slow
 def test_order_eight_shards_give_the_same_payload(monkeypatch):
+    # the payloads, and the weights the two forked shards sent back against
+    # the one shard's, key by key
+    tallies = {}
+    real = harness._sweep_shards
+
+    def kept(n_max, t41_divisor, k):
+        tallies[k] = real(n_max, t41_divisor, k)
+        return tallies[k]
+
+    monkeypatch.setattr(harness, "_sweep_shards", kept)
     expected = _unsharded(monkeypatch, 8, 2)
     monkeypatch.setattr(harness, "_workers", lambda n_max: 2)
     assert _payload(verify_range(8)) == expected
+    assert _summed(tallies[2]) == _summed(tallies[1])
+    assert len(tallies[1][0][0]) == 186
 
 
 def test_not_applicable_counts_frozen():
