@@ -574,13 +574,16 @@ def _blank_counts() -> dict:
 
 # verify_range forks worker shards from this order on.  `verify --n-max N`
 # in a fresh process, one shard against two, medians of 12 alternating runs
-# on a 2-vCPU Xeon: 21.6 vs 22.0 ms at N = 5; at 6, 76 vs 52 ms, but 252 vs
-# 262 ms with --t41-divisor 1, whose time goes to expanding violations in
-# the caller; 342 vs 240 ms at 7.
+# on a 2-vCPU Xeon, process wall time (the payload's wall_time_ms in
+# brackets): 124 vs 134 ms (30 vs 38) at N = 6, 516 vs 531 ms (94 vs 106)
+# with --t41-divisor 1, whose time goes to expanding violations in the
+# caller, and 262 vs 289 ms (167 vs 190) at 7, where two shards no longer
+# pay since the subset tables made the solves cheaper.
 _PARALLEL_FROM = 7
 # The most shards verify_range runs at once: two, the only count measured
-# end to end, on a 2-vCPU Xeon.  Two shards against one: op_p90_ms of the
-# verify7 benchmark 424 -> 286 ms, verify_range(9) 92 -> 61 s.  Run side by
+# end to end, on a 2-vCPU Xeon.  Two shards against one: verify_range(8) in
+# process 1.78-2.02 -> 1.07-1.59 s, five alternating fresh-process runs
+# each; verify_range(9) 92 -> 61 s before the subset tables.  Run side by
 # side, shards slow each other: per-class costs measured one at a time
 # predicted 1.8 times, not 1.5.  More shards wait for a host with more CPUs
 # to measure them.

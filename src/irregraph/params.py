@@ -20,21 +20,23 @@ maximum; the optimized solvers match them bit for bit, which the test suite
 checks exhaustively up to order 5 and on random graphs up to order 12.
 
 Everything here enumerates subsets, so the intended range is small n.  Up
-to order LATTICE_MAX = 9 every solver reads the subset tables of its order
-(_lattice, built on first use), bitsets with a bit and ints with a byte lane
-per subset: an AND over the vertices keeps the independent sets, one pass
-over one-hot count lanes the valid dominating sets, and one sum of count
-lanes gives every cut.  The best size comes first, then its lowest subset.
+to order LATTICE_MAX = 9 alpha, alpha_ir, alpha_reg, gamma_ir and gamma_reg
+read the subset tables of their order (_lattice, built on first use),
+bitsets with a bit and ints with a byte lane per subset: an AND over the
+vertices keeps the independent sets, one pass over one-hot count lanes the
+valid dominating sets.  The best size comes first, then its lowest subset.
 Above LATTICE_MAX, alpha, alpha_ir and alpha_reg share one branch-and-bound
 maximum independent set search that yields the smallest-mask witness
 directly; alpha_ir runs it with every degree class joined into a clique,
 alpha_reg inside each degree class.  The solvers whose cost is a hard 2^n
-(gamma_ir, gamma_reg, max_cut) refuse n > SIZE_GUARD = 26.  max_cut splits
-each side into a low part over the first ten vertices and a high part over
-the rest.  One int packs the cuts of all low parts into byte lanes, and the
-high parts are walked in Gray-code order, so each high part costs one
-big-integer step and a scan of the lanes in C, not one Python step per
-side.  gamma_ir and gamma_reg share one minimum dominating set search that
+(gamma_ir, gamma_reg, max_cut) refuse n > SIZE_GUARD = 26.  max_cut takes
+one path at every order: each side splits into a low part over the first
+min(n - 1, LATTICE_MAX) vertices and a high part over the rest.  One int,
+summed from the count lanes of the subset tables, packs the cuts of all low
+parts into byte lanes, and the high parts are walked in Gray-code order, so
+each high part costs one big-integer step and a scan of the lanes in C, not
+one Python step per side; up to order 9 there is no high part to walk.
+gamma_ir and gamma_reg share one minimum dominating set search that
 differs only in its count condition: each set splits into a low part over
 the first twelve vertices and a high part over the rest.  One int holds a
 bit per low part, and per high part a few big-integer operations per
@@ -260,13 +262,13 @@ def _guard(g: Graph, enumerator: str = "") -> None:
         )
 
 
-# The largest order solved from the subset tables of _lattice.  Mean us per
-# call, tables -> general path (branch and bound, packed pass, lane walk),
-# nine G(n, p) draws per n (p = 0.2, 0.5, 0.8), medians of seven alternating
-# rounds, two runs on a 2-vCPU Xeon.  n = 9: alpha 6-7 -> 18-19, alpha_ir
-# 8-10 -> 18-20, alpha_reg 4-7 -> 11-17, gamma_ir 11-18 -> 74-140, gamma_reg
-# 9-14 -> 90-157, max_cut 14-17 -> 33-40.  n = 10: 6-8 -> 19-22, 10-12 ->
-# 20-24, 5-9 -> 13-21, 18-24 -> 104-144, 13-14 -> 117-127, 18-26 -> 36.  The
+# The largest order solved from the subset tables of _lattice, and the most
+# low vertices of max_cut's walk.  Mean us per call, tables -> general path
+# (branch and bound, packed pass), nine G(n, p) draws per n (p = 0.2, 0.5,
+# 0.8), medians of seven alternating rounds, two runs on a 2-vCPU Xeon.
+# n = 9: alpha 6-7 -> 18-19, alpha_ir 8-10 -> 18-20, alpha_reg 4-7 -> 11-17,
+# gamma_ir 11-18 -> 74-140, gamma_reg 9-14 -> 90-157.  n = 10: 6-8 -> 19-22,
+# 10-12 -> 20-24, 5-9 -> 13-21, 18-24 -> 104-144, 13-14 -> 117-127.  The
 # tables still win at 10, but take 2.4 MB there (0.64 MB at 9), and a count
 # can reach 9, past the 0-7 that a one-hot byte holds.
 LATTICE_MAX = 9
@@ -590,28 +592,8 @@ def gamma_reg(g: Graph) -> Extremum:
     return _min_dominating(g, distinct=False)
 
 
-# The most low vertices in max_cut.  A lane never exceeds C(t, 2) + t(n - t),
-# 205 at t = 10 and n = SIZE_GUARD, so one byte holds it exactly.
-_LOW_PART = 10
 # _BELOW[v] holds the byte values below v, for bytes.translate to delete.
 _BELOW = [bytes(range(v)) for v in range(256)]
-
-
-def _ones(lanes: int) -> int:
-    """The packed vector with 1 in each of the given number of byte lanes."""
-    return ((1 << 8 * lanes) - 1) // 255
-
-
-def _lane_counts(row: int, t: int) -> int:
-    """2^t byte lanes, lane j holding |row cap j| for each side j below t.
-
-    Each vertex i < t doubles the lanes: the new upper half is the old
-    lanes, plus one if row holds i.
-    """
-    counts = 0
-    for i in range(t):
-        counts |= (counts + (row >> i & 1) * _ones(1 << i)) << (8 << i)
-    return counts
 
 
 def max_cut(g: Graph) -> Extremum:
@@ -619,32 +601,13 @@ def max_cut(g: Graph) -> Extremum:
 
     Each bipartition has exactly one side without vertex n-1, and it is the
     numerically smaller of the pair, so these sides hold every cut value
-    and the smallest-mask witness.  Up to LATTICE_MAX, lane S of the sum
-    over v of counts[rows[v]], kept where v is outside S, is the cut of S,
-    and max() and bytes.index() read the best over the lower half of the
-    lanes, the sides without vertex n-1; above it, _walked_cut walks them.
-    """
-    _guard(g, "max_cut")
-    rows, n = g.rows, g.n
-    if n > LATTICE_MAX:
-        cut, side = _walked_cut(rows, n)
-        return Extremum(cut, VertexSet(n, side))
-    lat = _lattice(n)
-    lanes = sum(lat.counts[row] & out for row, out in zip(rows, lat.outside_lanes))
-    cuts = lanes.to_bytes(1 << n, "little")[: 1 << n - 1]
-    cut = max(cuts)
-    return Extremum(cut, VertexSet(n, cuts.index(cut)))
-
-
-def _walked_cut(rows, n: int) -> tuple[int, int]:
-    """Cut and side of max_cut above LATTICE_MAX.
-
-    A side splits into a low part j over the vertices below
-    t = min(n - 1, _LOW_PART) and a high part H over t..n-2.  One int holds
-    2^t byte lanes, lane j counting the cut edges that touch a low vertex
-    for the side j | H; a scalar counts the cut edges among the other
-    vertices.  The lanes start at H empty, built by t
-    doublings (vertex i adds deg i - 2|N(i) cap j| to the new half).  H
+    and the smallest-mask witness.  A side splits into a low part j over the
+    vertices below t = min(n - 1, LATTICE_MAX) and a high part H over
+    t..n-2.  One int holds 2^t byte lanes, lane j counting the cut edges
+    that touch a low vertex for the side j | H, and a scalar counts the cut
+    edges among the other vertices.  At H empty, lane j is the sum of
+    |N(v) cap j| over the low v outside j and over every vertex h from t
+    on, each read from counts of the subset tables of order t.  H
     then runs through the 2^(n-1-t) high parts in Gray-code order: step i
     moves h = t + ctz(i), which changes every lane by one precomputed int,
     +-(|N(h) cap L| - 2|N(h) cap j|) with L the low vertices, and the
@@ -653,20 +616,22 @@ def _walked_cut(rows, n: int) -> tuple[int, int]:
     beat the incumbent; if any is left, max() and bytes.index() find the
     best lane, the smallest j among its ties.  A high part replaces the
     incumbent when its cut is larger, or equal with a smaller mask, so the
-    witness is the smallest-mask side among the optima.
+    witness is the smallest-mask side among the optima.  A lane never
+    exceeds C(t, 2) + t(n - t), 189 at t = 9 and n = SIZE_GUARD, so one
+    byte holds it exactly.
     """
-    t = min(n - 1, _LOW_PART)
-    width = 1 << t
-    lanes = 0
-    for i in range(t):
-        lanes |= (
-            lanes + rows[i].bit_count() * _ones(1 << i)
-            - 2 * _lane_counts(rows[i], i)
-        ) << (8 << i)
-    ones, low = _ones(width), width - 1
+    _guard(g, "max_cut")
+    rows, n = g.rows, g.n
+    t = min(n - 1, LATTICE_MAX)
+    width, low = 1 << t, (1 << t) - 1
+    lat = _lattice(t)
+    counts = lat.counts
+    lanes = sum(counts[row & low] for row in rows[t:]) + sum(
+        counts[row & low] & out for row, out in zip(rows, lat.outside_lanes))
+    ones = ((1 << 8 * width) - 1) // 255
     high = [
         (1 << h, rows[h], (rows[h] >> t).bit_count(),
-         (rows[h] & low).bit_count() * ones - 2 * _lane_counts(rows[h], t))
+         (rows[h] & low).bit_count() * ones - 2 * counts[rows[h] & low])
         for h in range(t, n - 1)
     ]
     moves = [high[(i & -i).bit_length() - 1] for i in range(1, 1 << len(high))]
@@ -689,7 +654,7 @@ def _walked_cut(rows, n: int) -> tuple[int, int]:
         if need <= 0 or need < 256 and cuts.translate(None, _BELOW[need]):
             top = max(cuts)
             best_cut, best_side = cut + top, side | cuts.index(top)
-    return best_cut, best_side
+    return Extremum(best_cut, VertexSet(n, best_side))
 
 
 # -- combined report ------------------------------------------------------------

@@ -282,11 +282,10 @@ def test_subset_tables_match_oracles():
 
 
 def general_answers(g):
-    """(value, witness mask) of the six solvers from the paths that serve
-    orders above LATTICE_MAX, called directly."""
-    from irregraph.params import (
-        _max_independent, _packed_dominating, _walked_cut,
-    )
+    """(value, witness mask) of the five solvers with a second path, the one
+    that serves orders above LATTICE_MAX, called directly; max_cut has one
+    path at every order."""
+    from irregraph.params import _max_independent, _packed_dominating
 
     rows, n, every = g.rows, g.n, (1 << g.n) - 1
     dc = classify_degrees(g)
@@ -296,7 +295,7 @@ def general_answers(g):
     return [
         _max_independent(rows, every), _max_independent(cliqued, every),
         regular, _packed_dominating(rows, n, True),
-        _packed_dominating(rows, n, False), _walked_cut(rows, n),
+        _packed_dominating(rows, n, False),
     ]
 
 
@@ -308,7 +307,8 @@ def test_subset_tables_match_the_general_paths(orders):
     for n in orders:
         for g in frozen_classes()[n]:
             got = [(found.value, found.witness.mask)
-                   for found in (fast(g) for fast, _ in SOLVER_PAIRS)]
+                   for found in (fast(g) for fast, _ in SOLVER_PAIRS
+                                 if fast is not max_cut)]
             assert got == general_answers(g), (n, g.edge_mask)
 
 
@@ -332,8 +332,9 @@ def test_gamma_ir_reads_no_thm41_bound(monkeypatch):
 
 
 def test_subset_tables_are_small_and_built_on_demand():
-    # importing the package builds no table, no order above LATTICE_MAX gets
-    # one, and the largest order's tables take under 1 MB
+    # importing the package builds no table, a report above LATTICE_MAX
+    # builds only the tables of order LATTICE_MAX (max_cut's low part), and
+    # those take under 1 MB
     import irregraph.params as params_module
     from irregraph.params import LATTICE_MAX, _lattice
 
@@ -346,8 +347,9 @@ def test_subset_tables_are_small_and_built_on_demand():
     assert done.stdout == "0\n"
     _lattice.cache_clear()
     full_report(gnp(LATTICE_MAX + 1, 0.5, random.Random(1)))
-    assert _lattice.cache_info().currsize == 0
+    assert _lattice.cache_info().currsize == 1
     tables = _lattice(LATTICE_MAX)
+    assert _lattice.cache_info().currsize == 1
     size = sum(sys.getsizeof(table) + sum(map(sys.getsizeof, table))
                for table in tables)
     assert size < 1 << 20
@@ -393,19 +395,18 @@ def test_full_report_builds_the_domination_tables_once(monkeypatch):
 
 
 def test_max_cut_walk_matches_oracle_at_small_orders(monkeypatch):
-    # with ten low vertices max_cut first walks two high parts at n = 12;
-    # take the walk at every order, not the subset tables up to LATTICE_MAX,
-    # and shrink the low part, down to none, so that every order walks
+    # with nine low vertices max_cut first walks two high parts at n = 11;
+    # shrink the low part, down to none, so that every order walks, and
+    # every width of the low part reads its own subset tables
     import irregraph.params as params_module
 
-    monkeypatch.setattr(params_module, "LATTICE_MAX", 0)
     rng = random.Random(11)
     graphs = [from_edge_mask(n, mask) for n in range(1, 6)
               for mask in range(1 << pair_count(n))]
     graphs += [gnp(n, p, rng) for n in range(6, 12) for p in (0.2, 0.5, 0.8)]
     expected = [naive_max_cut(g) for g in graphs]
-    for low_part in range(4):
-        monkeypatch.setattr(params_module, "_LOW_PART", low_part)
+    for low_part in range(10):
+        monkeypatch.setattr(params_module, "LATTICE_MAX", low_part)
         for g, want in zip(graphs, expected):
             assert max_cut(g) == want, (low_part, g.n, g.edge_mask)
 
@@ -413,9 +414,9 @@ def test_max_cut_walk_matches_oracle_at_small_orders(monkeypatch):
 def test_max_cut_lanes_fit_a_byte_at_the_size_guard():
     # a lane counts cut edges that touch one of the t low vertices: at most
     # C(t, 2) inside the low part and t(n - t) to the rest
-    from irregraph.params import _LOW_PART, SIZE_GUARD
+    from irregraph.params import LATTICE_MAX, SIZE_GUARD
 
-    t = min(SIZE_GUARD - 1, _LOW_PART)
+    t = min(SIZE_GUARD - 1, LATTICE_MAX)
     assert t * (t - 1) // 2 + t * (SIZE_GUARD - t) <= 255
     cut = max_cut(complete_graph(26))  # the densest graph the guard admits
     assert (cut.value, cut.witness.mask) == (169, (1 << 13) - 1)
@@ -457,7 +458,7 @@ def test_every_domination_answer_is_frozen():
 # sha256 over "graph6 value witness-mask\n" of max_cut.  "classes": every
 # class of order 1-8 and the complement of each class of order 1-7, where the
 # low part holds every free vertex; "gnp": G(n, p) draws at n = 12-20, where
-# the walk over the high sides takes up to 2^9 steps.
+# the walk over the high sides takes up to 2^10 steps.
 MAX_CUT_DIGEST = {
     "classes": "00546984d6eac0e85059c14657c324d39b2a57797785b553cd9b24003a37d611",
     "gnp": "d91888818355023811cd7566d77d782bb472ae700e5fbdc06bc6c50788090dee",
