@@ -577,8 +577,10 @@ def _blank_counts() -> dict:
 # on a 2-vCPU Xeon, process wall time (the payload's wall_time_ms in
 # brackets): 124 vs 134 ms (30 vs 38) at N = 6, 516 vs 531 ms (94 vs 106)
 # with --t41-divisor 1, whose time goes to expanding violations in the
-# caller, and 262 vs 289 ms (167 vs 190) at 7, where two shards no longer
-# pay since the subset tables made the solves cheaper.
+# caller.  At 7 neither wins, so the fork point stays there: in four
+# batches one shard won 0, 11, 3 and 0 of the 12 pairs, batch medians
+# 255-287 vs 216-294 ms (179-204 vs 124-208).  At 8 two shards won 6 of 6:
+# 2.30 vs 1.38 s.
 _PARALLEL_FROM = 7
 # The most shards verify_range runs at once: two, the only count measured
 # end to end, on a 2-vCPU Xeon.  Two shards against one: verify_range(8) in

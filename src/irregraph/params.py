@@ -17,7 +17,7 @@ independent sets are {1, 2} (mask 6) and {0, 3} (mask 9), and the witness is
 {1, 2}.  The naive_* oracles realize the same tie-break by scanning all 2^n
 subsets and taking the smallest (size, mask) key, with the size negated for a
 maximum; the optimized solvers match them bit for bit, which the test suite
-checks exhaustively up to order 5 and on random graphs up to order 12.
+checks exhaustively up to order 5 and on random graphs up to order 13.
 
 Everything here enumerates subsets, so the intended range is small n.  Up
 to order LATTICE_MAX = 9 alpha, alpha_ir, alpha_reg, gamma_ir and gamma_reg
@@ -36,19 +36,22 @@ summed from the count lanes of the subset tables, packs the cuts of all low
 parts into byte lanes, and the high parts are walked in Gray-code order, so
 each high part costs one big-integer step and a scan of the lanes in C, not
 one Python step per side; up to order 9 there is no high part to walk.
-gamma_ir and gamma_reg share one minimum dominating set search that
-differs only in its count condition: each set splits into a low part over
-the first twelve vertices and a high part over the rest.  One int holds a
-bit per low part, and per high part a few big-integer operations per
-vertex mark exactly the low parts that complete it to a valid set, for
-every size at once.  The low-part tables are built once per graph and
-shared by both solvers.  gamma_ir reads no bound on its answer at any
-order, so the Thm 4.1 check tests an independently found minimum.
+Above LATTICE_MAX one packed pass answers gamma_ir and gamma_reg together,
+and a cache of one graph serves the second solver: each set splits into a
+low part over the first twelve vertices and a high part over the rest.
+One int holds a bit per low part, and per high part a few big-integer
+operations per vertex mark the low parts at which two outside vertices
+have the same count and those at which two have different counts, for
+every size at once.  A dense graph counts non-neighbours, of which each
+vertex has fewer: outside D the two counts add up to |D|, so they are
+distinct, or all equal, together.  gamma_ir reads no bound on its answer
+at any order, so the Thm 4.1 check tests an independently found minimum.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -413,11 +416,10 @@ def alpha_reg(g: Graph) -> Extremum:
 
 
 # The most low vertices in the packed domination pass: 2^12 bits a bitset.
-# gamma_ir plus gamma_reg over the 102 compute-benchmark graphs, tables
-# built once per graph, median of 12 rounds in alternating order, three
-# runs: 0.21-0.25 s at 11, 0.17-0.20 at 12, 0.18-0.19 at 13, 0.17-0.19 at
-# 14.  Paired with 12 over 16 rounds, 13 was faster in 8 and 12 of them,
-# 14 in 9 and 8, so no other low part wins.
+# gamma_ir plus gamma_reg (one pass) over the 102 compute-benchmark graphs,
+# median of 10 rounds in alternating order, three runs on a 2-vCPU Xeon:
+# 82-108 ms at 11, 66-94 at 12, 69-99 at 13.  Paired with 12, 11 was
+# faster in 1, 4 and 1 of the 10 rounds, 13 in 4, 3 and 2.
 _DOMINATION_LOW = 12
 
 
@@ -443,95 +445,73 @@ def _low_levels(row: int, v: int, t: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=1)
-def _low_tables(rows: tuple[int, ...], t: int) -> tuple[tuple, tuple]:
-    """The packed pass's tables over the low vertices 0..t-1 of rows.
+def _packed_dominating(rows: tuple[int, ...], t: int) -> tuple[tuple, tuple]:
+    """(size, mask) of the smallest-mask irregular dominating set, then of
+    the smallest-mask regular one, by one exact pass per high part.  The
+    cache keeps the last graph, so gamma_ir and gamma_reg share one pass.
 
-    pop[j] is the bitset of the low parts L with |L| = j.  Per vertex v,
-    high vertices first (with no inside bits they empty an AND soonest),
-    the entry is (1 << v, rows[v], the _low_levels of v, inside_v), inside_v
-    being the L that hold v.  The tables depend only on rows and t, so
-    gamma_ir and gamma_reg on one graph share one build; they are tuples so
-    that no caller can change a cached table.
+    A set splits into a low part L over the vertices below t and a high
+    part H over the rest.  One int has a bit per L.  A dense graph
+    (2m > C(n, 2)) counts non-neighbours instead of neighbours: for v
+    outside D the two counts add up to |D|, so they are pairwise distinct,
+    or all equal, together, and a vertex has fewer non-neighbours to count.
+    Per vertex v, _low_levels of its counted row gives the bits at which v
+    is outside L with c counted vertices in it, and free_v the bits at
+    which v is outside L with no neighbour in it.  For each H, in ascending
+    order, a vertex v outside H has a_v counted vertices in H, and its
+    levels, shifted up by a_v, are ORed into a holder per count.  A bit
+    held twice by one holder clashes, a bit in two holders is shared, and
+    free_v of each v with no neighbour in H is dead (v undominated).  H | L
+    is irregular dominating exactly when L is neither clash nor dead, and
+    regular dominating when it is neither shared nor dead.  Per answer, the
+    smallest j with a valid L of size j, and its lowest bit, replace the
+    incumbent when |H| + j is smaller, so each result is the smallest size
+    and, for it, the smallest mask.
     """
     n = len(rows)
-    everything = (1 << (1 << t)) - 1
-    pop = tuple(_low_levels((1 << t) - 1, -1, t))
+    dense = sum(map(int.bit_count, rows)) > n * (n - 1) // 2
+    pop = _low_levels((1 << t) - 1, -1, t)
+    upto = list(itertools.accumulate(pop))  # the L with |L| <= j
     tables = []
-    for v in [*range(t, n), *range(t)]:
-        levels = tuple(_low_levels(rows[v], v, t))
-        tables.append((1 << v, rows[v], levels, everything ^ sum(levels)))
-    return pop, tuple(tables)
-
-
-def _packed_dominating(rows, n: int, distinct: bool) -> tuple[int, int]:
-    """Size and mask of the smallest-mask dominating set with the count
-    condition of _min_dominating, by one exact pass per high part.
-
-    A set splits into a low part L over the vertices below
-    t = min(n, _DOMINATION_LOW) and a high part H over the rest.  One int
-    has a bit per L; per vertex v, _low_levels gives the bits at which v is
-    outside L with c neighbours in it, and inside_v the bits at which v is
-    in L; _low_tables builds these tables once per graph, and gamma_ir and
-    gamma_reg share them.  For each H, in ascending order, a vertex v
-    outside H has a_v = |N(v) cap H| more neighbours.  Distinct counts:
-    each level, shifted up by a_v, is ORed into a holder per count, and a
-    bit held twice clashes; valid is every bit but the clashes and
-    holder[0].  Equal counts: valid is the OR over c >= 1 of the AND over
-    outside v of level c - a_v or inside_v.  Either way bit L of valid is
-    set exactly when H | L passes.  Then the smallest j with a valid L of
-    size j, and its lowest bit, replace the incumbent when |H| + j is
-    smaller, so the result is the smallest size and, for it, the smallest
-    mask.
-    """
-    t = min(n, _DOMINATION_LOW)
-    everything = (1 << (1 << t)) - 1
-    pop, tables = _low_tables(rows, t)
-    if not distinct:
-        tables = [
-            (bit, row, [level | inside for level in levels], inside)
-            for bit, row, levels, inside in tables
-        ]
-    best = n + 1
-    best_mask = 0
+    for v, row in enumerate(rows):
+        counted = (1 << n) - 1 ^ row ^ 1 << v if dense else row
+        levels = _low_levels(counted, v, t)
+        # dense: the L whose every member is a counted non-neighbour
+        free = sum(map(int.__and__, levels, pop)) if dense else levels[0]
+        tables.append((1 << v, row, counted, levels, free))
+    best = [n + 1, n + 1]
+    masks = [0, 0]
     for part in range(1 << (n - t)):
         size = part.bit_count()
-        if size >= best:
+        if size >= max(best):
             continue
         high = part << t
-        outside = [
-            ((row & high).bit_count(), levels, inside)
-            for bit, row, levels, inside in tables
-            if not high & bit
-        ]
-        if distinct:
-            holders = [0] * n
-            clash = 0
-            for a, levels, _ in outside:
-                for c, where in enumerate(levels, a):
-                    before = holders[c]
-                    clash |= before & where
-                    holders[c] = before | where
-            valid = everything & ~(clash | holders[0])
-        else:
-            valid = 0
-            # c = 1 runs even when no outside vertex reaches it: the L that
-            # leave no vertex outside H | L are vacuously valid
-            top = max((a + len(levels) for a, levels, _ in outside), default=0)
-            for c in range(1, max(top, 2)):
-                common = everything
-                for a, levels, inside in outside:
-                    i = c - a
-                    common &= levels[i] if 0 <= i < len(levels) else inside
-                    if not common:
+        holders = [0] * n
+        clash = dead = 0
+        for bit, row, counted, levels, free in tables:
+            if high & bit:
+                continue
+            if not row & high:
+                dead |= free
+            for c, where in enumerate(levels, (counted & high).bit_count()):
+                before = holders[c]
+                clash |= before & where
+                holders[c] = before | where
+        seen = shared = 0
+        for holder in filter(None, holders):
+            shared |= seen & holder
+            seen |= holder
+        for k, bad in enumerate((clash | dead, shared | dead)):
+            room = min(t, best[k] - size - 1)
+            valid = upto[room] & ~bad if room >= 0 else 0
+            if valid:
+                for j in range(room + 1):
+                    found = valid & pop[j]
+                    if found:
+                        best[k] = size + j
+                        masks[k] = high | (found & -found).bit_length() - 1
                         break
-                valid |= common
-        for j in range(min(t, best - size - 1) + 1):
-            found = valid & pop[j]
-            if found:
-                best = size + j
-                best_mask = high | (found & -found).bit_length() - 1
-                break
-    return best, best_mask
+    return tuple(zip(best, masks))
 
 
 def _lattice_dominating(rows, n: int, distinct: bool) -> tuple[int, int]:
@@ -569,11 +549,14 @@ def _min_dominating(g: Graph, distinct: bool) -> Extremum:
     distinct=True asks for pairwise distinct counts |N(v) cap D| over v
     outside D, False for all counts equal.  Up to LATTICE_MAX the subset
     tables settle every size at once (_lattice_dominating), above it the
-    packed pass (_packed_dominating); either answer is checked once here.
+    packed pass, which finds both answers (_packed_dominating); either
+    answer is checked once here.
     """
     rows, n = g.rows, g.n
-    search = _lattice_dominating if n <= LATTICE_MAX else _packed_dominating
-    size, mask = search(rows, n, distinct)
+    if n <= LATTICE_MAX:
+        size, mask = _lattice_dominating(rows, n, distinct)
+    else:
+        size, mask = _packed_dominating(rows, min(n, _DOMINATION_LOW))[not distinct]
     if not _domination_counts_ok(rows, n, mask, distinct):
         raise AssertionError("domination search returned an invalid set")
     return Extremum(size, VertexSet(n, mask))

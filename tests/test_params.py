@@ -255,8 +255,10 @@ def gnp(n, p, rng):
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
 def test_exponential_solvers_match_oracles_beyond_n7(p):
+    # up to order 13, where the packed domination pass has its default low
+    # part and a high vertex
     rng = random.Random(int(p * 10))
-    for n in range(8, 13):
+    for n in range(8, 14):
         for _ in range(3):
             g = gnp(n, p, rng)
             for fast, slow in SOLVER_PAIRS:
@@ -294,8 +296,7 @@ def general_answers(g):
                   key=lambda found: (found[0], -found[1]))
     return [
         _max_independent(rows, every), _max_independent(cliqued, every),
-        regular, _packed_dominating(rows, n, True),
-        _packed_dominating(rows, n, False),
+        regular, *_packed_dominating(rows, n),
     ]
 
 
@@ -359,26 +360,38 @@ def test_split_scan_matches_oracles_at_small_orders(monkeypatch):
     # the packed pass only runs above LATTICE_MAX by default; force it
     # everywhere, and shrink its low part, down to none, so that every order
     # walks several high parts.  Each graph is solved at every low part in a
-    # row, so tables kept for one low part must not serve another.
+    # row, and each low part must run the pass once (gamma_ir) and serve
+    # gamma_reg from the cache, never read an answer kept for another.  The
+    # complements and a graph with 2m = C(n, 2) exactly put both count modes,
+    # neighbours and non-neighbours, against the oracles.
     import irregraph.params as params_module
 
     monkeypatch.setattr(params_module, "LATTICE_MAX", 0)
+    packed = params_module._packed_dominating
     rng = random.Random(7)
     graphs = [from_edge_mask(n, mask) for n in range(1, 6)
               for mask in range(1 << pair_count(n))]
-    graphs += [gnp(n, p, rng) for n in range(6, 12) for p in (0.2, 0.5, 0.8)]
+    drawn = [gnp(n, p, rng) for n in range(6, 12) for p in (0.2, 0.5, 0.8)]
+    graphs += drawn + [complement(g) for g in drawn]
+    half = from_edge_mask(9, (1 << 18) - 1)
+    assert 2 * half.m == pair_count(9)
+    graphs.append(half)
     low_parts = (0, 1, 2, 3, params_module._DOMINATION_LOW)
     for g in graphs:
         ir, reg = naive_gamma_ir(g), naive_gamma_reg(g)
         for low_part in low_parts:
             monkeypatch.setattr(params_module, "_DOMINATION_LOW", low_part)
+            packed.cache_clear()
             assert gamma_ir(g) == ir, (low_part, g.n, g.edge_mask)
             assert gamma_reg(g) == reg, (low_part, g.n, g.edge_mask)
+            info = packed.cache_info()
+            assert (info.misses, info.hits) == (1, 1), (low_part, g.n)
 
 
 def test_full_report_builds_the_domination_tables_once(monkeypatch):
-    # gamma_ir and gamma_reg share the packed pass's tables: one _low_levels
-    # call per vertex plus one for pop, not one set for each solver
+    # gamma_ir and gamma_reg share one packed pass: gamma_ir runs it, with
+    # one _low_levels call per vertex plus one for pop, and gamma_reg reads
+    # its answer from the cache
     import irregraph.params as params_module
 
     low_levels = params_module._low_levels
@@ -389,8 +402,11 @@ def test_full_report_builds_the_domination_tables_once(monkeypatch):
         return low_levels(*args)
 
     monkeypatch.setattr(params_module, "_low_levels", counted)
+    params_module._packed_dominating.cache_clear()
     g = gnp(14, 0.5, random.Random(25))
     full_report(g)
+    info = params_module._packed_dominating.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     assert len(calls) == g.n + 1
 
 
