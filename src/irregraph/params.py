@@ -17,7 +17,7 @@ independent sets are {1, 2} (mask 6) and {0, 3} (mask 9), and the witness is
 {1, 2}.  The naive_* oracles realize the same tie-break by scanning all 2^n
 subsets and taking the smallest (size, mask) key, with the size negated for a
 maximum; the optimized solvers match them bit for bit, which the test suite
-checks exhaustively up to order 5 and on random graphs up to order 13.
+checks exhaustively up to order 5 and on random graphs up to order 15.
 
 Everything here enumerates subsets, so the intended range is small n.  Up
 to order LATTICE_MAX = 9 alpha, alpha_ir, alpha_reg, gamma_ir and gamma_reg
@@ -39,20 +39,23 @@ one Python step per side; up to order 9 there is no high part to walk.
 Above LATTICE_MAX one packed pass answers gamma_ir and gamma_reg together,
 and a cache of one graph serves the second solver: each set splits into a
 low part over the first twelve vertices and a high part over the rest.
-One int holds a bit per low part, and per high part a few big-integer
-operations per vertex mark the low parts at which two outside vertices
-have the same count and those at which two have different counts, for
-every size at once.  A dense graph counts non-neighbours, of which each
-vertex has fewer: outside D the two counts add up to |D|, so they are
-distinct, or all equal, together.  gamma_ir reads no bound on its answer
-at any order, so the Thm 4.1 check tests an independently found minimum.
+One int holds a bit per low part, and a few big-integer operations per
+vertex mark the low parts at which two outside vertices have the same
+count and those at which two have different counts, for every size at
+once.  The high parts are the leaves of a depth-first walk that folds
+each vertex once per setting of the high vertices it reads; they come in
+ascending order, so only a smaller size replaces an answer.  A dense
+graph counts non-neighbours, of which each vertex has fewer: outside D
+the two counts add up to |D|, so they are distinct, or all equal,
+together.  gamma_ir reads no bound on its answer at any order, so the
+Thm 4.1 check tests an independently found minimum.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -417,9 +420,9 @@ def alpha_reg(g: Graph) -> Extremum:
 
 # The most low vertices in the packed domination pass: 2^12 bits a bitset.
 # gamma_ir plus gamma_reg (one pass) over the 102 compute-benchmark graphs,
-# median of 10 rounds in alternating order, three runs on a 2-vCPU Xeon:
-# 82-108 ms at 11, 66-94 at 12, 69-99 at 13.  Paired with 12, 11 was
-# faster in 1, 4 and 1 of the 10 rounds, 13 in 4, 3 and 2.
+# median of 10 rounds in rotating order, three runs on a 2-vCPU AMD EPYC:
+# 26.3-26.9 ms at 11, 22.9-23.3 at 12, 24.5-24.9 at 13.  Paired with 12,
+# 11 was faster in 0 of the 10 rounds of every run, 13 in 1 of each.
 _DOMINATION_LOW = 12
 
 
@@ -444,11 +447,18 @@ def _low_levels(row: int, v: int, t: int) -> list[int]:
     return levels
 
 
+@functools.lru_cache(maxsize=_DOMINATION_LOW + 1)  # one entry per width t
+def _low_sizes(t: int) -> tuple[tuple, tuple]:
+    """pop[j] and upto[j]: the L over 0..t-1 with |L| = j, and |L| <= j."""
+    pop = _low_levels((1 << t) - 1, -1, t)
+    return tuple(pop), tuple(itertools.accumulate(pop))
+
+
 @functools.lru_cache(maxsize=1)
 def _packed_dominating(rows: tuple[int, ...], t: int) -> tuple[tuple, tuple]:
     """(size, mask) of the smallest-mask irregular dominating set, then of
-    the smallest-mask regular one, by one exact pass per high part.  The
-    cache keeps the last graph, so gamma_ir and gamma_reg share one pass.
+    the smallest-mask regular one, by one exact walk over the high parts.
+    The cache keeps the last graph, so gamma_ir and gamma_reg share one walk.
 
     A set splits into a low part L over the vertices below t and a high
     part H over the rest.  One int has a bit per L.  A dense graph
@@ -457,46 +467,59 @@ def _packed_dominating(rows: tuple[int, ...], t: int) -> tuple[tuple, tuple]:
     or all equal, together, and a vertex has fewer non-neighbours to count.
     Per vertex v, _low_levels of its counted row gives the bits at which v
     is outside L with c counted vertices in it, and free_v the bits at
-    which v is outside L with no neighbour in it.  For each H, in ascending
-    order, a vertex v outside H has a_v counted vertices in H, and its
-    levels, shifted up by a_v, are ORed into a holder per count.  A bit
-    held twice by one holder clashes, a bit in two holders is shared, and
-    free_v of each v with no neighbour in H is dead (v undominated).  H | L
-    is irregular dominating exactly when L is neither clash nor dead, and
-    regular dominating when it is neither shared nor dead.  Per answer, the
-    smallest j with a valid L of size j, and its lowest bit, replace the
-    incumbent when |H| + j is smaller, so each result is the smallest size
-    and, for it, the smallest mask.
+    which v is outside L with no neighbour in it.  For each H, a vertex v
+    outside H has a_v counted vertices in H, and its levels, shifted up by
+    a_v, are ORed into a holder per count.  A bit held twice by one holder
+    clashes, a bit in two holders is shared, and free_v of each v with no
+    neighbour in H is dead (v undominated).  H | L is irregular dominating
+    exactly when L is neither clash nor dead, and regular dominating when
+    it is neither shared nor dead.
+
+    The H are the leaves of a depth-first walk that sets the high vertices
+    from n - 1 down, out before in, so they come in ascending order.  v's
+    holder fold reads v and its counted high vertices, its dead fold v and
+    its high neighbours; each runs once, at the depth that sets the last of
+    them, for every leaf below, and a subtree whose |H| cannot beat both
+    incumbents is skipped.  Per answer, the smallest j with a valid L of
+    size j, and its lowest bit, replace the incumbent only when |H| + j is
+    smaller: the smallest size, and for it the smallest mask.
     """
     n = len(rows)
+    m = n - t
     dense = sum(map(int.bit_count, rows)) > n * (n - 1) // 2
-    pop = _low_levels((1 << t) - 1, -1, t)
-    upto = list(itertools.accumulate(pop))  # the L with |L| <= j
-    tables = []
+    pop, upto = _low_sizes(t)
+    folds, deaths = defaultdict(list), defaultdict(list)
+    root, dead = 1 << m, 0  # folds[1 << i] wait for high vertex t + i; root: none read
     for v, row in enumerate(rows):
-        counted = (1 << n) - 1 ^ row ^ 1 << v if dense else row
+        bit = 1 << v
+        counted = (1 << n) - 1 ^ row ^ bit if dense else row
         levels = _low_levels(counted, v, t)
         # dense: the L whose every member is a counted non-neighbour
         free = sum(map(int.__and__, levels, pop)) if dense else levels[0]
-        tables.append((1 << v, row, counted, levels, free))
-    best = [n + 1, n + 1]
-    masks = [0, 0]
-    for part in range(1 << (n - t)):
-        size = part.bit_count()
-        if size >= max(best):
-            continue
-        high = part << t
-        holders = [0] * n
-        clash = dead = 0
-        for bit, row, counted, levels, free in tables:
-            if high & bit:
-                continue
-            if not row & high:
+        hold, die = (counted | bit) >> t | root, (row | bit) >> t | root
+        folds[hold & -hold].append((bit, counted, levels))
+        if die == root:  # a low v with no high neighbour is dead at every H
+            dead |= free
+        else:
+            deaths[die & -die].append((row | bit, free))
+    best, masks = [n + 1, n + 1], [0, 0]
+
+    def walk(step: int, high: int, holders: list, clash: int, dead: int):
+        for bit, counted, levels in folds[step]:
+            if not high & bit:
+                for c, where in enumerate(levels, (counted & high).bit_count()):
+                    before = holders[c]
+                    clash |= before & where
+                    holders[c] = before | where
+        for reads, free in deaths[step]:
+            if not reads & high:
                 dead |= free
-            for c, where in enumerate(levels, (counted & high).bit_count()):
-                before = holders[c]
-                clash |= before & where
-                holders[c] = before | where
+        size = high.bit_count()
+        if step > 1:
+            walk(step >> 1, high, holders[:], clash, dead)
+            if size + 1 < max(best):
+                walk(step >> 1, high | step >> 1 << t, holders, clash, dead)
+            return
         seen = shared = 0
         for holder in filter(None, holders):
             shared |= seen & holder
@@ -511,6 +534,8 @@ def _packed_dominating(rows: tuple[int, ...], t: int) -> tuple[tuple, tuple]:
                         best[k] = size + j
                         masks[k] = high | (found & -found).bit_length() - 1
                         break
+
+    walk(root, 0, [0] * n, 0, dead)
     return tuple(zip(best, masks))
 
 

@@ -8,8 +8,10 @@ keys over every one-vertex extension instead of canonical augmentation, the
 number of classes with each edge count by Polya counting instead of
 generating them, the labeled members of a class by trying all n!
 relabelings instead of walking its orbit, an isomorphism test by
-backtracking instead of canonical keys, and the row verdicts of one graph
-built anew for every row from the harness's _Row fields instead of shared.
+backtracking instead of canonical keys, the row verdicts of one graph
+built anew for every row from the harness's _Row fields instead of shared,
+and gamma_ir by a search over the vertices outside the set instead of the
+packed pass over the sets themselves.
 frozen_classes reads the class list that the frozen digests hash.
 checked_member builds a construction family member and asserts that every
 claim measured on it holds.
@@ -258,3 +260,37 @@ def checked_member(family: str, **params) -> Graph:
     report = evaluate(family, params)
     assert report.ok, report.failures
     return report.graph
+
+
+def outside_set_gamma_ir(g: Graph) -> tuple[int, int]:
+    """gamma_ir and its smallest-mask witness, from the set S = V - D.
+
+    The vertices outside an irregular dominating set D have pairwise
+    distinct counts |N(v) cap D| = |N(v) - S| in 1..Delta, so gamma_ir is
+    n minus the largest S whose counts |N(v) - S| are nonzero and pairwise
+    distinct, and S has at most Delta members.  The search grows S one
+    vertex at a time, each below the last, trying the highest first, so
+    the sets of one size are reached in descending mask order: the first S
+    of the final size is the numerically largest, and its complement the
+    smallest-mask D.  Growing S only lowers the counts of its members, so a
+    branch is cut once its sorted counts no longer leave room for distinct
+    nonzero values (the i-th smallest count at least i), or once it cannot
+    grow past the best size found.  The cost is set by Delta, not by 2^n.
+    """
+    rows, n = g.rows, g.n
+    best = best_s = 0
+
+    def grow(s: int, members: list, below: int) -> None:
+        nonlocal best, best_s
+        counts = sorted((rows[v] & ~s).bit_count() for v in members)
+        if any(c <= i for i, c in enumerate(counts)):
+            return
+        if len(members) > best and len(set(counts)) == len(counts):
+            best, best_s = len(members), s
+        for v in range(below - 1, -1, -1):
+            if len(members) + 1 + v <= best:
+                return
+            grow(s | 1 << v, members + [v], v)
+
+    grow(0, [], n)
+    return n - best, ((1 << n) - 1) ^ best_s

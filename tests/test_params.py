@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from irregraph.graph import (
     empty_graph,
     from_edge_mask,
     from_edges,
+    isomorphism_classes,
     pair_count,
     path_graph,
     star_graph,
@@ -47,7 +50,7 @@ from irregraph.params import (
     naive_gamma_reg,
     naive_max_cut,
 )
-from oracles import frozen_classes
+from oracles import frozen_classes, outside_set_gamma_ir
 
 
 @st.composite
@@ -255,14 +258,26 @@ def gnp(n, p, rng):
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
 def test_exponential_solvers_match_oracles_beyond_n7(p):
-    # up to order 13, where the packed domination pass has its default low
-    # part and a high vertex
+    # up to order 13: the subset tables through order 9, then the packed
+    # domination pass, at 10-12 with no high vertex and at 13 with one
     rng = random.Random(int(p * 10))
     for n in range(8, 14):
         for _ in range(3):
             g = gnp(n, p, rng)
             for fast, slow in SOLVER_PAIRS:
                 assert fast(g) == slow(g), (fast.__name__, n, g.edge_mask)
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+def test_domination_walk_matches_oracles_at_depth_two_and_three(p):
+    # at the default low part, orders 14 and 15 walk two and three high
+    # vertices deep, so folds land at the root, inner depths and the leaves;
+    # the complements put the other count mode against the oracles
+    rng = random.Random(int(p * 10) + 14)
+    drawn = [gnp(n, p, rng) for n in (14, 15) for _ in range(2)]
+    for g in drawn + [complement(g) for g in drawn]:
+        assert gamma_ir(g) == naive_gamma_ir(g), (g.n, g.edge_mask)
+        assert gamma_reg(g) == naive_gamma_reg(g), (g.n, g.edge_mask)
 
 
 def test_subset_tables_match_oracles():
@@ -390,8 +405,9 @@ def test_split_scan_matches_oracles_at_small_orders(monkeypatch):
 
 def test_full_report_builds_the_domination_tables_once(monkeypatch):
     # gamma_ir and gamma_reg share one packed pass: gamma_ir runs it, with
-    # one _low_levels call per vertex plus one for pop, and gamma_reg reads
-    # its answer from the cache
+    # one _low_levels call per vertex, and gamma_reg reads its answer from
+    # the cache.  pop and upto are built once per width of the low part:
+    # one more _low_levels call for the first graph, none for the next
     import irregraph.params as params_module
 
     low_levels = params_module._low_levels
@@ -402,12 +418,18 @@ def test_full_report_builds_the_domination_tables_once(monkeypatch):
         return low_levels(*args)
 
     monkeypatch.setattr(params_module, "_low_levels", counted)
-    params_module._packed_dominating.cache_clear()
-    g = gnp(14, 0.5, random.Random(25))
-    full_report(g)
-    info = params_module._packed_dominating.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert len(calls) == g.n + 1
+    params_module._low_sizes.cache_clear()
+    rng = random.Random(25)
+    for extra in (1, 0):
+        params_module._packed_dominating.cache_clear()
+        calls.clear()
+        g = gnp(14, 0.5, rng)
+        full_report(g)
+        info = params_module._packed_dominating.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert len(calls) == g.n + extra
+    info = params_module._low_sizes.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_max_cut_walk_matches_oracle_at_small_orders(monkeypatch):
@@ -440,14 +462,17 @@ def test_max_cut_lanes_fit_a_byte_at_the_size_guard():
 
 # sha256 over "graph6 gamma_ir witness-mask gamma_reg witness-mask\n".  The
 # classes of order 1-7 and their complements take the subset tables (up to
-# LATTICE_MAX); the G(n, p) draws at n = 12-16 ("gnp", four per (n, p)) and
-# n = 17-20 ("gnp_large", one per (n, p)) take the packed pass, through the
-# n = 18 that compute runs, past the n = 12 that the oracle comparisons
-# above reach.
+# LATTICE_MAX); the G(n, p) draws at n = 12-16 ("gnp", four per (n, p)),
+# n = 17-20 ("gnp_large", one per (n, p)) and n = 21-26 ("gnp_guard", one
+# per (n, p), up to SIZE_GUARD) take the packed pass, through the n = 18
+# that compute runs, past the n = 15 that the oracle comparisons above
+# reach.  "gnp_guard" was recorded with the flat pass, one loop over the
+# high parts, before the walk replaced it.
 DOMINATION_DIGESTS = {
     "classes": "0ce2deaa8c87ba39becf341f8b3b11f62ad5926a9ad34515b71791e6ad6227fc",
     "gnp": "0d067bdc3f6e13c05eab33d057d9e387443241aeb2b4fd58e38ad2ae5b7310af",
     "gnp_large": "d253f490555999bf1020913d7f45cd489e15269f29c4292ebcb78ea93e6fbaa7",
+    "gnp_guard": "27ab042218d3ab2ac2788b0d3aa87b3d20ec282d7e00b2c376f1dc66815d2a5a",
 }
 
 
@@ -460,6 +485,8 @@ def test_every_domination_answer_is_frozen():
                 for _ in range(4)],
         "gnp_large": [gnp(n, p, rng) for n in range(17, 21)
                       for p in (0.2, 0.5, 0.8)],
+        "gnp_guard": [gnp(n, p, rng) for n in range(21, 27)
+                      for p in (0.2, 0.5, 0.8)],
     }
     for name, graphs in sets.items():
         digest = hashlib.sha256()
@@ -469,6 +496,29 @@ def test_every_domination_answer_is_frozen():
                     f"{reg.value} {reg.witness.mask}\n")
             digest.update(line.encode("ascii"))
         assert digest.hexdigest() == DOMINATION_DIGESTS[name], name
+
+
+@pytest.mark.slow
+def test_gamma_ir_matches_the_outside_set_search_on_sparse_graphs():
+    # the digests freeze answers up to n = 26, but above the n = 15 that the
+    # naive oracles reach nothing else checks the packed pass independently:
+    # 200 seeded sparse draws at n = 17-26, cubic graphs (even n), trees and
+    # G(n, 3/n), whose small Delta keeps the outside-set search short
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(9)
+    graphs = []
+    for n in range(17, 27):
+        for seed in range(8):
+            drawn = [nx.random_labeled_tree(n, seed=seed)]
+            if n % 2 == 0:
+                drawn.append(nx.random_regular_graph(3, n, seed=seed))
+            graphs += [from_edges(n, h.edges()) for h in drawn]
+            graphs.append(gnp(n, 3 / n, rng))
+    assert len(graphs) == 200
+    for g in graphs:
+        found = gamma_ir(g)
+        assert outside_set_gamma_ir(g) == (found.value, found.witness.mask), (
+            g.n, g.edge_mask)
 
 
 # sha256 over "graph6 value witness-mask\n" of max_cut.  "classes": every
@@ -553,6 +603,59 @@ def test_witnesses_on_tie_heavy_graphs():
     for g in graphs:
         for fast, slow in SOLVER_PAIRS:
             assert fast(g) == slow(g), (fast.__name__, g.edge_mask)
+
+
+# -- counting identities --------------------------------------------------------------
+
+
+def test_extremal_counts_match_the_regular_class_counts():
+    # Lemma 3.1: alpha_ir(G) = 1 exactly when any two vertices of distinct
+    # degrees are adjacent, that is when the complement of G is a disjoint
+    # union of regular graphs of pairwise distinct degrees.  So the classes
+    # of order n with alpha_ir = 1 number [x^n] prod_d (1 + sum_k r_d(k) x^k),
+    # with r_d(k) the d-regular classes of order k, and the labeled graphs
+    # n! [x^n] prod_d (1 + sum_k R_d(k) x^k / k!), with R_d(k) their labeled
+    # members.  gamma_ir = n - 1 holds exactly for isolated vertices plus a
+    # star K_{1,r}, r >= 2, or an r-regular graph, r >= 1: n - 2 stars and
+    # the r-regular classes of order at most n.  The regular counts read no
+    # solver, so the solvers, the walk's |Aut| and both characterisations
+    # are checked against each other.
+    top = 8
+    regular = [[0] * (top + 1) for _ in range(top)]  # r_d(k)
+    egf = [[Fraction(0)] * (top + 1) for _ in range(top)]  # R_d(k) / k!
+    for k in range(1, top + 1):
+        for g, aut in isomorphism_classes(k):
+            degrees = set(g.degrees())
+            if len(degrees) == 1:
+                d = degrees.pop()
+                regular[d][k] += 1
+                egf[d][k] += Fraction(1, aut)
+
+    def product(series):
+        total = [1] + [0] * top
+        for coeffs in series:
+            coeffs = [1] + coeffs[1:]
+            total = [sum(total[i] * coeffs[j - i] for i in range(j + 1))
+                     for j in range(top + 1)]
+        return total
+
+    by_class, by_label = product(regular), product(egf)
+    got = {"classes": [], "labeled": [], "gamma": []}
+    for n in range(1, top + 1):
+        found = isomorphism_classes(n)
+        alpha_one = [aut for g, aut in found if alpha_ir(g).value == 1]
+        got["classes"].append(len(alpha_one))
+        got["labeled"].append(sum(factorial(n) // aut for aut in alpha_one))
+        got["gamma"].append(sum(gamma_ir(g).value == n - 1 for g, _ in found))
+        assert got["classes"][-1] == by_class[n], n
+        assert got["labeled"][-1] == factorial(n) * by_label[n], n
+        assert got["gamma"][-1] == max(n - 2, 0) + sum(
+            regular[r][k] for r in range(1, top) for k in range(1, n + 1)), n
+    assert got == {
+        "classes": [1, 2, 3, 6, 9, 18, 27, 58],
+        "labeled": [1, 2, 5, 18, 79, 510, 3746, 70492],
+        "gamma": [0, 1, 3, 7, 10, 18, 24, 46],
+    }
 
 
 # -- structural invariants ----------------------------------------------------------
