@@ -28,19 +28,20 @@ the classes checked.  Each checked side adds its weight n!/|Aut| to its
 record (n, m, its verdict statuses), of which there are few.
 
 The sweep runs as k shards of that walk (_sweep_shard), one per usable CPU
-up to _MAX_WORKERS, from order _PARALLEL_FROM on and where the process can
-fork safely; otherwise k = 1 and the one shard is the whole walk.  A shard
-deals the entries of each order below n_max round-robin and keeps the
-children of its own entries of order n_max - 1.  Shard 0 runs in the caller
-and the others in forked children, each returning a plain tally: the
-weight of each record and the violating sides, with their verdicts as
-strings, which a child sends back through a pipe (irregraph.workers); an
-exception in a child is raised again in the caller, with the same type and
-arguments.  The merge (_merged) adds the tallies up, record by record, and
-reads the per-row counts and the per-(n, m) weights off the sum: for every
-order n and edge count m, the weights of the graphs checked with m edges
-must add up to C(C(n,2), m), which checks the walk, the pairing and the
-sharding on every run.
+up to _MAX_WORKERS, at every order; where the process cannot fork safely
+(no os.fork, or another thread running), k = 1 and the one shard is the
+whole walk.  A shard deals the entries of each order below n_max
+round-robin and keeps the children of its own entries of order n_max - 1
+(the res/mod split of geng).  Shard 0 runs in the caller and the others in
+forked children, each returning a plain tally: the weight of each record
+and the violating sides, with their verdicts as strings, which a child
+sends back through a pipe (irregraph.workers); an exception in a child is
+raised again in the caller, with the same type and arguments.  The merge
+(_merged) adds the tallies up, record by record, and reads the per-row
+counts and the per-(n, m) weights off the sum: for every order n and edge
+count m, the weights of the graphs checked with m edges must add up to
+C(C(n,2), m), which checks the walk, the pairing and the sharding on every
+run.
 
 After the merge, in the caller, a class with a failing check is expanded
 back into its labeled members (the complemented edge masks for a complement
@@ -572,35 +573,17 @@ def _blank_counts() -> dict:
     return {tid: {"pass": 0, "fail": 0, "not_applicable": 0} for tid in THEOREM_IDS}
 
 
-# verify_range forks worker shards from this order on.  `verify --n-max N`
-# in a fresh process, one shard against two, medians of 12 alternating runs
-# on a 2-vCPU Xeon, process wall time (the payload's wall_time_ms in
-# brackets): 124 vs 134 ms (30 vs 38) at N = 6, 516 vs 531 ms (94 vs 106)
-# with --t41-divisor 1, whose time goes to expanding violations in the
-# caller.  At 7 neither wins, so the fork point stays there: in four
-# batches one shard won 0, 11, 3 and 0 of the 12 pairs, batch medians
-# 255-287 vs 216-294 ms (179-204 vs 124-208).  At 8 two shards won 6 of 6:
-# 2.30 vs 1.38 s.
-_PARALLEL_FROM = 7
 # The most shards verify_range runs at once: two, the only count measured
-# end to end, on a 2-vCPU Xeon.  Two shards against one: verify_range(8) in
-# process 1.78-2.02 -> 1.07-1.59 s, five alternating fresh-process runs
-# each; verify_range(9) 92 -> 61 s before the subset tables.  Run side by
-# side, shards slow each other: per-class costs measured one at a time
-# predicted 1.8 times, not 1.5.  More shards wait for a host with more CPUs
-# to measure them.
+# end to end.  Two shards against one on a 2-vCPU AMD EPYC: bench/run.py
+# --workload verify7 run_s 0.083 -> 0.049 s (five alternating pairs), and
+# `verify --n-max 6` in a fresh process 61.9 -> 57.4 ms (medians of 12
+# alternating runs).  On a 2-vCPU Xeon: verify_range(8) in process
+# 1.78-2.02 -> 1.07-1.59 s, five alternating fresh-process runs each;
+# verify_range(9) 92 -> 61 s before the subset tables.  Run side by side,
+# shards slow each other: per-class costs measured one at a time predicted
+# 1.8 times, not 1.5.  More shards wait for a host with more CPUs to
+# measure them.
 _MAX_WORKERS = 2
-
-
-def _workers(n_max: int) -> int:
-    """How many shards verify_range splits an n_max sweep into: from
-    _PARALLEL_FROM on, one per usable CPU where the process can fork safely
-    (irregraph.workers), else 1."""
-    if n_max < _PARALLEL_FROM:
-        return 1
-    from irregraph.workers import usable_workers
-
-    return usable_workers(_MAX_WORKERS)
 
 
 def _sweep_shard(n_max: int, t41_divisor: int, shard: tuple[int, int]) -> tuple:
@@ -632,14 +615,6 @@ def _sweep_shard(n_max: int, t41_divisor: int, shard: tuple[int, int]) -> tuple:
                 plain = tuple((v.theorem_id, v.status, v.witness) for v in verdicts)
                 failed_sides.append((n, tuple(rows), flip, plain))
     return weights, failed_sides
-
-
-def _sweep_shards(n_max: int, t41_divisor: int, k: int) -> list[tuple]:
-    """The tallies of the k shards of the sweep, shard 0 from this process
-    and the others from forked children (irregraph.workers)."""
-    from irregraph.workers import forked_map
-
-    return forked_map(lambda i: _sweep_shard(n_max, t41_divisor, (i, k)), k)
 
 
 def _merged(n_max: int, tallies: list[tuple]) -> tuple[dict, list[TheoremReport]]:
@@ -689,8 +664,11 @@ def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
         raise ValueError(f"sweep budget is 0 <= n_max <= {ENUMERATION_LIMIT}")
     if t41_divisor < 1:
         raise ValueError("divisor must be >= 1")
+    from irregraph.workers import forked_map, usable_workers
+
     start = time.monotonic()
-    tallies = _sweep_shards(n_max, t41_divisor, _workers(n_max))
+    k = usable_workers(_MAX_WORKERS)
+    tallies = forked_map(lambda i: _sweep_shard(n_max, t41_divisor, (i, k)), k)
     counts, violations = _merged(n_max, tallies)
     graphs_checked = sum(1 << pair_count(n) for n in range(n_max + 1))
     wall = int((time.monotonic() - start) * 1000)

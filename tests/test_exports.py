@@ -1,6 +1,7 @@
 """The package exports every name its README and demos import from it and
 every name the README calls inline, the README states the sweep limit the
 harness enforces, every top-level name of the package is used somewhere,
+importing the package leaves the sweep's worker module unloaded,
 and every demo runs to completion."""
 
 import ast
@@ -103,6 +104,22 @@ def test_every_top_level_name_is_used():
         and not any(name in uses[p] and name not in defines[p] for p in files)
     )
     assert unused == []
+
+
+def test_importing_the_package_leaves_the_workers_module_unloaded():
+    # verify_range imports irregraph.workers when it sweeps, so a process
+    # that only imports the package and its command line never compiles it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = (
+        "import sys, irregraph, irregraph.cli; "
+        "print('irregraph.harness' in sys.modules, 'irregraph.workers' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True False\n"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

@@ -5,13 +5,14 @@ import io
 import json
 import os
 import signal
+import threading
 from collections import Counter
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irregraph import harness
+from irregraph import harness, workers
 from irregraph.graph import (
     Graph,
     complement,
@@ -256,23 +257,22 @@ def _payload(summary: SweepSummary) -> str:
 SWEEP_CASES = [(n, 2) for n in range(8)] + [(n, 1) for n in range(6)]
 
 
-def _unsharded(monkeypatch, n_max: int, t41_divisor: int) -> str:
-    with monkeypatch.context() as patch:
-        patch.setattr(harness, "_workers", lambda n_max: 1)
-        return _payload(verify_range(n_max, t41_divisor))
+def _unsharded(n_max: int, t41_divisor: int) -> str:
+    """The payload of verify_range(n_max, t41_divisor), merged from the
+    whole walk as one shard in this process."""
+    whole = harness._sweep_shard(n_max, t41_divisor, (0, 1))
+    counts, violations = harness._merged(n_max, [whole])
+    graphs = sum(1 << pair_count(n) for n in range(n_max + 1))
+    return _payload(SweepSummary(n_max, graphs, counts, tuple(violations), 0))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_merged_shard_tallies_give_the_same_payload(monkeypatch, k):
     # the k shards' tallies, summed and expanded, against one unsharded run
-    expected = {case: _unsharded(monkeypatch, *case) for case in SWEEP_CASES}
-
-    def in_process(n_max, t41_divisor, workers):
-        return [harness._sweep_shard(n_max, t41_divisor, (i, k)) for i in range(k)]
-
-    monkeypatch.setattr(harness, "_sweep_shards", in_process)
+    monkeypatch.setattr(workers, "usable_workers", lambda cap: k)
+    monkeypatch.setattr(workers, "forked_map", lambda work, k: [*map(work, range(k))])
     for case in SWEEP_CASES:
-        assert _payload(verify_range(*case)) == expected[case]
+        assert _payload(verify_range(*case)) == _unsharded(*case)
 
 
 def _summed(tallies: list[tuple]) -> tuple[Counter, list]:
@@ -297,20 +297,63 @@ def test_shard_weights_add_up_to_the_one_shard_map(k):
         )
 
 
-@pytest.mark.parametrize("lost", [0, 1])
-def test_lost_shard_is_caught(lost):
+@pytest.mark.parametrize("fault", [0, 1, "duplicated"])
+def test_lost_shard_is_caught(fault):
+    # shard 0 or shard 1 lost, or shard 1 counted twice
     tallies = [harness._sweep_shard(5, 2, (i, 2)) for i in range(2)]
-    del tallies[lost]
+    if fault == "duplicated":
+        tallies.append(tallies[1])
+    else:
+        del tallies[fault]
     with pytest.raises(AssertionError, match="class weights add up to"):
         harness._merged(5, tallies)
 
 
+def _kept(monkeypatch) -> list:
+    """The k each verify_range call forks, and the tallies it gets back,
+    appended as (k, tallies) to the list returned."""
+    kept = []
+    real = workers.forked_map
+
+    def keeping(work, k):
+        kept.append((k, real(work, k)))
+        return kept[-1][1]
+
+    monkeypatch.setattr(workers, "forked_map", keeping)
+    return kept
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_forked_shards_give_the_same_payload(monkeypatch, k):
-    expected = _unsharded(monkeypatch, 7, 2)
-    monkeypatch.setattr(harness, "_workers", lambda n_max: k)
-    assert _payload(verify_range(7)) == expected
+    monkeypatch.setattr(workers, "usable_workers", lambda cap: k)
+    kept = _kept(monkeypatch)
+    for case in SWEEP_CASES:
+        assert _payload(verify_range(*case)) == _unsharded(*case)
+    assert [shards for shards, _ in kept] == [k] * len(SWEEP_CASES)
     with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_second_thread_keeps_the_sweep_in_one_shard(monkeypatch):
+    # a forked child of a threaded process can block on a lock another
+    # thread held, so the sweep runs as one shard and forks nothing
+    def forbidden():
+        raise AssertionError("forked with a second thread alive")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+    kept = _kept(monkeypatch)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        payload = _payload(verify_range(5))
+    finally:
+        release.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
+    assert payload == _unsharded(5, 2)
+    assert [shards for shards, _ in kept] == [1]
+    with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
@@ -326,7 +369,7 @@ def test_shard_error_is_raised_after_reaping_every_worker(monkeypatch, where):
             raise ZeroDivisionError(f"max_cut failed in the {where}")
         return real(g)
 
-    monkeypatch.setattr(harness, "_workers", lambda n_max: 2)
+    monkeypatch.setattr(workers, "usable_workers", lambda cap: 2)
     monkeypatch.setattr(harness, "max_cut", failing)
     message = f"^max_cut failed in the {where}$"
     with pytest.raises(ZeroDivisionError, match=message) as raised:
@@ -352,7 +395,7 @@ def test_worker_killed_before_sending_is_an_error(monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         return real(n_max, t41_divisor, shard)
 
-    monkeypatch.setattr(harness, "_workers", lambda n_max: 3)
+    monkeypatch.setattr(workers, "usable_workers", lambda cap: 3)
     monkeypatch.setattr(harness, "_sweep_shard", killed)
     with pytest.raises(RuntimeError, match="ended without a result"):
         verify_range(7)
@@ -361,31 +404,41 @@ def test_worker_killed_before_sending_is_an_error(monkeypatch):
 
 
 def test_worker_count(monkeypatch):
-    # one shard below _PARALLEL_FROM; from there on, irregraph.workers decides
-    assert harness._workers(harness._PARALLEL_FROM - 1) == 1
-    monkeypatch.setattr(harness, "_MAX_WORKERS", 1)
-    assert harness._workers(8) == 1
-    monkeypatch.setattr(harness, "_MAX_WORKERS", 3)
-    assert harness._workers(8) == usable_workers(3)
+    # every sweep, whatever its order, forks usable_workers(_MAX_WORKERS)
+    # shards, reading _MAX_WORKERS when it runs
+    asked = []
+
+    def usable(cap):
+        asked.append(cap)
+        return usable_workers(cap)
+
+    monkeypatch.setattr(workers, "usable_workers", usable)
+    kept = _kept(monkeypatch)
+    for n_max in (0, 3, 7):
+        verify_range(n_max)
+    expected = [harness._MAX_WORKERS] * 3
+    for cap in (1, 3):
+        monkeypatch.setattr(harness, "_MAX_WORKERS", cap)
+        verify_range(3)
+        expected.append(cap)
+    assert asked == expected
+    assert [shards for shards, _ in kept] == [usable_workers(c) for c in expected]
 
 
 @pytest.mark.slow
 def test_order_eight_shards_give_the_same_payload(monkeypatch):
     # the payloads, and the weights the two forked shards sent back against
-    # the one shard's, key by key
-    tallies = {}
-    real = harness._sweep_shards
-
-    def kept(n_max, t41_divisor, k):
-        tallies[k] = real(n_max, t41_divisor, k)
-        return tallies[k]
-
-    monkeypatch.setattr(harness, "_sweep_shards", kept)
-    expected = _unsharded(monkeypatch, 8, 2)
-    monkeypatch.setattr(harness, "_workers", lambda n_max: 2)
-    assert _payload(verify_range(8)) == expected
-    assert _summed(tallies[2]) == _summed(tallies[1])
-    assert len(tallies[1][0][0]) == 186
+    # the one shard's (run in this process), key by key
+    kept = _kept(monkeypatch)
+    payloads = []
+    for k in (1, 2):
+        monkeypatch.setattr(workers, "usable_workers", lambda cap: k)
+        payloads.append(_payload(verify_range(8)))
+    assert payloads[1] == payloads[0]
+    (one, whole), (two, parts) = kept
+    assert (one, two) == (1, 2)
+    assert _summed(parts) == _summed(whole)
+    assert len(whole[0][0]) == 186
 
 
 def test_not_applicable_counts_frozen():
