@@ -81,8 +81,8 @@ def ub_span_thm32(delta: int) -> int:
 
 def lb_gamma_ir_thm41(n: int, Delta: int, divisor: int = 2) -> int:
     """max(ceil(n/divisor), n - Delta); the published divisor is 2."""
-    if n < 1 or not 0 <= Delta <= n - 1 or divisor < 1:
-        raise ValueError("need n >= 1, 0 <= Delta <= n-1 and divisor >= 1")
+    if n < 1 or not 0 <= Delta <= n - 1 or not isinstance(divisor, int) or divisor < 1:
+        raise ValueError("need n >= 1, 0 <= Delta <= n-1 and an int divisor >= 1")
     return max(-(-n // divisor), n - Delta)
 
 

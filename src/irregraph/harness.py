@@ -33,10 +33,10 @@ up to _MAX_WORKERS, at every order; where the process cannot fork safely
 whole walk.  A shard deals the entries of each order below n_max
 round-robin and keeps the children of its own entries of order n_max - 1
 (the res/mod split of geng).  Shard 0 runs in the caller and the others in
-forked children, each returning a plain tally: the weight of each record
-and the violating sides, with their verdicts as strings, which a child
-sends back through a pipe (irregraph.workers); an exception in a child is
-raised again in the caller, with the same type and arguments.  The merge
+forked children (irregraph.workers), each returning its tally: the weight
+of each record, in plain ints, strings and tuples, and the violating sides
+with their verdicts; an exception in a child is raised again in the caller,
+with the same type, args and attributes.  The merge
 (_merged) adds the tallies up, record by record, and reads the per-row
 counts and the per-(n, m) weights off the sum: for every order n and edge
 count m, the weights of the graphs checked with m edges must add up to
@@ -517,8 +517,6 @@ def _plain(row: _Row) -> tuple:
 
 
 _TABLE = tuple(_plain(row) for row in _ROWS)
-# the shared verdicts by (theorem id, status)
-_SHARED = {(v.theorem_id, v.status): v for row in _TABLE for v in row[6:]}
 
 
 def _evaluate(row: tuple, c: _Ctx) -> Verdict:
@@ -587,11 +585,10 @@ _MAX_WORKERS = 2
 
 
 def _sweep_shard(n_max: int, t41_divisor: int, shard: tuple[int, int]) -> tuple:
-    """The tally of one shard of the sweep (graph._class_walk's shard), in
-    plain ints, tuples and strings: the labeled weight of the checked sides
-    by record (n, m, their statuses in THEOREM_IDS order), and each failing
-    side as (n, rows, flip, verdicts), verdicts as (theorem id, status, witness).
-    """
+    """The tally of one shard of the sweep (graph._class_walk's shard): the
+    labeled weight of the checked sides by record (n, m, their statuses in
+    THEOREM_IDS order), all plain ints, tuples and strings, and each failing
+    side as (n, rows, flip, its verdicts)."""
     weights = {}
     failed_sides = []
     for rows, lab in _class_walk(n_max, pair_count(n_max) // 2, shard):
@@ -612,8 +609,7 @@ def _sweep_shard(n_max: int, t41_divisor: int, shard: tuple[int, int]) -> tuple:
             record = (n, edges, statuses)
             weights[record] = weights.get(record, 0) + weight
             if "fail" in statuses:
-                plain = tuple((v.theorem_id, v.status, v.witness) for v in verdicts)
-                failed_sides.append((n, tuple(rows), flip, plain))
+                failed_sides.append((n, tuple(rows), flip, verdicts))
     return weights, failed_sides
 
 
@@ -642,11 +638,10 @@ def _merged(n_max: int, tallies: list[tuple]) -> tuple[dict, list[TheoremReport]
                 )
     violations: list[TheoremReport] = []
     orbit_of = members = None  # the orbit is walked once for both sides
-    for n, rows, flip, plain in failed_sides:
+    for n, rows, flip, verdicts in failed_sides:
         if rows != orbit_of:
             orbit_of, members = rows, labeled_copies(Graph(n, rows))
         graphs = graph6_from_edge_masks(n, [mask ^ flip for mask in members])
-        verdicts = tuple(_SHARED.get(v[:2]) or Verdict(*v) for v in plain)
         violations.extend(TheoremReport._sharing(verdicts, graphs))
     violations.sort(key=lambda r: r.graph)
     return counts, violations
@@ -660,8 +655,8 @@ def verify_range(n_max: int, t41_divisor: int = 2) -> SweepSummary:
     order-0 graph is counted but carries no checks.  The result is
     deterministic, and the same for any number of shards.
     """
-    if not 0 <= n_max <= ENUMERATION_LIMIT:
-        raise ValueError(f"sweep budget is 0 <= n_max <= {ENUMERATION_LIMIT}")
+    if not isinstance(n_max, int) or not 0 <= n_max <= ENUMERATION_LIMIT:
+        raise ValueError(f"sweep budget is an int 0 <= n_max <= {ENUMERATION_LIMIT}")
     if t41_divisor < 1:
         raise ValueError("divisor must be >= 1")
     from irregraph.workers import forked_map, usable_workers

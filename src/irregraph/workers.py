@@ -2,14 +2,18 @@
 
 forked_map(work, k) calls work(i) for every shard i < k: shard 0 in the
 calling process and every other shard in a child forked from it, so a child
-starts with everything the caller has built and nothing is pickled on the
-way in.  A child sends its result back through a pipe, encoded by marshal,
-so a result holds only plain values (ints, strings, tuples, lists, dicts),
-and leaves by os._exit: nothing the caller buffered is flushed twice, and
-none of the caller's clean-up runs in the child.  Every child is reaped
-before forked_map returns or raises.  An exception in a child is raised
-again in the caller, with the same type and arguments, from a
-WorkerTraceback that holds the child's traceback.
+starts with everything the caller has built and nothing is sent on the way
+in.  A child sends its result back through a pipe, pickled, and leaves by
+os._exit: nothing the caller buffered is flushed twice, and none of the
+caller's clean-up runs in the child.  Every child is reaped before
+forked_map returns or raises.  An exception in a child is raised again in
+the caller, with the same type, args and attributes, from a WorkerTraceback
+that holds the child's traceback; one that pickle cannot carry or rebuild
+comes back as a RuntimeError naming its type and args.
+
+pickle is safe here because a pipe only ever links the caller to a child it
+forked itself, running the same code; nothing read from a file or from
+another process is unpickled.
 
 The standard library's multiprocessing Pool does not serve here: with the
 fork context, importing it and starting and stopping a one-worker pool took
@@ -20,8 +24,8 @@ stderr on exit.
 
 from __future__ import annotations
 
-import marshal
 import os
+import pickle
 import sys
 from typing import Callable, NoReturn
 
@@ -69,7 +73,14 @@ def forked_map(work: Callable[[int], object], k: int) -> list:
         for pid, fd in list(pipes.items()):  # in shard order
             sent, status = _received(pid, fd)
             del pipes[pid]
-            results.append(_decoded(pid, sent, status))
+            if not sent:
+                raise RuntimeError(
+                    f"worker {pid} ended without a result (wait status {status})"
+                )
+            trace, value = pickle.loads(sent)
+            if trace is not None:
+                raise value from WorkerTraceback(trace)
+            results.append(value)
         return results
     finally:
         if pipes:  # an error, or an interrupt, came first: stop the rest
@@ -89,33 +100,28 @@ def forked_map(work: Callable[[int], object], k: int) -> list:
 
 
 def _child(work: Callable[[int], object], i: int, out: int) -> NoReturn:
-    """Send ("ok", work(i)), or the exception it raised, through the pipe
-    end out, and leave the process."""
+    """Send (None, work(i)), or (the traceback, the exception) if it raised
+    one, pickled through the pipe end out, and leave the process."""
     code = 1
     try:
         try:
-            sent = marshal.dumps(("ok", work(i)))
+            sent = pickle.dumps((None, work(i)))
         except BaseException as exc:  # every error goes back to the caller
-            sent = marshal.dumps(_error(exc))
+            import traceback
+
+            trace = "".join(traceback.format_exception(exc))
+            try:
+                sent = pickle.dumps((trace, exc))
+                pickle.loads(sent)  # the caller must be able to rebuild it
+            except Exception:
+                cls = type(exc)
+                named = RuntimeError(f"{cls.__module__}.{cls.__qualname__}{exc.args!r}")
+                sent = pickle.dumps((trace, named))
         with open(out, "wb") as pipe:
             pipe.write(sent)
         code = 0
     finally:
         os._exit(code)
-
-
-def _error(exc: BaseException) -> tuple:
-    """("error", the type's module and qualified name, args, traceback)."""
-    import traceback
-
-    args = exc.args
-    try:
-        marshal.dumps(args)
-    except ValueError:  # args the pipe cannot carry: send the message
-        args = (str(exc),)
-    cls = type(exc)
-    trace = "".join(traceback.format_exception(exc))
-    return ("error", cls.__module__, cls.__qualname__, args, trace)
 
 
 def _received(pid: int, fd: int) -> tuple[bytes, int]:
@@ -124,32 +130,3 @@ def _received(pid: int, fd: int) -> tuple[bytes, int]:
     with open(fd, "rb") as pipe:
         sent = pipe.read()
     return sent, os.waitpid(pid, 0)[1]
-
-
-def _decoded(pid: int, sent: bytes, status: int) -> object:
-    """The result the child pid sent; its exception, raised again, if it
-    sent one."""
-    if not sent:
-        raise RuntimeError(
-            f"worker {pid} ended without a result (wait status {status})"
-        )
-    kind, *body = marshal.loads(sent)
-    if kind == "ok":
-        return body[0]
-    module, qualname, args, trace = body
-    raise _rebuilt(module, qualname, args) from WorkerTraceback(trace)
-
-
-def _rebuilt(module: str, qualname: str, args: tuple) -> BaseException:
-    """The exception of that type and args, where the type can be found
-    here and built from them, else a RuntimeError naming it."""
-    cls = sys.modules.get(module)
-    for name in qualname.split("."):
-        cls = getattr(cls, name, None)
-    try:
-        exc = cls(*args)
-    except Exception:  # no such type here, or it takes other arguments
-        exc = None
-    if not isinstance(exc, BaseException):
-        exc = RuntimeError(f"{module}.{qualname}{args!r}")
-    return exc

@@ -3,6 +3,7 @@ and the negative controls."""
 
 import io
 import json
+import marshal
 import os
 import signal
 import threading
@@ -117,6 +118,12 @@ def test_t41_divisor_validation_and_bound():
         verify_range(0, t41_divisor=0)
     with pytest.raises(ValueError, match="divisor >= 1"):
         theorem_report(complete_graph(3), t41_divisor=0)
+    # only an int divisor: any other would print a float bound into T4.1
+    for divisor in (1.5, 2.0):
+        with pytest.raises(ValueError, match="int divisor >= 1"):
+            theorem_report(path_graph(4), t41_divisor=divisor)
+        with pytest.raises(ValueError, match="int divisor >= 1"):
+            verify_range(3, t41_divisor=divisor)
     # the T4.1 row takes its bound, divisor included, from irregraph.bounds
     by_id = lambda r: {v.theorem_id: v for v in r.verdicts}
     k3 = complete_graph(3)  # gamma_ir = 2 = max(ceil(3/2), 3-2)
@@ -295,6 +302,9 @@ def test_shard_weights_add_up_to_the_one_shard_map(k):
             len(record) == 3 and len(record[2]) == len(THEOREM_IDS)
             for record in whole[0]
         )
+    # the records stay plain values, which marshal (and a JSON tally file)
+    # can hold; marshal.dumps raises ValueError on any other
+    marshal.dumps(harness._sweep_shard(6, 1, (0, 1))[0])
 
 
 @pytest.mark.parametrize("fault", [0, 1, "duplicated"])
@@ -508,6 +518,8 @@ def test_verify_range_validation():
         verify_range(9)
     with pytest.raises(ValueError):
         verify_range(-1)
+    with pytest.raises(ValueError, match="an int 0 <= n_max"):
+        verify_range(3.0)
     with pytest.raises(TypeError):
         verify_range(3, engine="scalar")  # the engine choice is gone
 

@@ -3,9 +3,11 @@ caller, and no child process left behind."""
 
 import errno
 import os
+import pickle
 import signal
 import threading
 import time
+import traceback
 
 import pytest
 
@@ -28,8 +30,13 @@ def test_results_come_back_in_shard_order():
 
 
 def test_a_result_the_pipe_cannot_carry_is_an_error():
-    with pytest.raises(ValueError, match="unmarshallable object"):
-        forked_map(lambda i: object() if i else None, 2)
+    # a local function does not pickle; the worker's pickling error is
+    # raised again in the caller
+    with pytest.raises(
+        (AttributeError, pickle.PicklingError), match="[Cc]an't pickle"
+    ) as raised:
+        forked_map(lambda i: (lambda: 0) if i else None, 2)
+    assert isinstance(raised.value.__cause__, WorkerTraceback)
     _no_child_left()
 
 
@@ -81,15 +88,40 @@ class _TwoArgs(Exception):
         super().__init__(f"{a} and {b}")
 
 
-def test_an_exception_that_cannot_be_rebuilt_names_its_type():
+@pytest.mark.parametrize(
+    "exc, expected, match, attributes",
+    [
+        # crosses whole: type, args and the extra attribute filename
+        (
+            OSError(errno.ENOENT, "gone", "x.g6"),
+            FileNotFoundError,
+            "gone",
+            {"args": (errno.ENOENT, "gone"), "filename": "x.g6"},
+        ),
+        # args that pickle cannot carry
+        (ValueError(lambda: 0), RuntimeError, r"builtins\.ValueError\(<function", {}),
+        # args that the type's __init__ does not take
+        (_TwoArgs(1, 2), RuntimeError, r"_TwoArgs\('1 and 2',\)", {}),
+    ],
+    ids=["whole", "unpicklable_args", "two_args"],
+)
+def test_an_exception_that_cannot_be_rebuilt_names_its_type(
+    exc, expected, match, attributes
+):
     def work(i):
         if i:
-            raise _TwoArgs(1, 2)
+            raise exc
 
-    with pytest.raises(RuntimeError, match=r"_TwoArgs\('1 and 2',\)") as raised:
+    with pytest.raises(expected, match=match) as raised:
         forked_map(work, 2)
-    assert isinstance(raised.value.__cause__, WorkerTraceback)
-    assert "_TwoArgs(1, 2)" in str(raised.value.__cause__)
+    assert type(raised.value) is expected
+    for name, value in attributes.items():
+        assert getattr(raised.value, name) == value
+    cause = raised.value.__cause__
+    assert isinstance(cause, WorkerTraceback)
+    # the worker's own traceback, down to the exception it raised
+    assert "in work\n    raise exc\n" in str(cause)
+    assert str(cause).endswith("".join(traceback.format_exception_only(exc)))
     _no_child_left()
 
 
